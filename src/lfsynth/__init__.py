@@ -33,13 +33,11 @@ from .lft import (
     upper_lft_matrix,
     zero_block,
 )
-from .norms import NormResult, default_frequency_grid, h2_norm, hinf_lower_bound_grid, hinf_norm
+from .norms import NormResult, default_frequency_grid, h2_norm, hinf_norm
 from .statespace import (
-    FrequencySample,
     PartitionedSystem,
     StateSpace,
     append_diag,
-    freq_response,
     frequency_gain,
     series,
     spectral_abscissa,

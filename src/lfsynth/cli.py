@@ -20,7 +20,6 @@ partial outputs.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -54,6 +53,7 @@ from .synth import (
     init_from_nominal,
     optimize,
 )
+from .textio import write_lines
 
 SCENARIOS = ("beam", "building", "custom")
 METRICS = ("hinf", "h2")
@@ -199,10 +199,12 @@ def parse_config(path):
         )
     if cfg.sweep_n_points < 1:
         raise ConfigError(f"{path}: key 'sweep.n_points' must be positive")
-    if cfg.opt_nominal_index < 0:
+    if cfg.opt_nominal_index == -1:
         cfg.opt_nominal_index = len(cfg.grid) // 2
-    if cfg.opt_nominal_index >= len(cfg.grid):
-        raise ConfigError(f"{path}: key 'opt.nominal_index' outside the grid")
+    if not 0 <= cfg.opt_nominal_index < len(cfg.grid):
+        raise ConfigError(
+            f"{path}: key 'opt.nominal_index' must be a grid index or -1 (middle)"
+        )
     if cfg.scenario == "custom" and len(cfg.custom_plants) != len(cfg.grid):
         raise ConfigError(
             f"{path}: key 'custom.plants' must list one plant file per grid value"
@@ -308,18 +310,11 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _write_text(path, text):
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join("" if v is None else _fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 EXIT_BY_STATUS = {"converged": 0, "iteration-limit": 2, "stabilization-failed": 3}
@@ -353,7 +348,7 @@ def cmd_synth(config_path):
         + " ".join(_fmt(v) for v in result.per_point_perf_norms),
         "per_point_wk_norms: " + " ".join(_fmt(v) for v in result.per_point_wk_norms),
     ]
-    _write_text(cfg.io_summary, "\n".join(lines) + "\n")
+    write_lines(cfg.io_summary, lines)
     print(f"synth: {result.status}, gamma = {result.gamma:.6g}")
     return EXIT_BY_STATUS[result.status]
 
@@ -475,7 +470,10 @@ def main(argv=None):
         if args.command == "eval":
             return cmd_eval(args.controller, args.config, args.out)
         if args.command == "bode":
-            rhos = [float(tok) for tok in args.rho.split(",") if tok.strip()]
+            try:
+                rhos = [float(tok) for tok in args.rho.split(",") if tok.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"bad --rho value: {exc}") from None
             return cmd_bode(args.controller, args.config, rhos, args.out)
         if args.command == "model":
             return cmd_model_gen(args.scenario, args.out, args.config, args.rho)

@@ -14,7 +14,6 @@ parameter dependence.  ``n_delta = 0`` collapses everything to a classical
 non-parametric controller.
 """
 
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, IllPosedLFTError, ParseError
 from .matops import as_matrix
 from .statespace import PartitionedSystem, StateSpace
+from .textio import DataReader, write_lines
 
 MASK_ZERO = 0
 MASK_FREE = 1
@@ -340,64 +340,17 @@ def save_controller(kb, path):
         lines.append(" ".join(f"{v:.17g}" for v in kb.k[i]))
     for i in range(rows):
         lines.append(" ".join(str(int(v)) for v in kb.mask[i]))
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
-def _data_lines(path):
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped
+    write_lines(path, lines)
 
 
 def load_controller(path):
-    lines = _data_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(f"{path}: empty controller file") from None
-    parts = header.split()
-    if len(parts) != 4:
-        raise ParseError(
-            f"{path}:{lineno}: header must be 'n_k n_delta n_u n_y', got {header!r}"
-        )
-    try:
-        n_k, n_delta, n_u, n_y = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: non-integer header entry") from None
+    data = DataReader(path)
+    n_k, n_delta, n_u, n_y = data.header(("n_k", "n_delta", "n_u", "n_y"), "controller")
     rows = n_k + n_delta + n_u
     cols = n_k + n_delta + n_y
-
-    def read_block(name, parse, dtype):
-        out = np.zeros((rows, cols), dtype=dtype)
-        for i in range(rows):
-            try:
-                lineno, line = next(lines)
-            except StopIteration:
-                raise ParseError(
-                    f"{path}: truncated file: missing row {i + 1} of the {name}"
-                ) from None
-            vals = line.split()
-            if len(vals) != cols:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {cols} {name} entries, got {len(vals)}"
-                )
-            try:
-                out[i] = [parse(v) for v in vals]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric {name} entry") from None
-        return out
-
-    k = read_block("k matrix", float, float)
-    mask = read_block("mask", int, np.int8)
-    extra = next(lines, None)
-    if extra is not None:
-        raise ParseError(f"{path}:{extra[0]}: unexpected trailing data")
+    k = data.block("k matrix", rows, cols)
+    mask = data.block("mask", rows, cols, int, np.int8)
+    data.finish()
     try:
         return ControllerBlock(n_k, n_delta, n_u, n_y, k, mask)
     except (DimensionError, DomainError) as exc:

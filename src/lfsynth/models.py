@@ -13,14 +13,14 @@ Users with their own plant matrices can instead load them from the text
 format documented in :mod:`lfsynth.statespace`.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DimensionError, DomainError
 from .norms import hinf_norm
 from .statespace import PartitionedSystem, StateSpace, static_gain
+from .textio import DataReader, write_lines
 
 # ---------------------------------------------------------------------------
 # Clamped beam finite-element surrogate
@@ -311,64 +311,16 @@ def save_statespace(sys, path):
     block(sys.b)
     block(sys.c)
     block(sys.d)
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_lines(path, lines)
 
 
 def load_statespace(path):
     """Parse the shared text format; errors carry the offending line number."""
-    data = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            data.append((lineno, stripped))
-    if not data:
-        raise ParseError(f"{path}: empty state-space file")
-    lineno, header = data[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise ParseError(f"{path}:{lineno}: header must be 'n n_u n_y', got {header!r}")
-    try:
-        n, n_u, n_y = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: non-integer header entry") from None
-    if min(n, n_u, n_y) < 0:
-        raise ParseError(f"{path}:{lineno}: negative dimension in header")
-    cursor = 1
-
-    def read_block(name, rows, cols):
-        nonlocal cursor
-        out = np.zeros((rows, cols))
-        if rows == 0 or cols == 0:
-            return out
-        for i in range(rows):
-            if cursor >= len(data):
-                raise ParseError(
-                    f"{path}: truncated file: missing row {i + 1} of the {name} block"
-                )
-            lineno, line = data[cursor]
-            cursor += 1
-            vals = line.split()
-            if len(vals) != cols:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {cols} {name} entries, got {len(vals)}"
-                )
-            try:
-                out[i] = [float(v) for v in vals]
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: non-numeric {name} entry"
-                ) from None
-        return out
-
-    a = read_block("A", n, n)
-    b = read_block("B", n, n_u)
-    c = read_block("C", n_y, n)
-    d = read_block("D", n_y, n_u)
-    if cursor != len(data):
-        raise ParseError(f"{path}:{data[cursor][0]}: unexpected trailing data")
+    data = DataReader(path)
+    n, n_u, n_y = data.header(("n", "n_u", "n_y"), "state-space")
+    a = data.block("A", n, n)
+    b = data.block("B", n, n_u)
+    c = data.block("C", n_y, n)
+    d = data.block("D", n_y, n_u)
+    data.finish()
     return StateSpace(a, b, c, d)

@@ -23,17 +23,10 @@ IMAG_EIG_TOL = 1e-8
 
 @dataclass(frozen=True)
 class NormResult:
-    """A norm value plus the frequency at (or near) which it is achieved.
-
-    ``certified`` distinguishes a bisection-certified value from a plain
-    frequency-grid estimate; ``stable`` records whether the system was stable
-    (grid estimates are defined for unstable systems too).
-    """
+    """A norm value plus the frequency at (or near) which it is achieved."""
 
     value: float
     peak_omega: float
-    certified: bool
-    stable: bool = True
 
 
 def default_frequency_grid(sys, n_points=200, decades_span=1e3):
@@ -54,31 +47,6 @@ def _sigma_at(sys, omega):
     if gain.size == 0:
         return 0.0
     return float(np.linalg.svd(gain, compute_uv=False)[0])
-
-
-def hinf_lower_bound_grid(sys, omegas):
-    """Max response gain over a frequency grid; a lower bound, never certified.
-
-    Unstable systems are permitted: the result is then only an estimate of the
-    supremum along the frequency axis, flagged by ``stable=False``.
-    """
-    omegas = np.asarray(list(omegas), dtype=float)
-    if omegas.size == 0:
-        raise DomainError("frequency grid must be nonempty")
-    best = -1.0
-    best_w = omegas[0]
-    for w in omegas:
-        try:
-            s = _sigma_at(sys, w)
-        except SingularMatrixError:
-            s = np.inf
-        # ties resolve to the lowest frequency, independent of grid order
-        if s > best or (s == best and w < best_w):
-            best, best_w = s, w
-    stable = True
-    if not sys.is_static:
-        stable = spectral_abscissa(sys) < 0.0
-    return NormResult(float(best), float(best_w), certified=False, stable=stable)
 
 
 def _hamiltonian(sys, gamma):
@@ -121,26 +89,21 @@ def hinf_norm(sys, rel_tol=1e-6):
         raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol}")
     d_gain = max_singular_value(sys.d)
     if sys.is_static:
-        return NormResult(d_gain, 0.0, certified=True)
+        return NormResult(d_gain, 0.0)
     if spectral_abscissa(sys) >= 0.0:
         raise UnstableError("H-infinity norm requires a stable system")
     if max_singular_value(sys.b) == 0.0 or max_singular_value(sys.c) == 0.0:
-        return NormResult(d_gain, 0.0, certified=True)
+        return NormResult(d_gain, 0.0)
 
-    # Near-marginal systems can trip the pole guard at resonance samples;
-    # those frequencies are simply skipped (the bisection finds the peak).
     grid = np.concatenate([[0.0], default_frequency_grid(sys)])
     lb, peak = d_gain, grid[-1]
-    for w in grid:
-        try:
-            s = _sigma_at(sys, w)
-        except SingularMatrixError:
-            continue
-        if s > lb:
-            lb, peak = s, w
 
     def probe(freqs):
-        """Raise the lower bound using response samples at the given frequencies."""
+        """Raise the lower bound using response samples at the given frequencies.
+
+        Near-marginal systems can trip the pole guard at resonance samples;
+        those frequencies are simply skipped (the bisection finds the peak).
+        """
         nonlocal lb, peak
         for w in freqs:
             try:
@@ -149,6 +112,8 @@ def hinf_norm(sys, rel_tol=1e-6):
                 continue
             if s > lb:
                 lb, peak = s, w
+
+    probe(grid)
 
     def has_crossings(gamma):
         # Guard the (gamma^2 I - D^T D) solves: perturb gamma off sigma_max(D).
@@ -189,7 +154,7 @@ def hinf_norm(sys, rel_tol=1e-6):
     else:
         raise NumericalError("H-infinity bisection failed to converge")
 
-    return NormResult(0.5 * (lb + ub), float(peak), certified=True)
+    return NormResult(0.5 * (lb + ub), float(peak))
 
 
 def h2_norm(sys):

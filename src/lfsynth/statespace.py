@@ -11,7 +11,7 @@ B-entries, n_y rows of n C-entries and n_y rows of n_u D-entries, all
 whitespace-separated decimal floats.  Lines starting with '#' are comments.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,14 +130,6 @@ def subsystem(p, out_block, in_block):
     return StateSpace(s.a, s.b[:, ci], s.c[ri, :], s.d[ri, ci])
 
 
-@dataclass(frozen=True)
-class FrequencySample:
-    """Complex frequency-response value ``gain = H(i omega)``."""
-
-    omega: float
-    gain: np.ndarray = field(repr=False)
-
-
 def frequency_gain(sys, omega):
     """Single response matrix ``c (i omega I - a)^-1 b + d``.
 
@@ -155,11 +147,6 @@ def frequency_gain(sys, omega):
             f"frequency {omega} rad/s coincides with a system pole"
         )
     return sys.c @ np.linalg.solve(m, sys.b) + sys.d
-
-
-def freq_response(sys, omegas):
-    """Frequency response samples of ``sys`` at each frequency in ``omegas``."""
-    return [FrequencySample(float(w), frequency_gain(sys, w)) for w in omegas]
 
 
 def spectral_abscissa(sys):

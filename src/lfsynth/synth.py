@@ -16,10 +16,8 @@ useful descent signal near the stability boundary; accepted iterates are
 always strictly stabilizing.
 """
 
-import os
 import time
 from collections import deque, namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +30,6 @@ from .errors import (
 )
 from .lft import (
     MASK_FREE,
-    MASK_FROZEN,
     MASK_ZERO,
     ControllerBlock,
     closed_loop_matrices,
@@ -43,25 +40,6 @@ from .lft import (
 )
 from .norms import hinf_norm
 from .statespace import StateSpace, append_diag, series, spectral_abscissa
-
-THREADS_ENV = "LFSYNTH_THREADS"
-
-
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Map preserving order; uses a thread pool when LFSYNTH_THREADS > 1."""
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
 
 # ---------------------------------------------------------------------------
 # Problem description
@@ -249,7 +227,7 @@ def _certify(problem, kb, rel_tol, gamma_big):
         except IllPosedLFTError as exc:
             raise IllPosedLFTError(str(exc), grid_index=j) from exc
 
-    rows = _map_ordered(one_indexed, range(problem.m))
+    rows = [one_indexed(j) for j in range(problem.m)]
     per_point, perf, wk, peaks = [], [], [], []
     stable = True
     worst = -np.inf
@@ -304,9 +282,9 @@ def _batch_sigma(g):
     return np.linalg.svd(g, compute_uv=False)[:, 0]
 
 
-def _soft_max(values, tau_rel):
+def _soft_max(values, tau):
+    """Log-sum-exp smoothing of ``max(values)`` at absolute width ``tau``."""
     m = float(values.max())
-    tau = tau_rel * max(abs(m), 1e-12)
     return m + tau * float(np.log(np.exp((values - m) / tau).sum()))
 
 
@@ -345,6 +323,51 @@ def surrogate_grid(problem, n_base=160):
     return np.unique(freqs)
 
 
+def _closed_loops(problem, kb):
+    """Instantiated controller and closed-loop poles at every grid point, or
+    None when the block is ill posed at some grid value.
+
+    The closed-loop state matrix contains the controller dynamics, so its
+    poles also cover stability of the weighted controller channel (the
+    weights themselves are stable by construction).
+    """
+    loops = []
+    for j, rho in enumerate(problem.grid):
+        try:
+            km = eval_controller_matrices(kb, rho, grid_index=j)
+        except IllPosedLFTError:
+            return None
+        k_sys = StateSpace(*km)
+        acl = closed_loop_matrices(problem.plants[j], k_sys)[0]
+        poles = np.linalg.eigvals(acl) if acl.size else np.zeros(0, dtype=complex)
+        loops.append((k_sys, poles))
+    return loops
+
+
+def _plant_responses(plant, wk, freqs):
+    """Plant blocks (p11, p12, p21, p22) and weight response over ``freqs``."""
+    n_w = plant.input_partition[0]
+    n_z = plant.output_partition[0]
+    resp = _batched_response(plant.sys, freqs)
+    blocks = (
+        resp[:, :n_z, :n_w],
+        resp[:, :n_z, n_w:],
+        resp[:, n_z:, :n_w],
+        resp[:, n_z:, n_w:],
+    )
+    return blocks, _batched_response(wk, freqs)
+
+
+def _channel_sigmas(k_sys, freqs, blocks, wk_resp):
+    """Closed-loop and weighted-controller gains of one grid point."""
+    p11, p12, p21, p22 = blocks
+    kresp = _batched_response(k_sys, freqs)
+    loop = np.eye(p22.shape[1]) - p22 @ kresp
+    x = np.linalg.solve(loop, p21)
+    closed = p11 + p12 @ (kresp @ x)
+    return _batch_sigma(closed), _batch_sigma(wk_resp @ kresp)
+
+
 _EvalInfo = namedtuple(
     "_EvalInfo", ["well_posed", "stable", "max_abscissa", "sigmas", "grid_max"]
 )
@@ -360,21 +383,10 @@ class _FastEvaluator:
 
     def _set_grid(self, freqs):
         self.freqs = np.unique(freqs[freqs >= 0.0])
-        self._blocks = []
-        self._wk_resp = []
-        for plant, wk in zip(self.problem.plants, self.problem.wk_list):
-            n_w, n_u = plant.input_partition
-            n_z, n_y = plant.output_partition
-            resp = _batched_response(plant.sys, self.freqs)
-            self._blocks.append(
-                {
-                    "p11": resp[:, :n_z, :n_w],
-                    "p12": resp[:, :n_z, n_w:],
-                    "p21": resp[:, n_z:, :n_w],
-                    "p22": resp[:, n_z:, n_w:],
-                }
-            )
-            self._wk_resp.append(_batched_response(wk, self.freqs))
+        self._responses = [
+            _plant_responses(plant, wk, self.freqs)
+            for plant, wk in zip(self.problem.plants, self.problem.wk_list)
+        ]
 
     def add_frequencies(self, omegas):
         """Enrich the grid near newly certified peaks."""
@@ -388,23 +400,6 @@ class _FastEvaluator:
         self._set_grid(merged)
         return True
 
-    def _controller_response(self, kmats, freqs):
-        ak, bk, ck, dk = kmats
-        nk = ak.shape[0]
-        if nk == 0:
-            return np.broadcast_to(dk, (len(freqs),) + dk.shape).astype(complex)
-        m = 1j * freqs[:, None, None] * np.eye(nk) - ak
-        x = np.linalg.solve(m, np.broadcast_to(bk, (len(freqs),) + bk.shape))
-        return ck @ x + dk
-
-    def _channel_sigmas(self, j, km, freqs, blocks, wk_resp):
-        kresp = self._controller_response(km, freqs)
-        n_y = blocks["p22"].shape[1]
-        loop = np.eye(n_y) - blocks["p22"] @ kresp
-        x = np.linalg.solve(loop, blocks["p21"])
-        closed = blocks["p11"] + blocks["p12"] @ (kresp @ x)
-        return _batch_sigma(closed), _batch_sigma(wk_resp @ kresp)
-
     def evaluate(self, kb):
         """Stability and frequency-gridded channel gains of one block.
 
@@ -414,58 +409,34 @@ class _FastEvaluator:
         fixed grid misses, and they are exactly what drives certification
         failures near the stability boundary.
         """
+        loops = _closed_loops(self.problem, kb)
+        if loops is None:
+            return _EvalInfo(False, False, np.inf, None, None)
         worst = -np.inf
-        kmats = []
         needle_freqs = []
-        for j, rho in enumerate(self.problem.grid):
-            try:
-                km = eval_controller_matrices(kb, rho, grid_index=j)
-            except IllPosedLFTError:
-                return _EvalInfo(False, False, np.inf, None, None)
-            k_sys = StateSpace(*km)
-            acl = closed_loop_matrices(self.problem.plants[j], k_sys)[0]
-            if acl.size:
-                lam = np.linalg.eigvals(acl)
+        for _, lam in loops:
+            if lam.size:
                 worst = max(worst, float(lam.real.max()))
-                light = lam[(lam.imag > 0.0)
-                            & (np.abs(lam.real) <= 0.05 * np.abs(lam))]
-                order = np.argsort(np.abs(light.real) / np.abs(light))
-                needle_freqs.append(light.imag[order][:8])
-            else:
-                needle_freqs.append(np.zeros(0))
-            kmats.append(km)
+            light = lam[(lam.imag > 0.0) & (np.abs(lam.real) <= 0.05 * np.abs(lam))]
+            order = np.argsort(np.abs(light.real) / np.abs(light))
+            needle_freqs.append(light.imag[order][:8])
         if worst >= 0.0:
             return _EvalInfo(True, False, worst, None, None)
         sigmas = []
-        for j, km in enumerate(kmats):
+        for j, (k_sys, _) in enumerate(loops):
+            needles = needle_freqs[j]
             try:
-                s_cl, s_wk = self._channel_sigmas(
-                    j, km, self.freqs, self._blocks[j], self._wk_resp[j]
-                )
-                sigmas.extend((s_cl, s_wk))
-                if needle_freqs[j].size:
-                    extra = self._point_sigmas(j, km, needle_freqs[j])
-                    sigmas.extend(extra)
+                sigmas.extend(_channel_sigmas(k_sys, self.freqs, *self._responses[j]))
+                if needles.size:
+                    # ad-hoc frequencies: the plant response is not cached
+                    needle_resp = _plant_responses(
+                        self.problem.plants[j], self.problem.wk_list[j], needles
+                    )
+                    sigmas.extend(_channel_sigmas(k_sys, needles, *needle_resp))
             except np.linalg.LinAlgError:
                 return _EvalInfo(False, False, worst, None, None)
         v = np.concatenate(sigmas)
         return _EvalInfo(True, True, worst, v, float(v.max()))
-
-    def _point_sigmas(self, j, km, freqs):
-        """Channel gains at ad-hoc frequencies (plant response not cached)."""
-        plant = self.problem.plants[j]
-        wk = self.problem.wk_list[j]
-        n_w, n_u = plant.input_partition
-        n_z, n_y = plant.output_partition
-        resp = _batched_response(plant.sys, freqs)
-        blocks = {
-            "p11": resp[:, :n_z, :n_w],
-            "p12": resp[:, :n_z, n_w:],
-            "p21": resp[:, n_z:, :n_w],
-            "p22": resp[:, n_z:, n_w:],
-        }
-        wk_resp = _batched_response(wk, freqs)
-        return self._channel_sigmas(j, km, freqs, blocks, wk_resp)
 
     def penalized(self, kb, tau_rel):
         info = self.evaluate(kb)
@@ -473,7 +444,7 @@ class _FastEvaluator:
             return np.inf, info
         if not info.stable:
             return self.gamma_big * (1.0 + info.max_abscissa), info
-        return _soft_max(info.sigmas, tau_rel), info
+        return _soft_max(info.sigmas, tau_rel * max(abs(info.grid_max), 1e-12)), info
 
 
 # ---------------------------------------------------------------------------
@@ -561,21 +532,13 @@ def _bfgs(fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=None):
 
 
 def _closed_abscissas(problem, kb):
-    """Per-grid-point closed-loop spectral abscissas, or None when ill posed.
-
-    The closed-loop state matrix contains the controller dynamics, so this
-    also covers stability of the weighted controller channel (the weights
-    themselves are stable by construction).
-    """
-    out = []
-    for j, rho in enumerate(problem.grid):
-        try:
-            km = eval_controller_matrices(kb, rho, grid_index=j)
-        except IllPosedLFTError:
-            return None
-        acl = closed_loop_matrices(problem.plants[j], StateSpace(*km))[0]
-        out.append(float(np.linalg.eigvals(acl).real.max()) if acl.size else -np.inf)
-    return np.array(out)
+    """Per-grid-point closed-loop spectral abscissas, or None when ill posed."""
+    loops = _closed_loops(problem, kb)
+    if loops is None:
+        return None
+    return np.array(
+        [float(lam.real.max()) if lam.size else -np.inf for _, lam in loops]
+    )
 
 
 def stabilize(problem, kb0, budget=4000, seed=0):
@@ -604,9 +567,7 @@ def stabilize(problem, kb0, budget=4000, seed=0):
         v = _closed_abscissas(problem, kb0.with_free_values(theta))
         if v is None:
             return np.inf
-        m = float(v.max())
-        tau = 1e-2 * (1.0 + abs(m))
-        return m + tau * float(np.log(np.exp((v - m) / tau).sum()))
+        return _soft_max(v, 1e-2 * (1.0 + abs(float(v.max()))))
 
     open_absc = [
         _abscissa_or_neg(p.sys) for p in problem.plants if not p.sys.is_static
@@ -648,7 +609,6 @@ class OptimizeOptions:
     grid_points: int = 160
     refine_rounds: int = 2
     certify_rel_tol: float = 1e-6
-    delta_first: bool = False  # tune parameter-coupled blocks before the rest
 
     def __post_init__(self):
         if self.max_iter < 1 or self.restarts < 1:
@@ -773,22 +733,6 @@ def init_from_nominal(problem, nominal_index, options=None):
     return kb.with_k(k)
 
 
-def _frozen_nominal_mask(kb):
-    """Mask freezing the currently free entries of the non-parametric blocks."""
-    mask = np.array(kb.mask)
-    nk, nd = kb.n_k, kb.n_delta
-    for rows, cols in (
-        (slice(0, nk), slice(0, nk)),  # a_k
-        (slice(0, nk), slice(nk + nd, None)),  # b_u
-        (slice(nk + nd, None), slice(0, nk)),  # c_y
-        (slice(nk + nd, None), slice(nk + nd, None)),  # d_yu
-    ):
-        block = mask[rows, cols]
-        block[block == MASK_FREE] = MASK_FROZEN
-        mask[rows, cols] = block
-    return mask
-
-
 def optimize(problem, kb_init, options=None):
     """Minimize the worst-case objective over the free entries of ``kb_init``.
 
@@ -831,31 +775,6 @@ def optimize(problem, kb_init, options=None):
     evaluator = _FastEvaluator(
         problem, surrogate_grid(problem, opts.grid_points), gamma_big
     )
-
-    if opts.delta_first and kb0.n_delta > 0:
-        staged = ControllerBlock(
-            kb0.n_k, kb0.n_delta, kb0.n_u, kb0.n_y, kb0.k, _frozen_nominal_mask(kb0)
-        )
-        theta_s = staged.free_values()
-        if theta_s.size:
-            if not theta_s.any():
-                # The all-zero coupling point is a saddle (the coupling blocks
-                # enter the instantiated controller only through products);
-                # a small deterministic kick makes it optimizable.
-                kick_rng = np.random.default_rng(opts.seed + 1)
-                theta_s = theta_s + kick_rng.normal(0.0, 0.05, theta_s.size)
-                ab_s = _closed_abscissas(problem, staged.with_free_values(theta_s))
-                if ab_s is None or ab_s.max() >= 0.0:
-                    theta_s = staged.free_values()
-            staged_opts = replace(
-                opts, max_iter=max(opts.max_iter // 4, 10), refine_rounds=0,
-                delta_first=False,
-            )
-            theta_s, _, _, _ = _descend(
-                evaluator, staged, theta_s, staged_opts, t_start
-            )
-            kb0 = kb0.with_k(staged.with_free_values(theta_s).k)
-            theta_init = kb0.free_values()
 
     candidates = []
     init_cert = _certify(problem, kb0, opts.certify_rel_tol, gamma_big)

@@ -87,6 +87,12 @@ class TestConfigParsing:
         assert parsed.sweep_rho_max == 20.0
         assert parsed.opt_nominal_index == 1
 
+    def test_negative_nominal_index_other_than_minus_one(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario = beam\ngrid = 1, 2, 3, 4, 5\nopt.nominal_index = -4\n")
+        with pytest.raises(ConfigError, match="nominal_index"):
+            parse_config(str(cfg))
+
     def test_exit_code_on_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scenario = beam\n")
@@ -179,6 +185,17 @@ class TestBodeCommand:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0].split(",")
         assert header == ["omega", "open_loop", "rho_1", "rho_2"]
+
+    def test_bad_rho_exits_1(self, toy_config, capsys):
+        cfg, base = toy_config
+        ctl = base / "k.txt"
+        ctl.write_text("0 1 1 1\n0 0\n0 0\n1 1\n1 1\n")
+        out = base / "bode.csv"
+        code = main(["bode", "--controller", str(ctl), "--config", str(cfg),
+                     "--rho", "0.5,abc", "--out", str(out)])
+        assert code == 1
+        assert "--rho" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScenarioSmoke:

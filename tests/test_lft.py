@@ -262,9 +262,10 @@ class TestControllerFile:
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "k.txt"
-        path.write_text("1 2 3\n")
-        with pytest.raises(ParseError, match="header"):
-            load_controller(str(path))
+        for text in ("1 2 3\n", "-5 0 1 1\n"):
+            path.write_text(text)
+            with pytest.raises(ParseError, match=r":1: .*header"):
+                load_controller(str(path))
 
     def test_non_numeric(self, rng, tmp_path):
         kb = random_block(rng, 1, 0, 1, 1)

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from lfsynth.errors import DomainError, UnstableError
-from lfsynth.norms import (
-    default_frequency_grid,
-    h2_norm,
-    hinf_lower_bound_grid,
-    hinf_norm,
-)
-from lfsynth.statespace import StateSpace, append_diag, static_gain
+from lfsynth.norms import default_frequency_grid, h2_norm, hinf_norm
+from lfsynth.statespace import StateSpace, append_diag, frequency_gain, static_gain
 
 from conftest import random_stable_ss
 
@@ -56,7 +51,6 @@ class TestHinfNorm:
     def test_static_gain(self):
         res = hinf_norm(static_gain([[2.0, 0.0], [0.0, 1.0]]))
         assert res.value == pytest.approx(2.0)
-        assert res.certified
 
     def test_first_order_lag(self):
         res = hinf_norm(lag(), rel_tol=1e-6)
@@ -101,8 +95,6 @@ class TestHinfNorm:
             )
 
     def test_value_covers_peak_sample(self, rng):
-        from lfsynth.statespace import frequency_gain
-
         for _ in range(5):
             sys = random_stable_ss(rng, 6, 2, 2)
             res = hinf_norm(sys, rel_tol=1e-6)
@@ -122,36 +114,15 @@ class TestHinfNorm:
 
 
 class TestGridLowerBound:
-    def test_static(self):
-        res = hinf_lower_bound_grid(static_gain([[3.0]]), [1.0])
-        assert res.value == 3.0 and not res.certified
-
-    def test_lag_at_dc(self):
-        res = hinf_lower_bound_grid(lag(), [0.0])
-        assert res.value == pytest.approx(1.0)
-        assert res.peak_omega == 0.0
-
-    def test_resonant_dense_grid(self):
-        res = hinf_lower_bound_grid(resonant(), np.geomspace(1e-2, 1e2, 400))
-        assert res.value >= 4.97
-        assert res.value <= 5.0252 * 1.001
-
     def test_never_exceeds_certified(self, rng):
         for _ in range(5):
             sys = random_stable_ss(rng, 4, 2, 2)
-            grid = default_frequency_grid(sys, 80)
-            lb = hinf_lower_bound_grid(sys, grid)
+            lb = max(
+                np.linalg.svd(frequency_gain(sys, w), compute_uv=False)[0]
+                for w in default_frequency_grid(sys, 80)
+            )
             cert = hinf_norm(sys, rel_tol=1e-6)
-            assert lb.value <= cert.value * (1.0 + 1e-6)
-
-    def test_unstable_flagged(self):
-        s = StateSpace([[0.2]], [[1.0]], [[1.0]], [[0.0]])
-        res = hinf_lower_bound_grid(s, [0.0, 1.0])
-        assert not res.stable and not res.certified
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(DomainError):
-            hinf_lower_bound_grid(lag(), [])
+            assert lb <= cert.value * (1.0 + 1e-6)
 
 
 class TestH2Norm:

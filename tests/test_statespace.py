@@ -6,7 +6,6 @@ from lfsynth.statespace import (
     PartitionedSystem,
     StateSpace,
     append_diag,
-    freq_response,
     frequency_gain,
     series,
     spectral_abscissa,
@@ -63,11 +62,6 @@ class TestFrequencyResponse:
         osc = StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
         with pytest.raises(SingularMatrixError):
             frequency_gain(osc, 1.0)
-
-    def test_freq_response_list(self):
-        samples = freq_response(lag(), [0.0, 1.0, 2.0])
-        assert [s.omega for s in samples] == [0.0, 1.0, 2.0]
-        assert samples[0].gain[0, 0] == pytest.approx(1.0)
 
     def test_negative_omega_rejected(self):
         with pytest.raises(DomainError):
