@@ -30,6 +30,7 @@ from .errors import (
     IllPosedLFTError,
     LfsynthError,
     NumericalError,
+    SingularMatrixError,
     StabilizationFailedError,
 )
 from .lft import count_free_params, eval_controller, load_controller, lower_lft_ss, save_controller
@@ -45,7 +46,7 @@ from .models import (
     timoshenko_beam,
 )
 from .norms import default_frequency_grid, h2_norm, hinf_norm
-from .statespace import PartitionedSystem, frequency_gain, spectral_abscissa, subsystem
+from .statespace import FrequencyKernel, PartitionedSystem, spectral_abscissa, subsystem
 from .synth import (
     OptimizeOptions,
     StructureOptions,
@@ -395,10 +396,10 @@ def cmd_bode(controller_path, config_path, rho_list, out_path):
     omegas = default_frequency_grid(open_loop, 200)
 
     def magnitudes(sys):
-        return np.array(
-            [np.linalg.svd(frequency_gain(sys, w), compute_uv=False)[0]
-             for w in omegas]
-        )
+        mags = FrequencyKernel(sys).sigma(omegas)
+        if np.isnan(mags).any():
+            raise SingularMatrixError("a bode frequency coincides with a system pole")
+        return mags
 
     columns = [magnitudes(open_loop)]
     header = ["omega", "open_loop"]

@@ -1,24 +1,30 @@
 """System norms: certified H-infinity and the H2 norm.
 
-The H-infinity norm is bracketed by bisection on the gain level gamma.  At
-each trial level the associated Hamiltonian matrix is formed: it has
-eigenvalues on the imaginary axis exactly when gamma is attained as a
-singular value of the frequency response somewhere on the axis.  Whenever
-imaginary eigenvalues appear, the response is probed at the midpoints of the
-crossing frequencies, which lifts the lower bound far faster than plain
-interval halving.
+The H-infinity norm comes from the level-set iteration of Bruinsma and
+Steinbuch (1990).  A batched scan of the frequency response gives a lower
+bound: a gain attained at some frequency.  The Hamiltonian matrix at a level
+just above that bound has eigenvalues on the imaginary axis exactly where a
+singular value of the response crosses the level.  The largest singular
+value stays above the level between consecutive crossings wherever it
+exceeds it, so sampling the midpoints of the crossings either lifts the
+bound to a larger attained gain or shows the level is out of reach.  The
+returned value is therefore a gain the system attains, and the true norm lies
+within a relative ``rel_tol`` above it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SingularMatrixError, UnstableError
+from .errors import DomainError, NumericalError, UnstableError
 from .matops import max_singular_value, solve_lyapunov
-from .statespace import frequency_gain, spectral_abscissa
+from .statespace import FrequencyKernel, spectral_abscissa
 
 # Threshold for calling a Hamiltonian eigenvalue purely imaginary.
 IMAG_EIG_TOL = 1e-8
+# Level sets tried before the norm is declared numerically out of reach; each
+# one lifts the lower bound by at least a factor 1 + rel_tol.
+MAX_LEVEL_SETS = 100
 
 
 @dataclass(frozen=True)
@@ -42,11 +48,13 @@ def default_frequency_grid(sys, n_points=200, decades_span=1e3):
     return np.unique(np.concatenate([base, resonances]))
 
 
-def _sigma_at(sys, omega):
-    gain = frequency_gain(sys, omega)
-    if gain.size == 0:
-        return 0.0
-    return float(np.linalg.svd(gain, compute_uv=False)[0])
+def _best_sample(kernel, omegas):
+    """Largest gain over ``omegas`` and its frequency; samples that sit on a
+    pole carry no gain."""
+    sigma = kernel.sigma(omegas)
+    sigma[np.isnan(sigma)] = -np.inf
+    i = int(np.argmax(sigma))
+    return float(sigma[i]), float(omegas[i])
 
 
 def _hamiltonian(sys, gamma):
@@ -81,9 +89,12 @@ def _imag_crossings(sys, gamma):
 def hinf_norm(sys, rel_tol=1e-6):
     """Certified H-infinity norm of a stable system.
 
-    The returned value is within ``rel_tol`` (relative) of the true norm.
-    Raises UnstableError for systems with spectral abscissa >= 0 (the norm is
-    unbounded or undefined there).
+    The returned value is a gain the system attains at ``peak_omega`` (or
+    ``sigma_max(d)``, approached at infinite frequency), and the true norm
+    lies in ``[value, value * (1 + rel_tol)]``.  Raises
+    UnstableError for systems with spectral abscissa >= 0 (the norm is
+    unbounded or undefined there), and NumericalError when the level-set
+    iteration does not settle.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol}")
@@ -95,66 +106,28 @@ def hinf_norm(sys, rel_tol=1e-6):
     if max_singular_value(sys.b) == 0.0 or max_singular_value(sys.c) == 0.0:
         return NormResult(d_gain, 0.0)
 
+    kernel = FrequencyKernel(sys)
     grid = np.concatenate([[0.0], default_frequency_grid(sys)])
-    lb, peak = d_gain, grid[-1]
-
-    def probe(freqs):
-        """Raise the lower bound using response samples at the given frequencies.
-
-        Near-marginal systems can trip the pole guard at resonance samples;
-        those frequencies are simply skipped (the bisection finds the peak).
-        """
-        nonlocal lb, peak
-        for w in freqs:
-            try:
-                s = _sigma_at(sys, w)
-            except SingularMatrixError:
-                continue
-            if s > lb:
-                lb, peak = s, w
-
-    probe(grid)
-
-    def has_crossings(gamma):
-        # Guard the (gamma^2 I - D^T D) solves: perturb gamma off sigma_max(D).
-        if abs(gamma - d_gain) <= 1e-12 * max(gamma, 1.0):
-            gamma = gamma * (1.0 + 1e-10) + 1e-300
-        freqs = _imag_crossings(sys, gamma)
-        return freqs
-
-    # Upper-bound seed: direct-gain plus a crude gain-bandwidth heuristic,
-    # doubled until the Hamiltonian has no imaginary eigenvalues.
-    alpha = abs(spectral_abscissa(sys))
-    ub = d_gain + 2.0 * max_singular_value(sys.c) * max_singular_value(sys.b) / max(
-        alpha, 1e-8
-    )
-    ub = max(ub, lb * (1.0 + 10.0 * rel_tol), 1e-12)
-    for _ in range(200):
-        freqs = has_crossings(ub)
+    lb, peak = _best_sample(kernel, grid)
+    if d_gain > lb:  # the response tends to d at infinite frequency
+        lb, peak = d_gain, float(grid[-1])
+    for _ in range(MAX_LEVEL_SETS):
+        # An all-zero scan leaves no scale: test a tiny level instead.
+        level = lb * (1.0 + rel_tol) if lb > 0.0 else 1e-12
+        # Guard the (gamma^2 I - D^T D) solves: perturb off sigma_max(D).
+        if abs(level - d_gain) <= 1e-12 * max(level, 1.0):
+            level = level * (1.0 + 1e-10) + 1e-300
+        freqs = _imag_crossings(sys, level)
         if freqs.size == 0:
             break
-        mids = np.sqrt(freqs[:-1] * freqs[1:]) if freqs.size > 1 else freqs
-        probe(np.concatenate([freqs, mids]))
-        lb = max(lb, ub)
-        ub *= 2.0
-    else:
-        raise NumericalError("failed to bracket the H-infinity norm from above")
-
-    for _ in range(400):
-        if ub - lb <= rel_tol * max(lb, 1e-300) or ub <= 1e-12:
+        mids = np.sqrt(freqs[:-1] * freqs[1:])
+        value, omega = _best_sample(kernel, np.concatenate([freqs, mids]))
+        if value < level:
             break
-        gamma = 0.5 * (lb + ub)
-        freqs = has_crossings(gamma)
-        if freqs.size == 0:
-            ub = gamma
-        else:
-            lb = max(lb, gamma)
-            mids = np.sqrt(freqs[:-1] * freqs[1:]) if freqs.size > 1 else freqs
-            probe(np.concatenate([freqs, mids]))
+        lb, peak = value, omega
     else:
-        raise NumericalError("H-infinity bisection failed to converge")
-
-    return NormResult(0.5 * (lb + ub), float(peak))
+        raise NumericalError("H-infinity level-set iteration failed to converge")
+    return NormResult(lb, peak)
 
 
 def h2_norm(sys):

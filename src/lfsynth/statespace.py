@@ -18,8 +18,12 @@ import numpy as np
 from .errors import DimensionError, DomainError, SingularMatrixError
 from .matops import as_matrix
 
-# Condition bound past which a frequency sample is declared to sit on a pole.
-FREQ_COND_LIMIT = 1e12
+# A frequency sample ``i omega`` within this distance of an eigenvalue of
+# ``a``, relative to the largest eigenvalue magnitude, sits on a pole.
+POLE_TOL = 1e-12
+# Condition number of the eigenvector matrix past which FrequencyKernel
+# solves densely instead of working in the eigenbasis.
+EIG_COND_LIMIT = 1e8
 
 
 def _frozen(m):
@@ -130,23 +134,94 @@ def subsystem(p, out_block, in_block):
     return StateSpace(s.a, s.b[:, ci], s.c[ri, :], s.d[ri, ci])
 
 
+def _on_pole(poles, omegas):
+    """Mask of the samples ``i omega`` that sit on one of ``poles``."""
+    dist = np.abs(1j * omegas[:, None] - poles[None, :]).min(axis=1)
+    return dist <= POLE_TOL * np.abs(poles).max()
+
+
 def frequency_gain(sys, omega):
     """Single response matrix ``c (i omega I - a)^-1 b + d``.
 
     Raises SingularMatrixError when ``i omega`` sits on an eigenvalue of ``a``
-    to within working precision.
+    (see POLE_TOL).
     """
     if not np.isfinite(omega) or omega < 0.0:
         raise DomainError(f"omega must be finite and nonnegative, got {omega}")
     if sys.is_static:
         return sys.d.astype(complex)
-    m = 1j * omega * np.eye(sys.n) - sys.a
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > FREQ_COND_LIMIT:
+    if _on_pole(np.linalg.eigvals(sys.a), np.array([omega]))[0]:
         raise SingularMatrixError(
             f"frequency {omega} rad/s coincides with a system pole"
         )
+    m = 1j * omega * np.eye(sys.n) - sys.a
     return sys.c @ np.linalg.solve(m, sys.b) + sys.d
+
+
+def batched_response(sys, freqs):
+    """Response H(i w) stacked over frequencies: shape (F, n_y, n_u)."""
+    f = len(freqs)
+    if sys.n == 0:
+        return np.broadcast_to(sys.d, (f,) + sys.d.shape).astype(complex)
+    m = 1j * freqs[:, None, None] * np.eye(sys.n) - sys.a
+    x = np.linalg.solve(m, np.broadcast_to(sys.b, (f,) + sys.b.shape))
+    return sys.c @ x + sys.d
+
+
+def batch_sigma(g):
+    """Largest singular value of each response in a stack (F, n_y, n_u)."""
+    if g.shape[1] == 1 and g.shape[2] == 1:
+        return np.abs(g[:, 0, 0])
+    return np.linalg.svd(g, compute_uv=False)[:, 0]
+
+
+class FrequencyKernel:
+    """Frequency response of one system, factored once for many frequencies.
+
+    The state matrix is diagonalized once, ``a = V diag(lambda) V^-1``; a
+    batch of samples then costs ``(c V) diag(1 / (i w - lambda)) (V^-1 b) + d``
+    (Laub 1981).  When ``cond(V)`` exceeds EIG_COND_LIMIT (a defective or
+    nearly defective ``a``), responses come from dense solves instead.
+    """
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.poles = np.zeros(0, dtype=complex)
+        self._modal = None
+        if sys.n:
+            self.poles, v = np.linalg.eig(sys.a)
+            if np.linalg.cond(v) <= EIG_COND_LIMIT:
+                self._modal = (sys.c @ v, np.linalg.solve(v, sys.b))
+
+    @property
+    def dense(self):
+        """True when responses come from dense solves, not the eigenbasis."""
+        return self.sys.n > 0 and self._modal is None
+
+    def response(self, omegas):
+        """Responses stacked over ``omegas``, shape (F, n_y, n_u), and the mask
+        of samples that sit on a pole; those samples hold NaN."""
+        omegas = np.asarray(omegas, dtype=float)
+        sys = self.sys
+        if sys.is_static:
+            return batched_response(sys, omegas), np.zeros(omegas.size, dtype=bool)
+        on_pole = _on_pole(self.poles, omegas)
+        ok = ~on_pole
+        g = np.full((omegas.size,) + sys.d.shape, np.nan, dtype=complex)
+        if self._modal is None:
+            g[ok] = batched_response(sys, omegas[ok])
+        else:
+            cv, wb = self._modal
+            inv = 1.0 / (1j * omegas[ok, None] - self.poles)
+            g[ok] = (cv * inv[:, None, :]) @ wb + sys.d
+        return g, on_pole
+
+    def sigma(self, omegas):
+        """Largest singular value at each of ``omegas``; NaN on a pole."""
+        g, on_pole = self.response(omegas)
+        s = np.full(on_pole.shape, np.nan)
+        s[~on_pole] = batch_sigma(g[~on_pole])
+        return s
 
 
 def spectral_abscissa(sys):

@@ -39,7 +39,14 @@ from .lft import (
     zero_block,
 )
 from .norms import hinf_norm
-from .statespace import StateSpace, append_diag, series, spectral_abscissa
+from .statespace import (
+    StateSpace,
+    append_diag,
+    batch_sigma,
+    batched_response,
+    series,
+    spectral_abscissa,
+)
 
 # ---------------------------------------------------------------------------
 # Problem description
@@ -266,22 +273,6 @@ def objective(problem, kb, rel_tol=1e-4, penalty_scale=1.0):
 # Fast surrogate evaluation on a fixed frequency grid
 
 
-def _batched_response(sys, freqs):
-    """Response H(i w) stacked over frequencies: shape (F, n_y, n_u)."""
-    f = len(freqs)
-    if sys.n == 0:
-        return np.broadcast_to(sys.d, (f,) + sys.d.shape).astype(complex)
-    m = 1j * freqs[:, None, None] * np.eye(sys.n) - sys.a
-    x = np.linalg.solve(m, np.broadcast_to(sys.b, (f,) + sys.b.shape))
-    return sys.c @ x + sys.d
-
-
-def _batch_sigma(g):
-    if g.shape[1] == 1 and g.shape[2] == 1:
-        return np.abs(g[:, 0, 0])
-    return np.linalg.svd(g, compute_uv=False)[:, 0]
-
-
 def _soft_max(values, tau):
     """Log-sum-exp smoothing of ``max(values)`` at absolute width ``tau``."""
     m = float(values.max())
@@ -348,24 +339,24 @@ def _plant_responses(plant, wk, freqs):
     """Plant blocks (p11, p12, p21, p22) and weight response over ``freqs``."""
     n_w = plant.input_partition[0]
     n_z = plant.output_partition[0]
-    resp = _batched_response(plant.sys, freqs)
+    resp = batched_response(plant.sys, freqs)
     blocks = (
         resp[:, :n_z, :n_w],
         resp[:, :n_z, n_w:],
         resp[:, n_z:, :n_w],
         resp[:, n_z:, n_w:],
     )
-    return blocks, _batched_response(wk, freqs)
+    return blocks, batched_response(wk, freqs)
 
 
 def _channel_sigmas(k_sys, freqs, blocks, wk_resp):
     """Closed-loop and weighted-controller gains of one grid point."""
     p11, p12, p21, p22 = blocks
-    kresp = _batched_response(k_sys, freqs)
+    kresp = batched_response(k_sys, freqs)
     loop = np.eye(p22.shape[1]) - p22 @ kresp
     x = np.linalg.solve(loop, p21)
     closed = p11 + p12 @ (kresp @ x)
-    return _batch_sigma(closed), _batch_sigma(wk_resp @ kresp)
+    return batch_sigma(closed), batch_sigma(wk_resp @ kresp)
 
 
 _EvalInfo = namedtuple(

@@ -81,6 +81,10 @@ class DataReader:
                 raise ParseError(
                     f"{self.path}:{lineno}: non-numeric {name} entry"
                 ) from None
+            except OverflowError:
+                raise ParseError(
+                    f"{self.path}:{lineno}: {name} entry out of range"
+                ) from None
         return out
 
     def finish(self):

@@ -267,6 +267,12 @@ class TestControllerFile:
             with pytest.raises(ParseError, match=r":1: .*header"):
                 load_controller(str(path))
 
+    def test_mask_entry_out_of_range(self, tmp_path):
+        path = tmp_path / "k.txt"
+        path.write_text("0 1 1 1\n1 2\n3 4\n300 1\n1 1\n")
+        with pytest.raises(ParseError, match=r":4: mask entry out of range"):
+            load_controller(str(path))
+
     def test_non_numeric(self, rng, tmp_path):
         kb = random_block(rng, 1, 0, 1, 1)
         path = tmp_path / "k.txt"

@@ -3,6 +3,7 @@ import pytest
 
 from lfsynth.errors import DimensionError, DomainError, SingularMatrixError
 from lfsynth.statespace import (
+    FrequencyKernel,
     PartitionedSystem,
     StateSpace,
     append_diag,
@@ -66,6 +67,71 @@ class TestFrequencyResponse:
     def test_negative_omega_rejected(self):
         with pytest.raises(DomainError):
             frequency_gain(lag(), -1.0)
+
+    def test_badly_scaled_realization(self):
+        # 1 / ((s + 1)(s + 2)) after the diagonal similarity diag(1, 1e-7):
+        # the shifted state matrix is ill conditioned but far from any pole.
+        scaled = StateSpace([[-1.0, 1e7], [0.0, -2.0]], [[0.0], [1e-7]], [[1.0, 0.0]], [[0.0]])
+        assert frequency_gain(scaled, 0.0)[0, 0] == pytest.approx(0.5, rel=1e-12)
+
+
+def lightly_damped(rng, n_modes, zeta, n_u=2, n_y=2):
+    """Modal system in (x, x'/w) coordinates with damping ratio ``zeta``."""
+    omegas = np.geomspace(0.5, 20.0, n_modes)
+    a = np.zeros((2 * n_modes, 2 * n_modes))
+    for i, w in enumerate(omegas):
+        a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[0.0, w], [-w, -2.0 * zeta * w]]
+    b = rng.normal(size=(2 * n_modes, n_u))
+    c = rng.normal(size=(n_y, 2 * n_modes))
+    return StateSpace(a, b, c, 0.1 * rng.normal(size=(n_y, n_u))), omegas
+
+
+def assert_kernel_matches(sys, omegas):
+    kernel = FrequencyKernel(sys)
+    got, on_pole = kernel.response(omegas)
+    assert not on_pole.any()
+    for w, g in zip(omegas, got):
+        expect = frequency_gain(sys, w)
+        assert np.abs(g - expect).max() <= 1e-9 * np.abs(expect).max()
+    return kernel
+
+
+class TestFrequencyKernel:
+    def test_random_stable(self, rng):
+        for n, n_u, n_y in ((1, 1, 1), (4, 2, 3), (12, 3, 2), (30, 1, 1)):
+            sys = random_stable_ss(rng, n, n_u, n_y)
+            kernel = assert_kernel_matches(sys, np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)]))
+            assert not kernel.dense
+
+    def test_lightly_damped(self, rng):
+        zeta = 1e-4
+        sys, modes = lightly_damped(rng, 8, zeta)
+        near = np.concatenate([modes, modes * np.sqrt(1.0 - zeta**2), modes * (1.0 + zeta)])
+        assert_kernel_matches(sys, np.concatenate([np.geomspace(1e-2, 1e3, 80), near]))
+
+    def test_defective_takes_dense_fallback(self):
+        jordan = StateSpace(
+            [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]],
+            [[0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0]], [[0.0]],
+        )
+        kernel = assert_kernel_matches(jordan, np.geomspace(1e-3, 1e3, 40))
+        assert kernel.dense
+        # 1 / (s + 1)^3
+        got = kernel.response([0.0, 1.0])[0][:, 0, 0]
+        assert np.allclose(got, [1.0, 1.0 / (1.0 + 1j) ** 3], rtol=1e-12)
+
+    def test_sample_on_undamped_pole_is_flagged(self):
+        osc = StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        kernel = FrequencyKernel(osc)
+        g, on_pole = kernel.response([0.5, 1.0, 2.0])
+        assert on_pole.tolist() == [False, True, False]
+        assert np.isnan(g[1]).all() and np.isfinite(g[[0, 2]]).all()
+        sigma = kernel.sigma([0.5, 1.0, 2.0])
+        assert np.isnan(sigma[1]) and sigma[0] == pytest.approx(1.0 / 0.75)
+
+    def test_static(self):
+        g, on_pole = FrequencyKernel(static_gain([[2.0, 1.0]])).response([0.0, 5.0])
+        assert np.array_equal(g, np.array([[[2.0, 1.0]]] * 2)) and not on_pole.any()
 
 
 class TestSpectralAbscissa:
