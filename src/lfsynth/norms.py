@@ -39,9 +39,12 @@ def default_frequency_grid(sys, n_points=200, decades_span=1e3):
     """Log-spaced grid scaled to the system dynamics, plus all resonance frequencies."""
     if sys.is_static or sys.n == 0:
         return np.array([1.0])
-    eig = np.linalg.eigvals(sys.a)
-    radius = float(np.max(np.abs(eig))) if eig.size else 1.0
-    scale = max(radius, 1e-8)
+    return _pole_grid(np.linalg.eigvals(sys.a), n_points, decades_span)
+
+
+def _pole_grid(eig, n_points=200, decades_span=1e3):
+    """default_frequency_grid from the eigenvalues of the state matrix."""
+    scale = max(float(np.max(np.abs(eig))), 1e-8)
     base = np.geomspace(scale / decades_span, scale * decades_span, n_points)
     resonances = np.abs(eig.imag)
     resonances = resonances[resonances > 0.0]
@@ -49,10 +52,12 @@ def default_frequency_grid(sys, n_points=200, decades_span=1e3):
 
 
 def _best_sample(kernel, omegas):
-    """Largest gain over ``omegas`` and its frequency; samples that sit on a
-    pole carry no gain."""
+    """Largest gain over ``omegas`` and its frequency."""
     sigma = kernel.sigma(omegas)
-    sigma[np.isnan(sigma)] = -np.inf
+    if np.isnan(sigma).any():
+        # The system is stable, so no sample truly sits on a pole; a singular
+        # sample is a numerical failure, never evidence of a small gain.
+        raise NumericalError("frequency response singular on a stable system")
     i = int(np.argmax(sigma))
     return float(sigma[i]), float(omegas[i])
 
@@ -94,20 +99,20 @@ def hinf_norm(sys, rel_tol=1e-6):
     lies in ``[value, value * (1 + rel_tol)]``.  Raises
     UnstableError for systems with spectral abscissa >= 0 (the norm is
     unbounded or undefined there), and NumericalError when the level-set
-    iteration does not settle.
+    iteration does not settle or a response sample is singular.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol}")
     d_gain = max_singular_value(sys.d)
     if sys.is_static:
         return NormResult(d_gain, 0.0)
-    if spectral_abscissa(sys) >= 0.0:
+    kernel = FrequencyKernel(sys)
+    if kernel.poles.real.max() >= 0.0:
         raise UnstableError("H-infinity norm requires a stable system")
     if max_singular_value(sys.b) == 0.0 or max_singular_value(sys.c) == 0.0:
         return NormResult(d_gain, 0.0)
 
-    kernel = FrequencyKernel(sys)
-    grid = np.concatenate([[0.0], default_frequency_grid(sys)])
+    grid = np.concatenate([[0.0], _pole_grid(kernel.poles)])
     lb, peak = _best_sample(kernel, grid)
     if d_gain > lb:  # the response tends to d at infinite frequency
         lb, peak = d_gain, float(grid[-1])

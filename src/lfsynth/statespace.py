@@ -18,9 +18,11 @@ import numpy as np
 from .errors import DimensionError, DomainError, SingularMatrixError
 from .matops import as_matrix
 
-# A frequency sample ``i omega`` within this distance of an eigenvalue of
-# ``a``, relative to the largest eigenvalue magnitude, sits on a pole.
-POLE_TOL = 1e-12
+# Within this distance of an eigenvalue of ``a``, relative to the largest
+# eigenvalue magnitude, an eigenbasis sample loses accuracy (the eigenvalue's
+# own rounding error is divided by the distance), so FrequencyKernel solves
+# such samples densely instead.
+NEAR_POLE_TOL = 1e-8
 # Condition number of the eigenvector matrix past which FrequencyKernel
 # solves densely instead of working in the eigenbasis.
 EIG_COND_LIMIT = 1e8
@@ -134,28 +136,27 @@ def subsystem(p, out_block, in_block):
     return StateSpace(s.a, s.b[:, ci], s.c[ri, :], s.d[ri, ci])
 
 
-def _on_pole(poles, omegas):
-    """Mask of the samples ``i omega`` that sit on one of ``poles``."""
-    dist = np.abs(1j * omegas[:, None] - poles[None, :]).min(axis=1)
-    return dist <= POLE_TOL * np.abs(poles).max()
-
-
 def frequency_gain(sys, omega):
     """Single response matrix ``c (i omega I - a)^-1 b + d``.
 
-    Raises SingularMatrixError when ``i omega`` sits on an eigenvalue of ``a``
-    (see POLE_TOL).
+    Raises SingularMatrixError when ``i omega`` sits on an eigenvalue of ``a``:
+    the shifted matrix is singular in floating point or the response is not
+    finite.
     """
     if not np.isfinite(omega) or omega < 0.0:
         raise DomainError(f"omega must be finite and nonnegative, got {omega}")
     if sys.is_static:
         return sys.d.astype(complex)
-    if _on_pole(np.linalg.eigvals(sys.a), np.array([omega]))[0]:
+    m = 1j * omega * np.eye(sys.n) - sys.a
+    try:
+        g = sys.c @ np.linalg.solve(m, sys.b) + sys.d
+    except np.linalg.LinAlgError:
+        g = None
+    if g is None or not np.isfinite(g).all():
         raise SingularMatrixError(
             f"frequency {omega} rad/s coincides with a system pole"
         )
-    m = 1j * omega * np.eye(sys.n) - sys.a
-    return sys.c @ np.linalg.solve(m, sys.b) + sys.d
+    return g
 
 
 def batched_response(sys, freqs):
@@ -200,20 +201,32 @@ class FrequencyKernel:
 
     def response(self, omegas):
         """Responses stacked over ``omegas``, shape (F, n_y, n_u), and the mask
-        of samples that sit on a pole; those samples hold NaN."""
+        of samples that sit on a pole (see frequency_gain); those hold NaN.
+
+        Samples within NEAR_POLE_TOL of an eigenvalue go through
+        frequency_gain one at a time.
+        """
         omegas = np.asarray(omegas, dtype=float)
         sys = self.sys
+        on_pole = np.zeros(omegas.size, dtype=bool)
         if sys.is_static:
-            return batched_response(sys, omegas), np.zeros(omegas.size, dtype=bool)
-        on_pole = _on_pole(self.poles, omegas)
-        ok = ~on_pole
-        g = np.full((omegas.size,) + sys.d.shape, np.nan, dtype=complex)
+            return batched_response(sys, omegas), on_pole
+        dist = np.abs(1j * omegas[:, None] - self.poles).min(axis=1)
+        near = dist <= NEAR_POLE_TOL * np.abs(self.poles).max()
+        far = ~near
+        g = np.empty((omegas.size,) + sys.d.shape, dtype=complex)
         if self._modal is None:
-            g[ok] = batched_response(sys, omegas[ok])
+            g[far] = batched_response(sys, omegas[far])
         else:
             cv, wb = self._modal
-            inv = 1.0 / (1j * omegas[ok, None] - self.poles)
-            g[ok] = (cv * inv[:, None, :]) @ wb + sys.d
+            inv = 1.0 / (1j * omegas[far, None] - self.poles)
+            g[far] = (cv * inv[:, None, :]) @ wb + sys.d
+        for i in np.flatnonzero(near):
+            try:
+                g[i] = frequency_gain(sys, omegas[i])
+            except SingularMatrixError:
+                g[i] = np.nan
+                on_pole[i] = True
         return g, on_pole
 
     def sigma(self, omegas):

@@ -95,6 +95,23 @@ class TestHinfNorm:
         assert res.value == pytest.approx(expected, rel=1e-6)
         assert res.peak_omega == pytest.approx(np.sqrt(1.0 - 2.0 * zeta**2), rel=1e-2)
 
+    @pytest.mark.parametrize("zeta", [1e-13, 1e-10, 1e-6])
+    def test_near_marginal_resonance(self, zeta):
+        # Poles within 1e-13 of the axis are still stable: the samples next
+        # to them count, and the peak is not cut off.
+        expected = 1.0 / (2.0 * zeta * np.sqrt(1.0 - zeta**2))
+        value = hinf_norm(resonant(zeta), rel_tol=1e-6).value
+        assert expected / (1.0 + 1e-6) <= value <= expected * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("zeta", [1e-4, 1e-6])
+    def test_stiff_lightly_damped(self, zeta):
+        # A 1e8 rad/s pole beside a slow lightly damped mode; the norm of the
+        # block-diagonal system is the slow mode's peak.
+        fast = StateSpace([[-1e8]], [[1e8]], [[1.0]], [[0.0]])
+        expected = 1.0 / (2.0 * zeta * np.sqrt(1.0 - zeta**2))
+        value = hinf_norm(append_diag([resonant(zeta), fast]), rel_tol=1e-6).value
+        assert expected / (1.0 + 1e-6) <= value <= expected * (1.0 + 1e-12)
+
     def test_unstable_rejected(self):
         s = StateSpace([[0.1]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(UnstableError):
