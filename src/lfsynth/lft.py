@@ -311,6 +311,32 @@ def eval_controller_matrices(kb, rho, grid_index=None):
     return a, b, c, d
 
 
+def instantiation_factors(kb, rho):
+    """Static factors ``(l1, r1)`` of the derivative of the instantiation.
+
+    The realization of eval_controller_matrices, stacked as
+    ``[[a, b], [c, d]]``, moves with the block by ``l1 dk r1``: the block's
+    state and output rows and columns enter as they are, its parameter rows
+    through ``rho [b_w; d_yw] m`` and its parameter columns through
+    ``rho m [c_z, d_zu]``, with ``m = (I - rho d_zw)^-1``.  The block must be
+    well posed at ``rho``.
+    """
+    nk, nd = kb.n_k, kb.n_delta
+    l1 = np.zeros((nk + kb.n_u, kb.k.shape[0]))
+    l1[:nk, :nk] = np.eye(nk)
+    l1[nk:, nk + nd :] = np.eye(kb.n_u)
+    r1 = np.zeros((kb.k.shape[1], nk + kb.n_y))
+    r1[:nk, :nk] = np.eye(nk)
+    r1[nk + nd :, nk:] = np.eye(kb.n_y)
+    if nd:
+        loop = np.eye(nd) - rho * kb.d_zw
+        l1[:, nk : nk + nd] = rho * np.linalg.solve(
+            loop.T, np.vstack([kb.b_w, kb.d_yw]).T
+        ).T
+        r1[nk : nk + nd, :] = rho * np.linalg.solve(loop, np.hstack([kb.c_z, kb.d_zu]))
+    return l1, r1
+
+
 def eval_controller(kb, delta):
     """StateSpace of the controller at a parameter value.
 

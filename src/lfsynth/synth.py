@@ -6,9 +6,12 @@ j-th generalized plant, and the controller itself is passed through a
 stability/roll-off weight; the objective is the max of the H-infinity norms
 of all 2M resulting channels.  Minimization runs on a smoothed surrogate (a
 soft-max over frequency-gridded gains with decreasing smoothing), with
-finite-difference gradients, BFGS updates and a backtracking line search;
-candidate values are re-certified with the Hamiltonian-based norm and the
-surrogate grid is enriched at certified peaks until both agree.
+closed-form gradients (each gain moves by ``Re(u^H dT v)`` through its top
+singular vectors, as in Apkarian and Noll's nonsmooth H-infinity synthesis),
+BFGS updates and a backtracking line search; candidate values are
+re-certified with the Hamiltonian-based norm and the surrogate grid is
+enriched at certified peaks until both agree.  Stabilization alone uses
+finite differences.
 
 Iterates that destabilize any channel are scored with a large
 abscissa-proportional penalty instead of an infinite value, which keeps a
@@ -33,8 +36,10 @@ from .lft import (
     MASK_ZERO,
     ControllerBlock,
     closed_loop_matrices,
+    count_free_params,
     eval_controller,
     eval_controller_matrices,
+    instantiation_factors,
     lower_lft_ss,
     zero_block,
 )
@@ -349,18 +354,60 @@ def _plant_responses(plant, wk, freqs):
     return blocks, batched_response(wk, freqs)
 
 
-def _channel_sigmas(k_sys, freqs, blocks, wk_resp):
-    """Closed-loop and weighted-controller gains of one grid point."""
+def _top_singular_pairs(g):
+    """Left and right singular vectors of the largest singular value of each
+    response in a stack (F, p, q): shapes (F, p) and (F, q)."""
+    u, _, vh = np.linalg.svd(g)
+    return u[:, :, 0], vh[:, 0, :].conj()
+
+
+def _channel_gains(k_sys, freqs, blocks, wk_resp, factors=None):
+    """Closed-loop and weighted-controller gains of one grid point.
+
+    With the instantiation factors ``(l1, r1)`` of the block at this grid
+    value, each gain's gradient with respect to the block comes too, as
+    rank-one factors ``(left, right)``: ``d sigma_f / dk = Re(outer(left_f,
+    right_f))``.  With ``X = (i w I - a)^-1`` the controller response moves
+    by ``dK = [c X, I] l1 dk r1 [X b; I]``, so ``sigma = u^H T v`` moves by
+    ``Re(u^H p12 (I - K p22)^-1 dK (I - p22 K)^-1 p21 v)`` on the closed loop
+    and by ``Re(u^H W dK v)`` on the weighted controller.
+    """
     p11, p12, p21, p22 = blocks
     kresp = batched_response(k_sys, freqs)
     loop = np.eye(p22.shape[1]) - p22 @ kresp
     x = np.linalg.solve(loop, p21)
     closed = p11 + p12 @ (kresp @ x)
-    return batch_sigma(closed), batch_sigma(wk_resp @ kresp)
+    weighted = wk_resp @ kresp
+    gains = [batch_sigma(closed), batch_sigma(weighted)]
+    if factors is None:
+        return gains, None
+    l1, r1 = factors
+    f, n_k = len(freqs), k_sys.n
+    shifted = 1j * freqs[:, None, None] * np.eye(n_k) - k_sys.a
+    xb = np.linalg.solve(shifted, np.broadcast_to(k_sys.b, (f,) + k_sys.b.shape))
+    cx_t = np.linalg.solve(
+        shifted.transpose(0, 2, 1), np.broadcast_to(k_sys.c.T, (f,) + k_sys.c.T.shape)
+    )
+    left_k = cx_t.transpose(0, 2, 1) @ l1[:n_k] + l1[n_k:]
+    right_k = r1[:, :n_k] @ xb + r1[:, n_k:]
+    # p12 (I - K p22)^-1, by a solve with the transposed loop
+    out_loop = np.eye(p22.shape[2]) - kresp @ p22
+    s_out = np.linalg.solve(
+        out_loop.transpose(0, 2, 1), p12.transpose(0, 2, 1)
+    ).transpose(0, 2, 1)
+    u, v = _top_singular_pairs(closed)
+    uw, vw = _top_singular_pairs(weighted)
+    left = [
+        (u.conj()[:, None, :] @ s_out @ left_k)[:, 0, :],
+        (uw.conj()[:, None, :] @ wk_resp @ left_k)[:, 0, :],
+    ]
+    right = [(right_k @ (x @ v[:, :, None]))[:, :, 0], (right_k @ vw[:, :, None])[:, :, 0]]
+    return gains, (left, right)
 
 
 _EvalInfo = namedtuple(
-    "_EvalInfo", ["well_posed", "stable", "max_abscissa", "sigmas", "grid_max"]
+    "_EvalInfo",
+    ["well_posed", "stable", "max_abscissa", "sigmas", "grid_max", "dsigmas"],
 )
 
 
@@ -391,18 +438,21 @@ class _FastEvaluator:
         self._set_grid(merged)
         return True
 
-    def evaluate(self, kb):
-        """Stability and frequency-gridded channel gains of one block.
+    def evaluate(self, kb, gradient=False):
+        """Stability and frequency-gridded channel gains of one block, and
+        with ``gradient`` the rank-one factors of each gain's gradient with
+        respect to the block (see _channel_gains), stacked in gain order.
 
         Besides the fixed grid, the gains are sampled at the resonance
         frequencies of the *current* closed-loop poles whenever those are
         lightly damped: moving near-axis poles create needle peaks that any
         fixed grid misses, and they are exactly what drives certification
-        failures near the stability boundary.
+        failures near the stability boundary.  The gradient holds those
+        needle frequencies fixed.
         """
         loops = _closed_loops(self.problem, kb)
         if loops is None:
-            return _EvalInfo(False, False, np.inf, None, None)
+            return _EvalInfo(False, False, np.inf, None, None, None)
         worst = -np.inf
         needle_freqs = []
         for _, lam in loops:
@@ -412,38 +462,72 @@ class _FastEvaluator:
             order = np.argsort(np.abs(light.real) / np.abs(light))
             needle_freqs.append(light.imag[order][:8])
         if worst >= 0.0:
-            return _EvalInfo(True, False, worst, None, None)
-        sigmas = []
+            return _EvalInfo(True, False, worst, None, None, None)
+        sigmas, left, right = [], [], []
         for j, (k_sys, _) in enumerate(loops):
             needles = needle_freqs[j]
+            factors = instantiation_factors(kb, self.problem.grid[j]) if gradient else None
             try:
-                sigmas.extend(_channel_sigmas(k_sys, self.freqs, *self._responses[j]))
+                samples = [(self.freqs, self._responses[j])]
                 if needles.size:
                     # ad-hoc frequencies: the plant response is not cached
-                    needle_resp = _plant_responses(
+                    samples.append((needles, _plant_responses(
                         self.problem.plants[j], self.problem.wk_list[j], needles
-                    )
-                    sigmas.extend(_channel_sigmas(k_sys, needles, *needle_resp))
+                    )))
+                for freqs, responses in samples:
+                    gains, dgains = _channel_gains(k_sys, freqs, *responses, factors)
+                    sigmas.extend(gains)
+                    if gradient:
+                        left.extend(dgains[0])
+                        right.extend(dgains[1])
             except np.linalg.LinAlgError:
-                return _EvalInfo(False, False, worst, None, None)
+                return _EvalInfo(False, False, worst, None, None, None)
         v = np.concatenate(sigmas)
-        return _EvalInfo(True, True, worst, v, float(v.max()))
+        dsigmas = (np.concatenate(left), np.concatenate(right)) if gradient else None
+        return _EvalInfo(True, True, worst, v, float(v.max()), dsigmas)
 
-    def penalized(self, kb, tau_rel):
-        info = self.evaluate(kb)
+    def penalized(self, kb, tau_rel, gradient=False):
+        """Soft-max of the gains at relative width ``tau_rel``, or the
+        abscissa penalty of an unstable block; returns (value, info, grad).
+
+        With ``gradient``, ``grad`` is the value's gradient over the free
+        entries of ``kb``.  The width ``tau = tau_rel grid_max`` moves with
+        the largest gain, so the gradient is ``sum_i p_i grad sigma_i +
+        tau_rel (value - p . sigma) / tau grad sigma_max`` with the soft-max
+        weights ``p``.  It is zero at unstable or ill-posed blocks, which ends
+        a descent there; the descent starts from a stabilizing block and
+        accepts no step to an unstable one.
+        """
+        info = self.evaluate(kb, gradient)
+        grad = np.zeros(count_free_params(kb)) if gradient else None
         if not info.well_posed:
-            return np.inf, info
+            return np.inf, info, grad
         if not info.stable:
-            return self.gamma_big * (1.0 + info.max_abscissa), info
-        return _soft_max(info.sigmas, tau_rel * max(abs(info.grid_max), 1e-12)), info
+            return self.gamma_big * (1.0 + info.max_abscissa), info, grad
+        sig = info.sigmas
+        tau = tau_rel * max(abs(info.grid_max), 1e-12)
+        value = _soft_max(sig, tau)
+        if gradient:
+            p = np.exp((sig - info.grid_max) / tau)
+            p /= p.sum()
+            if abs(info.grid_max) > 1e-12:
+                p[np.argmax(sig)] += tau_rel * (value - float(p @ sig)) / tau
+            left, right = info.dsigmas
+            dk = (left.T @ (p[:, None] * right)).real
+            grad = dk[kb.mask == MASK_FREE]
+        return value, info, grad
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference quasi-Newton descent
+# Quasi-Newton descent
 
 
 def _fd_gradient(fun, theta, f0):
-    """Central differences with one-sided fallback where a side is invalid."""
+    """Central differences with one-sided fallback where a side is invalid.
+
+    The gradient of stabilization, and the test oracle of the surrogate's
+    closed-form gradient.
+    """
     g = np.zeros_like(theta)
     for i in range(theta.size):
         h = 1e-6 * (1.0 + abs(theta[i]))
@@ -461,16 +545,19 @@ def _fd_gradient(fun, theta, f0):
     return g
 
 
-def _bfgs(fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=None):
+def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=None):
     """Minimize ``fun`` from theta0; accepts only strictly improving steps.
 
+    ``grad_fun(theta, value)`` gives the gradient at a point whose value is
+    known.  ``on_accept(theta, value, step_norm)`` runs at every accepted
+    point after its gradient, unless ``stop_value`` ends the descent there.
     Returns (theta, value, accepted_steps, converged) where convergence means
     the relative decrease over the last 10 accepted steps fell below ``tol``.
     """
     theta, fval = np.array(theta0, dtype=float), float(f0)
     n = theta.size
     hess_inv = np.eye(n)
-    grad = _fd_gradient(fun, theta, fval)
+    grad = grad_fun(theta, fval)
     history = deque([fval], maxlen=11)
     accepted = 0
     while accepted < max_iter:
@@ -495,11 +582,11 @@ def _bfgs(fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=None):
         step = alpha * direction
         theta_new = theta + step
         accepted += 1
-        if on_accept is not None:
-            on_accept(theta_new, trial_f, float(np.linalg.norm(step)))
         if stop_value is not None and trial_f <= stop_value:
             return theta_new, trial_f, accepted, True
-        grad_new = _fd_gradient(fun, theta_new, trial_f)
+        grad_new = grad_fun(theta_new, trial_f)
+        if on_accept is not None:
+            on_accept(theta_new, trial_f, float(np.linalg.norm(step)))
         y = grad_new - grad
         sy = float(step @ y)
         if sy > 1e-12 * np.linalg.norm(step) * np.linalg.norm(y):
@@ -535,8 +622,10 @@ def _closed_abscissas(problem, kb):
 def stabilize(problem, kb0, budget=4000, seed=0):
     """Drive the worst closed-loop spectral abscissa over the grid below zero.
 
-    Minimizes a softened max-abscissa over the free entries of ``kb0``; the
-    block is returned unchanged when it is already stabilizing.  Raises
+    Minimizes a softened max-abscissa over the free entries of ``kb0`` with
+    finite-difference gradients: from a zero block the closed loop has a
+    repeated pole, where eigenvalue sensitivities are undefined.  The block is
+    returned unchanged when it is already stabilizing.  Raises
     StabilizationFailedError once ``budget`` function evaluations are spent
     without success.
     """
@@ -572,7 +661,8 @@ def stabilize(problem, kb0, budget=4000, seed=0):
         f0 = fun(theta)
         remaining = max(1, (budget - evals) // max(2 * theta.size + 1, 1))
         theta, fval, _, _ = _bfgs(
-            fun, theta, f0, remaining, 1e-6, stop_value=-margin
+            fun, lambda th, f: _fd_gradient(fun, th, f), theta, f0, remaining, 1e-6,
+            stop_value=-margin,
         )
         if fval < best_val:
             best_theta, best_val = theta, fval
@@ -621,24 +711,27 @@ def _descend(evaluator, kb_template, theta0, opts, t_start):
     counter = 0
     theta = np.array(theta0, dtype=float)
     converged = True
+    grad_abscissa = np.nan  # max abscissa at the latest gradient point
 
     def record(theta_acc, fval, step_norm):
+        # _bfgs calls this right after the gradient at theta_acc
         nonlocal counter, log_floor
         counter += 1
         if fval <= log_floor:
             log_floor = fval
-            info = evaluator.evaluate(kb_template.with_free_values(theta_acc))
             trace.append(
                 TraceRow(
                     counter,
                     float(fval),
-                    float(info.max_abscissa),
+                    float(grad_abscissa),
                     step_norm,
                     (time.perf_counter() - t_start) * 1e3,
                 )
             )
 
-    f0, info0 = evaluator.penalized(kb_template.with_free_values(theta), _TAU_SCHEDULE[0])
+    f0, info0, _ = evaluator.penalized(
+        kb_template.with_free_values(theta), _TAU_SCHEDULE[0]
+    )
     if info0.stable:
         trace.append(
             TraceRow(0, float(f0), float(info0.max_abscissa), 0.0,
@@ -648,21 +741,30 @@ def _descend(evaluator, kb_template, theta0, opts, t_start):
     cert = None
     phases_left = len(_TAU_SCHEDULE) * (opts.refine_rounds + 1)
     for _ in range(opts.refine_rounds + 1):
-        for tau in _TAU_SCHEDULE:
+        for i, tau in enumerate(_TAU_SCHEDULE):
             # Split the remaining budget evenly over the remaining smoothing
-            # phases so later refinement passes are never starved.
-            cap = max(8, iters_left // max(phases_left, 1))
+            # phases so later refinement passes are never starved, and leave
+            # one step for each later phase of this round.
+            later = len(_TAU_SCHEDULE) - 1 - i
+            cap = min(max(8, iters_left // max(phases_left, 1)), iters_left - later)
             phases_left -= 1
-            if iters_left <= 0:
+            if cap <= 0:
                 converged = False
                 continue
 
             def fun(th, _tau=tau):
                 return evaluator.penalized(kb_template.with_free_values(th), _tau)[0]
 
+            def grad(th, _f, _tau=tau):
+                nonlocal grad_abscissa
+                _, info, g = evaluator.penalized(
+                    kb_template.with_free_values(th), _tau, gradient=True
+                )
+                grad_abscissa = info.max_abscissa
+                return g
+
             theta, fval, used, conv = _bfgs(
-                fun, theta, fun(theta), min(cap, iters_left), opts.tol,
-                on_accept=record,
+                fun, grad, theta, fun(theta), cap, opts.tol, on_accept=record
             )
             iters_left -= used
             converged = conv

@@ -13,6 +13,8 @@ from lfsynth.lft import (
     close_integrator,
     count_free_params,
     eval_controller,
+    eval_controller_matrices,
+    instantiation_factors,
     load_controller,
     lower_lft_matrix,
     lower_lft_ss,
@@ -185,6 +187,22 @@ class TestEvalController:
                     frequency_gain(ci.sys, w), 0.7 * np.eye(2)
                 )
                 assert np.allclose(frequency_gain(sys, w), expect, atol=1e-8)
+
+    def test_instantiation_factors_match_directional_difference(self, rng):
+        def stacked(kb, rho):
+            a, b, c, d = eval_controller_matrices(kb, rho)
+            return np.block([[a, b], [c, d]])
+
+        for n_k, n_delta, n_u, n_y in ((2, 2, 2, 1), (0, 1, 1, 2), (3, 0, 1, 1)):
+            kb = random_block(rng, n_k, n_delta, n_u, n_y, well_posed_for=[1.3])
+            l1, r1 = instantiation_factors(kb, 1.3)
+            dk = rng.normal(size=kb.k.shape)
+            h = 1e-6
+            diff = (
+                stacked(kb.with_k(kb.k + h * dk), 1.3)
+                - stacked(kb.with_k(kb.k - h * dk), 1.3)
+            ) / (2.0 * h)
+            assert np.allclose(l1 @ dk @ r1, diff, rtol=1e-7, atol=1e-8)
 
     def test_delta_spec_dimension_check(self, rng):
         kb = random_block(rng, 1, 2, 1, 1)

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from lfsynth import synth
 from lfsynth.errors import DimensionError, DomainError, IllPosedLFTError
 from lfsynth.lft import (
     MASK_FREE,
+    MASK_FROZEN,
     MASK_ZERO,
     ControllerBlock,
     eval_controller,
     zero_block,
 )
+from lfsynth.models import WeightSpec, make_weight
 from lfsynth.norms import hinf_norm
 from lfsynth.statespace import PartitionedSystem, StateSpace, static_gain
 from lfsynth.synth import (
+    _TAU_SCHEDULE,
     ObjectiveEval,
     OptimizeOptions,
     StructureOptions,
@@ -331,6 +335,129 @@ class TestOptimize:
         # embedded nominal objective equals the max over grid of its norms
         ev = objective(prob, kb, rel_tol=1e-6)
         assert ev.value == pytest.approx(max(ev.per_point), rel=1e-12)
+
+
+def gradient_point(seed, structure, n_w, n_u, n_z, n_y):
+    """Random two-point problem and stabilizing block with frozen entries, or
+    None where the surrogate's sample count changes within a finite-difference
+    step of the block (a needle frequency appears or vanishes there)."""
+    rng = np.random.default_rng(seed)
+    grid = (0.6, 1.4)
+    plants = tuple(random_partitioned(rng, 3, n_w, n_u, n_z, n_y) for _ in grid)
+    nk, nd = structure.n_k, structure.n_delta
+    mask = build_mask(structure, n_u, n_y)
+    free = np.argwhere(mask == MASK_FREE)
+    for i, j in free[rng.choice(len(free), size=2, replace=False)]:
+        mask[i, j] = MASK_FROZEN
+    k = 0.3 * rng.normal(size=mask.shape)
+    k[:nk, :nk] -= 1.5 * np.eye(nk)
+    k[nk : nk + nd, nk : nk + nd] *= 0.5
+    k[mask == MASK_ZERO] = 0.0
+    kb = ControllerBlock(nk, nd, n_u, n_y, k, mask)
+
+    def evaluator(gain):
+        weights = tuple(
+            make_weight(WeightSpec("first-order-lag", gain=gain * r, corner=2.0))
+            for r in grid
+        )
+        prob = SynthesisProblem(plants, grid, weights, structure)
+        return synth._FastEvaluator(prob, surrogate_grid(prob, 40))
+
+    # Scale the weight so that both channels carry soft-max weight; an exact
+    # tie of their peaks would put a kink (the switch of the largest gain,
+    # which sets the smoothing width) inside the difference step.
+    unit = evaluator(1.0)
+    if not unit.evaluate(kb).stable:
+        return None
+    cert = synth._certify(unit.problem, kb, 1e-6, 1e6)
+    ev = evaluator(0.9 * max(cert.perf) / max(cert.wk))
+    theta = kb.free_values()
+    count = ev.evaluate(kb).sigmas.size
+    for i in range(theta.size):
+        for sign in (1.0, -1.0):
+            step = np.array(theta)
+            step[i] += sign * 1e-6 * (1.0 + abs(theta[i]))
+            moved = ev.evaluate(kb.with_free_values(step))
+            if not moved.stable or moved.sigmas.size != count:
+                return None
+    return ev, kb
+
+
+class TestClosedFormGradient:
+    """The surrogate's closed-form gradient against central differences."""
+
+    CASES = {
+        "rational": (StructureOptions(2, 1, dependency="rational"), 1, 1, 1, 1),
+        "no-states": (StructureOptions(0, 2, dependency="rational"), 1, 1, 1, 1),
+        "no-parameter": (StructureOptions(2, 0), 2, 1, 1, 2),
+        "h2-mimo": (
+            StructureOptions(3, 2, "strictly-proper-h2", "affine", "tridiagonal"),
+            2, 2, 2, 2,
+        ),
+        "rational-mimo": (StructureOptions(1, 2, dependency="rational"), 2, 2, 3, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_finite_differences(self, case):
+        structure, n_w, n_u, n_z, n_y = self.CASES[case]
+        points = [gradient_point(seed, structure, n_w, n_u, n_z, n_y) for seed in range(6)]
+        points = [p for p in points if p is not None]
+        assert len(points) >= 2
+        for ev, kb in points[:2]:
+            theta = kb.free_values()
+            for tau in _TAU_SCHEDULE:
+                value, _, grad = ev.penalized(kb, tau, gradient=True)
+
+                def fun(th, _tau=tau):
+                    return ev.penalized(kb.with_free_values(th), _tau)[0]
+
+                oracle = synth._fd_gradient(fun, theta, value)
+                assert grad.shape == theta.shape
+                assert np.linalg.norm(grad - oracle) <= 1e-6 * np.linalg.norm(oracle)
+
+    def test_zero_at_unstable_block(self):
+        st = StructureOptions(0, 0)
+        prob = single_problem(st, plant=scalar_plant(pole=0.5))
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 20))
+        kb = zero_block(0, 0, 1, 1, build_mask(st, 1, 1))
+        value, info, grad = ev.penalized(kb, 0.01, gradient=True)
+        assert not info.stable and value >= 1e6
+        assert np.array_equal(grad, np.zeros(1))
+
+
+class TestDescentBudget:
+    def test_short_budget_runs_every_phase(self, monkeypatch):
+        grid = (1.0, 2.0, 3.0)
+        st = StructureOptions(1, 1, dependency="affine")
+        prob = SynthesisProblem(
+            tuple(oscillator_plant(r) for r in grid), grid, static_gain([[0.02]]), st,
+        )
+        kb = zero_block(1, 1, 1, 1, build_mask(st, 1, 1))
+        k = np.array(kb.k)
+        k[0, 0], k[2, 2] = -1.0, -0.5  # a stabilizing start
+        kb = kb.with_k(k)
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 60))
+        phases, accepted = [], []
+        real_bfgs = synth._bfgs
+
+        def spy(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, **kw):
+            def seen(theta, fval, step_norm):
+                accepted.append(ev.evaluate(kb.with_free_values(theta)).max_abscissa)
+                on_accept(theta, fval, step_norm)
+
+            out = real_bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=seen, **kw)
+            phases.append((max_iter, out[2]))
+            return out
+
+        monkeypatch.setattr(synth, "_bfgs", spy)
+        opts = OptimizeOptions(max_iter=4, refine_rounds=0, restarts=1)
+        _, _, trace, _ = synth._descend(ev, kb, kb.free_values(), opts, 0.0)
+        assert len(phases) == len(_TAU_SCHEDULE)
+        assert all(cap >= 1 for cap, _ in phases)
+        assert sum(used for _, used in phases) <= 4
+        # trace rows carry the abscissa of a fresh evaluation at their iterate
+        for row in trace[1:]:
+            assert row.max_abscissa == accepted[row.iteration - 1]
 
 
 class TestCampaigns:
