@@ -341,17 +341,20 @@ def _closed_loops(problem, kb):
 
 
 def _plant_responses(plant, wk, freqs):
-    """Plant blocks (p11, p12, p21, p22) and weight response over ``freqs``."""
+    """Plant and weight responses over ``freqs``."""
+    return batched_response(plant.sys, freqs), batched_response(wk, freqs)
+
+
+def _plant_blocks(plant, resp):
+    """Blocks (p11, p12, p21, p22) of a plant response stack."""
     n_w = plant.input_partition[0]
     n_z = plant.output_partition[0]
-    resp = batched_response(plant.sys, freqs)
-    blocks = (
+    return (
         resp[:, :n_z, :n_w],
         resp[:, :n_z, n_w:],
         resp[:, n_z:, :n_w],
         resp[:, n_z:, n_w:],
     )
-    return blocks, batched_response(wk, freqs)
 
 
 def _top_singular_pairs(g):
@@ -361,17 +364,15 @@ def _top_singular_pairs(g):
     return u[:, :, 0], vh[:, 0, :].conj()
 
 
-def _channel_gains(k_sys, freqs, blocks, wk_resp, factors=None):
-    """Closed-loop and weighted-controller gains of one grid point.
+_GainPass = namedtuple(
+    "_GainPass",
+    ["k_sys", "freqs", "blocks", "wk_resp", "kresp", "x", "closed", "weighted"],
+)
 
-    With the instantiation factors ``(l1, r1)`` of the block at this grid
-    value, each gain's gradient with respect to the block comes too, as
-    rank-one factors ``(left, right)``: ``d sigma_f / dk = Re(outer(left_f,
-    right_f))``.  With ``X = (i w I - a)^-1`` the controller response moves
-    by ``dK = [c X, I] l1 dk r1 [X b; I]``, so ``sigma = u^H T v`` moves by
-    ``Re(u^H p12 (I - K p22)^-1 dK (I - p22 K)^-1 p21 v)`` on the closed loop
-    and by ``Re(u^H W dK v)`` on the weighted controller.
-    """
+
+def _channel_gains(k_sys, freqs, blocks, wk_resp):
+    """Closed-loop and weighted-controller gains of one grid point, and the
+    forward pass that produced them (the input of _gain_factors)."""
     p11, p12, p21, p22 = blocks
     kresp = batched_response(k_sys, freqs)
     loop = np.eye(p22.shape[1]) - p22 @ kresp
@@ -379,8 +380,20 @@ def _channel_gains(k_sys, freqs, blocks, wk_resp, factors=None):
     closed = p11 + p12 @ (kresp @ x)
     weighted = wk_resp @ kresp
     gains = [batch_sigma(closed), batch_sigma(weighted)]
-    if factors is None:
-        return gains, None
+    return gains, _GainPass(k_sys, freqs, blocks, wk_resp, kresp, x, closed, weighted)
+
+
+def _gain_factors(fwd, factors):
+    """Rank-one factors ``(left, right)`` of the gradients of the gains of one
+    forward pass, ``d sigma_f / dk = Re(outer(left_f, right_f))``.
+
+    ``factors`` are the instantiation factors ``(l1, r1)`` of the block at
+    the pass's grid value.  With ``X = (i w I - a)^-1`` the controller
+    response moves by ``dK = [c X, I] l1 dk r1 [X b; I]``, so ``sigma = u^H T
+    v`` moves by ``Re(u^H p12 (I - K p22)^-1 dK (I - p22 K)^-1 p21 v)`` on the
+    closed loop and by ``Re(u^H W dK v)`` on the weighted controller.
+    """
+    k_sys, freqs, (_, p12, _, p22), wk_resp, kresp, x, closed, weighted = fwd
     l1, r1 = factors
     f, n_k = len(freqs), k_sys.n
     shifted = 1j * freqs[:, None, None] * np.eye(n_k) - k_sys.a
@@ -402,7 +415,7 @@ def _channel_gains(k_sys, freqs, blocks, wk_resp, factors=None):
         (uw.conj()[:, None, :] @ wk_resp @ left_k)[:, 0, :],
     ]
     right = [(right_k @ (x @ v[:, :, None]))[:, :, 0], (right_k @ vw[:, :, None])[:, :, 0]]
-    return gains, (left, right)
+    return left, right
 
 
 _EvalInfo = namedtuple(
@@ -425,9 +438,14 @@ class _FastEvaluator:
             _plant_responses(plant, wk, self.freqs)
             for plant, wk in zip(self.problem.plants, self.problem.wk_list)
         ]
+        self._memo = None  # (block bytes, _EvalInfo, forward passes)
 
     def add_frequencies(self, omegas):
-        """Enrich the grid near newly certified peaks."""
+        """Enrich the grid near newly certified peaks.
+
+        Only the fresh frequencies are sampled; their responses are merged
+        into the cached stacks in frequency order.
+        """
         window = np.array([0.9, 0.96, 0.99, 1.0, 1.01, 1.04, 1.1])
         fresh = [w * window for w in omegas if np.isfinite(w) and w > 0.0]
         if not fresh:
@@ -435,13 +453,23 @@ class _FastEvaluator:
         merged = np.unique(np.concatenate([self.freqs] + fresh))
         if merged.size == self.freqs.size:
             return False
-        self._set_grid(merged)
+        new = np.setdiff1d(merged, self.freqs, assume_unique=True)
+        order = np.argsort(np.concatenate([self.freqs, new]))
+        self._responses = [
+            tuple(
+                np.concatenate(pair)[order]
+                for pair in zip(cached, _plant_responses(p, w, new))
+            )
+            for cached, p, w in zip(self._responses, self.problem.plants, self.problem.wk_list)
+        ]
+        self.freqs = merged
+        self._memo = None
         return True
 
     def evaluate(self, kb, gradient=False):
         """Stability and frequency-gridded channel gains of one block, and
         with ``gradient`` the rank-one factors of each gain's gradient with
-        respect to the block (see _channel_gains), stacked in gain order.
+        respect to the block (see _gain_factors), stacked in gain order.
 
         Besides the fixed grid, the gains are sampled at the resonance
         frequencies of the *current* closed-loop poles whenever those are
@@ -449,10 +477,39 @@ class _FastEvaluator:
         fixed grid misses, and they are exactly what drives certification
         failures near the stability boundary.  The gradient holds those
         needle frequencies fixed.
+
+        The latest block's result and forward pass are kept until a block
+        with other entries comes or the grid changes: asking again for the
+        same block returns the kept result, and asking for its gradient
+        afterwards adds only the gradient step.  A descent therefore makes
+        one forward pass per point, although it scores a point before it
+        asks for the gradient there.  Callers must not modify the arrays of
+        a returned result, since a later call may return it again.
         """
+        key = kb.k.tobytes()
+        if self._memo is None or self._memo[0] != key:
+            self._memo = (key,) + self._forward(kb)
+        _, info, passes = self._memo
+        if not gradient or not info.stable or info.dsigmas is not None:
+            return info
+        factors = [instantiation_factors(kb, rho) for rho in self.problem.grid]
+        left, right = [], []
+        try:
+            for j, fwd in passes:
+                dleft, dright = _gain_factors(fwd, factors[j])
+                left.extend(dleft)
+                right.extend(dright)
+        except np.linalg.LinAlgError:
+            return _EvalInfo(False, False, info.max_abscissa, None, None, None)
+        info = info._replace(dsigmas=(np.concatenate(left), np.concatenate(right)))
+        self._memo = (key, info, passes)
+        return info
+
+    def _forward(self, kb):
+        """Gains of one block and its forward passes as (grid index, pass)."""
         loops = _closed_loops(self.problem, kb)
         if loops is None:
-            return _EvalInfo(False, False, np.inf, None, None, None)
+            return _EvalInfo(False, False, np.inf, None, None, None), ()
         worst = -np.inf
         needle_freqs = []
         for _, lam in loops:
@@ -462,29 +519,26 @@ class _FastEvaluator:
             order = np.argsort(np.abs(light.real) / np.abs(light))
             needle_freqs.append(light.imag[order][:8])
         if worst >= 0.0:
-            return _EvalInfo(True, False, worst, None, None, None)
-        sigmas, left, right = [], [], []
+            return _EvalInfo(True, False, worst, None, None, None), ()
+        sigmas, passes = [], []
         for j, (k_sys, _) in enumerate(loops):
             needles = needle_freqs[j]
-            factors = instantiation_factors(kb, self.problem.grid[j]) if gradient else None
+            plant, wk = self.problem.plants[j], self.problem.wk_list[j]
             try:
                 samples = [(self.freqs, self._responses[j])]
                 if needles.size:
                     # ad-hoc frequencies: the plant response is not cached
-                    samples.append((needles, _plant_responses(
-                        self.problem.plants[j], self.problem.wk_list[j], needles
-                    )))
-                for freqs, responses in samples:
-                    gains, dgains = _channel_gains(k_sys, freqs, *responses, factors)
+                    samples.append((needles, _plant_responses(plant, wk, needles)))
+                for freqs, (resp, wk_resp) in samples:
+                    gains, fwd = _channel_gains(
+                        k_sys, freqs, _plant_blocks(plant, resp), wk_resp
+                    )
                     sigmas.extend(gains)
-                    if gradient:
-                        left.extend(dgains[0])
-                        right.extend(dgains[1])
+                    passes.append((j, fwd))
             except np.linalg.LinAlgError:
-                return _EvalInfo(False, False, worst, None, None, None)
+                return _EvalInfo(False, False, worst, None, None, None), ()
         v = np.concatenate(sigmas)
-        dsigmas = (np.concatenate(left), np.concatenate(right)) if gradient else None
-        return _EvalInfo(True, True, worst, v, float(v.max()), dsigmas)
+        return _EvalInfo(True, True, worst, v, float(v.max()), None), tuple(passes)
 
     def penalized(self, kb, tau_rel, gradient=False):
         """Soft-max of the gains at relative width ``tau_rel``, or the
@@ -701,9 +755,16 @@ class OptimizeOptions:
 _TAU_SCHEDULE = (0.05, 0.01, 2e-3)
 
 
-def _descend(evaluator, kb_template, theta0, opts, t_start):
+def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
     """Smoothed descent with certified refinement; returns the best certified
-    point reached from one start."""
+    point reached from one start.
+
+    Each round ends with a certificate at relative tolerance 1e-4, which
+    decides whether the surrogate grid is enriched at its peaks for the next
+    round.  The last round skips it unless ``later_starts`` says that later
+    descents reuse the evaluator's grid.  The point reached is then certified
+    at ``opts.certify_rel_tol``, and that certificate is returned.
+    """
     problem = evaluator.problem
     trace = []
     log_floor = np.inf
@@ -738,9 +799,8 @@ def _descend(evaluator, kb_template, theta0, opts, t_start):
                      (time.perf_counter() - t_start) * 1e3)
         )
         log_floor = f0
-    cert = None
     phases_left = len(_TAU_SCHEDULE) * (opts.refine_rounds + 1)
-    for _ in range(opts.refine_rounds + 1):
+    for rnd in range(opts.refine_rounds + 1):
         for i, tau in enumerate(_TAU_SCHEDULE):
             # Split the remaining budget evenly over the remaining smoothing
             # phases so later refinement passes are never starved, and leave
@@ -768,6 +828,8 @@ def _descend(evaluator, kb_template, theta0, opts, t_start):
             )
             iters_left -= used
             converged = conv
+        if rnd == opts.refine_rounds and not later_starts:
+            break  # no descent uses a richer grid
         cert = _certify(
             problem, kb_template.with_free_values(theta), 1e-4, evaluator.gamma_big
         )
@@ -833,7 +895,10 @@ def optimize(problem, kb_init, options=None):
     descent passes (the nominal start plus randomly perturbed copies), keeps
     every accepted iterate strictly stabilizing, and returns the best
     certified candidate; the initial block itself competes, so the reported
-    objective never exceeds the initial one.
+    objective never exceeds the initial one.  The initial block is certified
+    once, at ``certify_rel_tol``; that certificate also sets the penalty
+    scale of unstable iterates.  Each descent adds the certificates that
+    _descend makes.
     """
     opts = options or OptimizeOptions()
     expected = (
@@ -853,16 +918,15 @@ def optimize(problem, kb_init, options=None):
             "stabilization-failed",
         )
 
-    ab = _closed_abscissas(problem, kb_init)
-    kb0 = kb_init
-    if ab is None or ab.max() >= 0.0:
-        try:
-            kb0 = stabilize(problem, kb_init, opts.stabilize_budget, seed=opts.seed)
-        except StabilizationFailedError:
-            return failed(kb_init)
+    try:
+        kb0 = stabilize(problem, kb_init, opts.stabilize_budget, seed=opts.seed)
+    except StabilizationFailedError:
+        return failed(kb_init)
 
-    cert0 = _certify(problem, kb0, 1e-4, 1e6)
-    gamma_big = 1e6 * max(cert0.gamma if cert0.stable else 1.0, 1.0)
+    init_cert = _certify(problem, kb0, opts.certify_rel_tol, 1e6)
+    # Unstable iterates score gamma_big * (1 + abscissa), which no line
+    # search accepts; gamma_big only has to dwarf the stable values.
+    gamma_big = 1e6 * max(init_cert.gamma if init_cert.stable else 1.0, 1.0)
     theta_init = kb0.free_values()
 
     evaluator = _FastEvaluator(
@@ -870,7 +934,6 @@ def optimize(problem, kb_init, options=None):
     )
 
     candidates = []
-    init_cert = _certify(problem, kb0, opts.certify_rel_tol, gamma_big)
     init_trace = (
         TraceRow(0, init_cert.gamma, init_cert.max_abscissa, 0.0,
                  (time.perf_counter() - t_start) * 1e3),
@@ -886,18 +949,17 @@ def optimize(problem, kb_init, options=None):
         starts = [theta_init]
         for _ in range(opts.restarts - 1):
             starts.append(theta_init + rng.normal(0.0, 0.1 * scale, theta_init.size))
-        for start in starts:
-            kb_start = kb0.with_free_values(start)
-            ab = _closed_abscissas(problem, kb_start)
-            if ab is None or ab.max() >= 0.0:
-                try:
-                    kb_start = stabilize(
-                        problem, kb_start, opts.stabilize_budget, seed=opts.seed
-                    )
-                except StabilizationFailedError:
-                    continue
+        for i, start in enumerate(starts):
+            try:
+                kb_start = stabilize(
+                    problem, kb0.with_free_values(start), opts.stabilize_budget,
+                    seed=opts.seed,
+                )
+            except StabilizationFailedError:
+                continue
             theta, cert, trace, conv = _descend(
-                evaluator, kb0, kb_start.free_values(), opts, t_start
+                evaluator, kb0, kb_start.free_values(), opts, t_start,
+                later_starts=i + 1 < len(starts),
             )
             if not cert.stable:
                 continue

@@ -442,7 +442,8 @@ class TestDescentBudget:
 
         def spy(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, **kw):
             def seen(theta, fval, step_norm):
-                accepted.append(ev.evaluate(kb.with_free_values(theta)).max_abscissa)
+                fresh = synth._FastEvaluator(prob, ev.freqs)
+                accepted.append(fresh.evaluate(kb.with_free_values(theta)).max_abscissa)
                 on_accept(theta, fval, step_norm)
 
             out = real_bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=seen, **kw)
@@ -458,6 +459,192 @@ class TestDescentBudget:
         # trace rows carry the abscissa of a fresh evaluation at their iterate
         for row in trace[1:]:
             assert row.max_abscissa == accepted[row.iteration - 1]
+
+
+def light_plant(rho):
+    """Lightly damped oscillator (damping ratio at most 2.5 %) whose stiffness
+    is the grid parameter: its closed loops sample needle frequencies."""
+    return PartitionedSystem(
+        StateSpace(
+            [[0.0, 1.0], [-rho, -0.05]], [[0.0, 0.0], [1.0, 1.0]],
+            [[1.0, 0.0], [1.0, 0.0]], np.zeros((2, 2))
+        ),
+        (1, 1),
+        (1, 1),
+    )
+
+
+def stabilizing_start():
+    """Three-point lightly damped problem and a stabilizing first-order block."""
+    grid = (1.0, 2.0, 3.0)
+    st = StructureOptions(1, 1, dependency="affine")
+    prob = SynthesisProblem(
+        tuple(light_plant(r) for r in grid), grid, static_gain([[0.02]]), st,
+    )
+    kb = zero_block(1, 1, 1, 1, build_mask(st, 1, 1))
+    k = np.array(kb.k)
+    k[0, 0], k[0, 2], k[2, 0], k[2, 2] = -1.0, 0.3, 0.2, -0.5
+    return prob, kb.with_k(k)
+
+
+def assert_same_info(a, b):
+    assert np.array_equal(a.sigmas, b.sigmas)
+    assert a.max_abscissa == b.max_abscissa and a.grid_max == b.grid_max
+    for fa, fb in zip(a.dsigmas, b.dsigmas):
+        assert np.array_equal(fa, fb)
+
+
+class TestEvaluatorMemo:
+    """The evaluator keeps the latest block's forward pass."""
+
+    @pytest.fixture
+    def setup(self, monkeypatch):
+        prob, kb = stabilizing_start()
+        passes = []
+        real = synth._closed_loops
+
+        def counting(problem, block):
+            passes.append(block.k.tobytes())
+            return real(problem, block)
+
+        monkeypatch.setattr(synth, "_closed_loops", counting)
+        return prob, kb, passes
+
+    def test_gradient_reuses_forward_pass(self, setup):
+        prob, kb, passes = setup
+        freqs = surrogate_grid(prob, 40)
+        ev = synth._FastEvaluator(prob, freqs)
+        first = ev.evaluate(kb)
+        assert ev.evaluate(kb) is first
+        info = ev.evaluate(kb, gradient=True)
+        assert len(passes) == 1
+        # needle frequencies are sampled, so their passes are reused too
+        assert info.sigmas.size > 2 * prob.m * ev.freqs.size
+        assert_same_info(info, synth._FastEvaluator(prob, freqs).evaluate(kb, gradient=True))
+        assert ev.evaluate(kb) is info
+        assert len(passes) == 2  # the second is the fresh evaluator's
+
+    def test_other_block_misses(self, setup):
+        prob, kb, passes = setup
+        freqs = surrogate_grid(prob, 40)
+        ev = synth._FastEvaluator(prob, freqs)
+        ev.evaluate(kb, gradient=True)
+        other = kb.with_free_values(kb.free_values() * 1.01)
+        info = ev.evaluate(other, gradient=True)
+        assert len(passes) == 2
+        assert not np.array_equal(info.sigmas, ev.evaluate(kb).sigmas)
+        assert_same_info(
+            ev.evaluate(other, gradient=True),
+            synth._FastEvaluator(prob, freqs).evaluate(other, gradient=True),
+        )
+
+    def test_new_frequencies_clear_it(self, setup):
+        prob, kb, passes = setup
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
+        before = ev.evaluate(kb).sigmas.size
+        assert ev.add_frequencies([0.37])
+        assert ev.evaluate(kb).sigmas.size > before
+        assert len(passes) == 2
+
+
+class TestAddFrequencies:
+    @staticmethod
+    def building_problem():
+        from lfsynth.models import building_surrogate, lah_generalized_plant
+
+        base = building_surrogate(6, 5.2, seed=0)
+        grid = (0.5, 1.0, 1.5)
+        weights = tuple(
+            make_weight(WeightSpec("biquad-notch", w_m=5.2, alpha=10.0, m=0.1,
+                                   rho_scaled=True), r)
+            for r in grid
+        )
+        st = StructureOptions(4, 3, dependency="affine", a_k_shape="tridiagonal")
+        return SynthesisProblem(
+            tuple(lah_generalized_plant(base, r) for r in grid), grid, weights, st
+        )
+
+    @staticmethod
+    def beam_problem():
+        from lfsynth.models import BeamSpec, beam_generalized_plant, timoshenko_beam
+
+        grid = (10.0, 20.0)
+        plants = tuple(
+            beam_generalized_plant(timoshenko_beam(BeamSpec(length=L, n_elements=15)))
+            for L in grid
+        )
+        wk = make_weight(WeightSpec("first-order-lag", gain=0.1, corner=100.0))
+        return SynthesisProblem(plants, grid, wk, StructureOptions(2, 1, dependency="affine"))
+
+    @pytest.mark.parametrize("name", ["building", "beam"])
+    def test_merged_stacks_equal_a_fresh_grid(self, name):
+        prob = getattr(self, f"{name}_problem")()
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 60))
+        base = ev.freqs
+        # one peak on a grid sample, one inside and one beyond the grid
+        assert ev.add_frequencies([base[30], 0.5 * (base[40] + base[41]), 2.0 * base[-1]])
+        assert ev.add_frequencies([3.7])
+        fresh = synth._FastEvaluator(prob, ev.freqs)
+        assert np.array_equal(ev.freqs, np.unique(ev.freqs)) and ev.freqs.size > base.size
+        for merged, built in zip(ev._responses, fresh._responses):
+            for a, b in zip(merged, built):
+                assert a.shape == b.shape and a.strides == b.strides
+                assert np.array_equal(a, b)
+        assert not ev.add_frequencies([base[30]])
+
+
+class TestWorkCounts:
+    def test_each_point_evaluated_once(self, monkeypatch):
+        """Two certificates (start and final) and one forward pass per point;
+        the stability checks of stabilize are not forward passes."""
+        prob, kb = stabilizing_start()
+        certs, passes = [], []
+        checking = []
+        real_certify, real_loops = synth._certify, synth._closed_loops
+        real_abscissas = synth._closed_abscissas
+
+        def certify(problem, block, rel_tol, gamma_big):
+            certs.append(rel_tol)
+            return real_certify(problem, block, rel_tol, gamma_big)
+
+        def loops(problem, block):
+            if not checking:
+                passes.append(block.k.tobytes())
+            return real_loops(problem, block)
+
+        def abscissas(problem, block):
+            checking.append(True)
+            try:
+                return real_abscissas(problem, block)
+            finally:
+                checking.pop()
+
+        monkeypatch.setattr(synth, "_certify", certify)
+        monkeypatch.setattr(synth, "_closed_loops", loops)
+        monkeypatch.setattr(synth, "_closed_abscissas", abscissas)
+        opts = OptimizeOptions(max_iter=10, restarts=1, refine_rounds=0)
+        res = optimize(prob, kb, opts)
+        assert len(res.trace) > 2  # the descent accepted steps
+        assert certs == [opts.certify_rel_tol] * 2
+        assert len(passes) > 1 and len(set(passes)) == len(passes)
+
+    @pytest.mark.parametrize("later_starts", [False, True])
+    def test_last_round_certifies_only_for_later_starts(self, monkeypatch, later_starts):
+        """The grid is shared across starts, so the last round still refines
+        it when another descent follows."""
+        prob, kb = stabilizing_start()
+        certs = []
+        real_certify = synth._certify
+
+        def certify(problem, block, rel_tol, gamma_big):
+            certs.append(rel_tol)
+            return real_certify(problem, block, rel_tol, gamma_big)
+
+        monkeypatch.setattr(synth, "_certify", certify)
+        opts = OptimizeOptions(max_iter=10, restarts=1, refine_rounds=0)
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
+        synth._descend(ev, kb, kb.free_values(), opts, 0.0, later_starts=later_starts)
+        assert certs == [1e-4] * later_starts + [opts.certify_rel_tol]
 
 
 class TestCampaigns:
