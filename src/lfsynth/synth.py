@@ -341,20 +341,17 @@ def _closed_loops(problem, kb):
 
 
 def _plant_responses(plant, wk, freqs):
-    """Plant and weight responses over ``freqs``."""
-    return batched_response(plant.sys, freqs), batched_response(wk, freqs)
-
-
-def _plant_blocks(plant, resp):
-    """Blocks (p11, p12, p21, p22) of a plant response stack."""
+    """Plant blocks (p11, p12, p21, p22) and weight response over ``freqs``."""
     n_w = plant.input_partition[0]
     n_z = plant.output_partition[0]
-    return (
+    resp = batched_response(plant.sys, freqs)
+    blocks = (
         resp[:, :n_z, :n_w],
         resp[:, :n_z, n_w:],
         resp[:, n_z:, :n_w],
         resp[:, n_z:, n_w:],
     )
+    return blocks, batched_response(wk, freqs)
 
 
 def _top_singular_pairs(g):
@@ -441,11 +438,7 @@ class _FastEvaluator:
         self._memo = None  # (block bytes, _EvalInfo, forward passes)
 
     def add_frequencies(self, omegas):
-        """Enrich the grid near newly certified peaks.
-
-        Only the fresh frequencies are sampled; their responses are merged
-        into the cached stacks in frequency order.
-        """
+        """Enrich the grid near newly certified peaks."""
         window = np.array([0.9, 0.96, 0.99, 1.0, 1.01, 1.04, 1.1])
         fresh = [w * window for w in omegas if np.isfinite(w) and w > 0.0]
         if not fresh:
@@ -453,17 +446,7 @@ class _FastEvaluator:
         merged = np.unique(np.concatenate([self.freqs] + fresh))
         if merged.size == self.freqs.size:
             return False
-        new = np.setdiff1d(merged, self.freqs, assume_unique=True)
-        order = np.argsort(np.concatenate([self.freqs, new]))
-        self._responses = [
-            tuple(
-                np.concatenate(pair)[order]
-                for pair in zip(cached, _plant_responses(p, w, new))
-            )
-            for cached, p, w in zip(self._responses, self.problem.plants, self.problem.wk_list)
-        ]
-        self.freqs = merged
-        self._memo = None
+        self._set_grid(merged)
         return True
 
     def evaluate(self, kb, gradient=False):
@@ -523,16 +506,15 @@ class _FastEvaluator:
         sigmas, passes = [], []
         for j, (k_sys, _) in enumerate(loops):
             needles = needle_freqs[j]
-            plant, wk = self.problem.plants[j], self.problem.wk_list[j]
             try:
                 samples = [(self.freqs, self._responses[j])]
                 if needles.size:
                     # ad-hoc frequencies: the plant response is not cached
-                    samples.append((needles, _plant_responses(plant, wk, needles)))
-                for freqs, (resp, wk_resp) in samples:
-                    gains, fwd = _channel_gains(
-                        k_sys, freqs, _plant_blocks(plant, resp), wk_resp
-                    )
+                    samples.append((needles, _plant_responses(
+                        self.problem.plants[j], self.problem.wk_list[j], needles
+                    )))
+                for freqs, responses in samples:
+                    gains, fwd = _channel_gains(k_sys, freqs, *responses)
                     sigmas.extend(gains)
                     passes.append((j, fwd))
             except np.linalg.LinAlgError:

@@ -547,52 +547,6 @@ class TestEvaluatorMemo:
         assert len(passes) == 2
 
 
-class TestAddFrequencies:
-    @staticmethod
-    def building_problem():
-        from lfsynth.models import building_surrogate, lah_generalized_plant
-
-        base = building_surrogate(6, 5.2, seed=0)
-        grid = (0.5, 1.0, 1.5)
-        weights = tuple(
-            make_weight(WeightSpec("biquad-notch", w_m=5.2, alpha=10.0, m=0.1,
-                                   rho_scaled=True), r)
-            for r in grid
-        )
-        st = StructureOptions(4, 3, dependency="affine", a_k_shape="tridiagonal")
-        return SynthesisProblem(
-            tuple(lah_generalized_plant(base, r) for r in grid), grid, weights, st
-        )
-
-    @staticmethod
-    def beam_problem():
-        from lfsynth.models import BeamSpec, beam_generalized_plant, timoshenko_beam
-
-        grid = (10.0, 20.0)
-        plants = tuple(
-            beam_generalized_plant(timoshenko_beam(BeamSpec(length=L, n_elements=15)))
-            for L in grid
-        )
-        wk = make_weight(WeightSpec("first-order-lag", gain=0.1, corner=100.0))
-        return SynthesisProblem(plants, grid, wk, StructureOptions(2, 1, dependency="affine"))
-
-    @pytest.mark.parametrize("name", ["building", "beam"])
-    def test_merged_stacks_equal_a_fresh_grid(self, name):
-        prob = getattr(self, f"{name}_problem")()
-        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 60))
-        base = ev.freqs
-        # one peak on a grid sample, one inside and one beyond the grid
-        assert ev.add_frequencies([base[30], 0.5 * (base[40] + base[41]), 2.0 * base[-1]])
-        assert ev.add_frequencies([3.7])
-        fresh = synth._FastEvaluator(prob, ev.freqs)
-        assert np.array_equal(ev.freqs, np.unique(ev.freqs)) and ev.freqs.size > base.size
-        for merged, built in zip(ev._responses, fresh._responses):
-            for a, b in zip(merged, built):
-                assert a.shape == b.shape and a.strides == b.strides
-                assert np.array_equal(a, b)
-        assert not ev.add_frequencies([base[30]])
-
-
 class TestWorkCounts:
     def test_each_point_evaluated_once(self, monkeypatch):
         """Two certificates (start and final) and one forward pass per point;
