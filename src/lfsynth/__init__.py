@@ -22,12 +22,9 @@ from .errors import (
 )
 from .lft import (
     ControllerBlock,
-    DeltaSpec,
-    close_integrator,
     count_free_params,
     eval_controller,
     load_controller,
-    lower_lft_matrix,
     lower_lft_ss,
     save_controller,
     upper_lft_matrix,

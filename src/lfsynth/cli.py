@@ -32,6 +32,7 @@ from .errors import (
     NumericalError,
     SingularMatrixError,
     StabilizationFailedError,
+    UnstableError,
 )
 from .lft import count_free_params, eval_controller, load_controller, lower_lft_ss, save_controller
 from .models import (
@@ -46,7 +47,7 @@ from .models import (
     timoshenko_beam,
 )
 from .norms import default_frequency_grid, h2_norm, hinf_norm
-from .statespace import FrequencyKernel, PartitionedSystem, spectral_abscissa, subsystem
+from .statespace import FrequencyKernel, PartitionedSystem, subsystem
 from .synth import (
     OptimizeOptions,
     StructureOptions,
@@ -368,16 +369,12 @@ def cmd_eval(controller_path, config_path, out_path):
         plant = scn.plant(rho) if metric == "hinf" else scn.measurement_plant(rho)
         try:
             closed = lower_lft_ss(plant, eval_controller(kb, rho))
-        except IllPosedLFTError:
-            rows.append((rho, None, 0))
-            continue
-        if not closed.is_static and spectral_abscissa(closed) >= 0.0:
-            rows.append((rho, None, 0))
-            continue
-        try:
             value = (
                 hinf_norm(closed, 1e-6).value if metric == "hinf" else h2_norm(closed)
             )
+        except (IllPosedLFTError, UnstableError):
+            rows.append((rho, None, 0))
+            continue
         except NumericalError:
             # stable but numerically untractable (poles hugging the axis):
             # flag the row rather than aborting the sweep

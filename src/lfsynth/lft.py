@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, IllPosedLFTError, ParseError
 from .matops import as_matrix
-from .statespace import PartitionedSystem, StateSpace
+from .statespace import StateSpace
 from .textio import DataReader, write_lines
 
 MASK_ZERO = 0
@@ -29,23 +29,6 @@ MASK_FROZEN = 2
 
 # Condition bound on algebraic-loop matrices past which an LFT is ill posed.
 LFT_COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class DeltaSpec:
-    """Repeated-scalar parameter block ``value * I_{n_delta}``."""
-
-    n_delta: int
-    value: float
-
-    def __post_init__(self):
-        if self.n_delta < 0:
-            raise DimensionError("n_delta must be nonnegative")
-        if not np.isfinite(self.value):
-            raise DomainError("delta value must be finite")
-
-    def matrix(self):
-        return self.value * np.eye(self.n_delta)
 
 
 @dataclass(frozen=True)
@@ -198,28 +181,6 @@ def upper_lft_matrix(m, delta):
     return m22 + m21 @ (delta @ np.linalg.solve(loop, m12))
 
 
-def lower_lft_matrix(m, k, n_u, n_y):
-    """Close the trailing ``n_u`` inputs / ``n_y`` outputs of ``m`` with ``k``.
-
-    Returns ``m11 + m12 k (I - m22 k)^-1 m21`` where ``m22`` is the trailing
-    (n_y, n_u) block.  Used as the frequency-wise oracle for the state-space
-    closure.
-    """
-    m = np.asarray(m)
-    k = np.asarray(k)
-    r = m.shape[0] - n_y
-    c = m.shape[1] - n_u
-    m11 = m[:r, :c]
-    m12 = m[:r, c:]
-    m21 = m[r:, :c]
-    m22 = m[r:, c:]
-    if n_u == 0 or n_y == 0:
-        return m11.copy()
-    loop = np.eye(n_y) - m22 @ k
-    _check_loop(loop, "lower LFT")
-    return m11 + m12 @ (k @ np.linalg.solve(loop, m21))
-
-
 def closed_loop_matrices(plant, k):
     """State-space matrices of the lower LFT of a partitioned plant with ``k``.
 
@@ -267,21 +228,7 @@ def lower_lft_ss(plant, k):
     return StateSpace(*closed_loop_matrices(plant, k))
 
 
-def close_integrator(kb):
-    """Dynamic controller system obtained by driving ``a_k`` through integrators.
-
-    Returns a PartitionedSystem with inputs [w_delta; y], outputs [z_delta; u]
-    and realization (a_k, [b_w b_u], [c_z; c_y], [[d_zw d_zu], [d_yw d_yu]]).
-    """
-    a = kb.a_k
-    b = np.hstack([kb.b_w, kb.b_u])
-    c = np.vstack([kb.c_z, kb.c_y])
-    d = np.block([[kb.d_zw, kb.d_zu], [kb.d_yw, kb.d_yu]])
-    sys = StateSpace(a, b, c, d)
-    return PartitionedSystem(sys, (kb.n_delta, kb.n_y), (kb.n_delta, kb.n_u))
-
-
-def eval_controller_matrices(kb, rho, grid_index=None):
+def eval_controller_matrices(kb, rho):
     """Realization (a, b, c, d) of the controller instantiated at ``rho``.
 
     Closes the parameter channel of the block with ``rho * I``:
@@ -295,13 +242,7 @@ def eval_controller_matrices(kb, rho, grid_index=None):
     if nd == 0:
         return kb.a_k.copy(), kb.b_u.copy(), kb.c_y.copy(), kb.d_yu.copy()
     loop = np.eye(nd) - rho * kb.d_zw
-    cond = np.linalg.cond(loop)
-    if not np.isfinite(cond) or cond > LFT_COND_LIMIT:
-        raise IllPosedLFTError(
-            f"parametric controller ill posed at rho = {rho} "
-            f"(condition estimate {cond:.3e})",
-            grid_index=grid_index,
-        )
+    _check_loop(loop, f"parametric controller at rho = {rho}")
     m_cz = rho * np.linalg.solve(loop, kb.c_z)
     m_dzu = rho * np.linalg.solve(loop, kb.d_zu)
     a = kb.a_k + kb.b_w @ m_cz
@@ -337,20 +278,8 @@ def instantiation_factors(kb, rho):
     return l1, r1
 
 
-def eval_controller(kb, delta):
-    """StateSpace of the controller at a parameter value.
-
-    ``delta`` may be a DeltaSpec (its repetition count must match the block)
-    or a bare float.
-    """
-    if isinstance(delta, DeltaSpec):
-        if delta.n_delta != kb.n_delta:
-            raise DimensionError(
-                f"delta repetition {delta.n_delta} does not match block {kb.n_delta}"
-            )
-        rho = delta.value
-    else:
-        rho = float(delta)
+def eval_controller(kb, rho):
+    """StateSpace of the controller at parameter value ``rho``."""
     return StateSpace(*eval_controller_matrices(kb, rho))
 
 

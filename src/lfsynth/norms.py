@@ -35,17 +35,18 @@ class NormResult:
     peak_omega: float
 
 
-def default_frequency_grid(sys, n_points=200, decades_span=1e3):
-    """Log-spaced grid scaled to the system dynamics, plus all resonance frequencies."""
-    if sys.is_static or sys.n == 0:
+def default_frequency_grid(sys, n_points=200):
+    """Log-spaced grid over three decades either side of the fastest pole,
+    plus all resonance frequencies."""
+    if sys.is_static:
         return np.array([1.0])
-    return _pole_grid(np.linalg.eigvals(sys.a), n_points, decades_span)
+    return _pole_grid(np.linalg.eigvals(sys.a), n_points)
 
 
-def _pole_grid(eig, n_points=200, decades_span=1e3):
+def _pole_grid(eig, n_points=200):
     """default_frequency_grid from the eigenvalues of the state matrix."""
     scale = max(float(np.max(np.abs(eig))), 1e-8)
-    base = np.geomspace(scale / decades_span, scale * decades_span, n_points)
+    base = np.geomspace(scale / 1e3, scale * 1e3, n_points)
     resonances = np.abs(eig.imag)
     resonances = resonances[resonances > 0.0]
     return np.unique(np.concatenate([base, resonances]))

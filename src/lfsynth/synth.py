@@ -13,9 +13,14 @@ re-certified with the Hamiltonian-based norm and the surrogate grid is
 enriched at certified peaks until both agree.  Stabilization alone uses
 finite differences.
 
-Iterates that destabilize any channel are scored with a large
-abscissa-proportional penalty instead of an infinite value, which keeps a
-useful descent signal near the stability boundary; accepted iterates are
+Every evaluation instantiates and closes the block in one place,
+_closed_loops.  A grid point is stable when its closed loop and its
+controller are (the weights must be stable, so this covers both channels);
+an ill-posed parameter or feedback loop raises IllPosedLFTError with the grid
+index, which certification passes on and the surrogate and stabilization
+score as infinite.  Iterates that destabilize any channel are scored with a
+large abscissa-proportional penalty instead of an infinite value, which keeps
+a useful descent signal near the stability boundary; accepted iterates are
 always strictly stabilizing.
 """
 
@@ -30,14 +35,13 @@ from .errors import (
     DomainError,
     IllPosedLFTError,
     StabilizationFailedError,
+    UnstableError,
 )
 from .lft import (
     MASK_FREE,
     MASK_ZERO,
     ControllerBlock,
-    closed_loop_matrices,
     count_free_params,
-    eval_controller,
     eval_controller_matrices,
     instantiation_factors,
     lower_lft_ss,
@@ -121,7 +125,9 @@ class SynthesisProblem:
     """Grid of generalized plants, parameter values, weight(s) and structure.
 
     ``wk`` may be a single StateSpace (used at every grid point) or one per
-    grid point, for weights that themselves depend on the parameter.
+    grid point, for weights that themselves depend on the parameter.  Weights
+    must be stable, so that the controller poles decide the stability of the
+    weighted controller channel.
     """
 
     plants: tuple
@@ -152,6 +158,8 @@ class SynthesisProblem:
             if len(wk_list) != len(plants):
                 raise DimensionError("need one weight per grid point (or a single one)")
         wk_list = tuple(_broadcast_weight(w, n_u) for w in wk_list)
+        if any(not w.is_static and spectral_abscissa(w) >= 0.0 for w in wk_list):
+            raise UnstableError("controller weights must be stable")
         object.__setattr__(self, "plants", plants)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "wk_list", wk_list)
@@ -207,12 +215,6 @@ class SynthesisResult:
 # Certified evaluation
 
 
-def _abscissa_or_neg(sys):
-    if sys.is_static:
-        return -np.inf
-    return spectral_abscissa(sys)
-
-
 _Cert = namedtuple(
     "_Cert", ["gamma", "per_point", "perf", "wk", "peaks", "stable", "max_abscissa"]
 )
@@ -220,57 +222,36 @@ _Cert = namedtuple(
 
 def _certify(problem, kb, rel_tol, gamma_big):
     """Per-grid-point certified channel norms (or abscissa penalties)."""
-
-    def one(j):
-        rho = problem.grid[j]
-        k_sys = eval_controller(kb, rho)  # IllPosedLFTError propagates with index
-        closed = lower_lft_ss(problem.plants[j], k_sys)
-        weighted = series(k_sys, problem.wk_list[j])
-        absc = max(_abscissa_or_neg(closed), _abscissa_or_neg(weighted))
-        if absc >= 0.0:
-            return None, None, absc, ()
-        res_p = hinf_norm(closed, rel_tol)
-        res_w = hinf_norm(weighted, rel_tol)
-        return res_p, res_w, absc, (res_p.peak_omega, res_w.peak_omega)
-
-    def one_indexed(j):
-        try:
-            return one(j)
-        except IllPosedLFTError as exc:
-            raise IllPosedLFTError(str(exc), grid_index=j) from exc
-
-    rows = [one_indexed(j) for j in range(problem.m)]
+    loops = _closed_loops(problem, kb)
     per_point, perf, wk, peaks = [], [], [], []
-    stable = True
-    worst = -np.inf
-    for res_p, res_w, absc, pk in rows:
-        worst = max(worst, absc)
-        if res_p is None:
-            stable = False
-            per_point.append(gamma_big * (1.0 + absc))
+    for loop, weight in zip(loops, problem.wk_list):
+        if loop.abscissa >= 0.0:
+            per_point.append(gamma_big * (1.0 + loop.abscissa))
             perf.append(np.nan)
             wk.append(np.nan)
-        else:
-            per_point.append(max(res_p.value, res_w.value))
-            perf.append(res_p.value)
-            wk.append(res_w.value)
-            peaks.extend(pk)
+            continue
+        res_p = hinf_norm(loop.closed, rel_tol)
+        res_w = hinf_norm(series(loop.k_sys, weight), rel_tol)
+        per_point.append(max(res_p.value, res_w.value))
+        perf.append(res_p.value)
+        wk.append(res_w.value)
+        peaks.extend((res_p.peak_omega, res_w.peak_omega))
+    worst = max(loop.abscissa for loop in loops)
     return _Cert(
         max(per_point), tuple(per_point), tuple(perf), tuple(wk), tuple(peaks),
-        stable, worst,
+        worst < 0.0, worst,
     )
 
 
-def objective(problem, kb, rel_tol=1e-4, penalty_scale=1.0):
+def objective(problem, kb, rel_tol=1e-4):
     """Certified synthesis objective at one controller block.
 
     Returns (value, per_point, stable).  When every channel is stable, the
     value is the max over grid points of the larger of the closed-loop and
     weighted-controller norms.  Unstable channels are scored with the finite
-    penalty ``1e6 * penalty_scale * (1 + abscissa)`` instead of infinity.
+    penalty ``1e6 * (1 + abscissa)`` instead of infinity.
     """
-    gamma_big = 1e6 * max(float(penalty_scale), 1.0)
-    cert = _certify(problem, kb, rel_tol, gamma_big)
+    cert = _certify(problem, kb, rel_tol, 1e6)
     return ObjectiveEval(cert.gamma, cert.per_point, cert.stable)
 
 
@@ -319,24 +300,29 @@ def surrogate_grid(problem, n_base=160):
     return np.unique(freqs)
 
 
-def _closed_loops(problem, kb):
-    """Instantiated controller and closed-loop poles at every grid point, or
-    None when the block is ill posed at some grid value.
+_Loop = namedtuple("_Loop", ["k_sys", "closed", "poles", "abscissa"])
 
-    The closed-loop state matrix contains the controller dynamics, so its
-    poles also cover stability of the weighted controller channel (the
-    weights themselves are stable by construction).
+
+def _closed_loops(problem, kb):
+    """Instantiated controller, closed loop, closed-loop poles and abscissa at
+    every grid point.
+
+    ``abscissa`` is the largest real part over the closed-loop and controller
+    poles (-inf when there are none).  The weights are stable, so it decides
+    the stability of both channels.  Raises IllPosedLFTError with the grid
+    index when the parameter loop or the feedback loop is ill posed there.
     """
     loops = []
-    for j, rho in enumerate(problem.grid):
+    for j, (rho, plant) in enumerate(zip(problem.grid, problem.plants)):
         try:
-            km = eval_controller_matrices(kb, rho, grid_index=j)
-        except IllPosedLFTError:
-            return None
-        k_sys = StateSpace(*km)
-        acl = closed_loop_matrices(problem.plants[j], k_sys)[0]
-        poles = np.linalg.eigvals(acl) if acl.size else np.zeros(0, dtype=complex)
-        loops.append((k_sys, poles))
+            k_sys = StateSpace(*eval_controller_matrices(kb, rho))
+            closed = lower_lft_ss(plant, k_sys)
+        except IllPosedLFTError as exc:
+            raise IllPosedLFTError(str(exc), grid_index=j) from exc
+        poles = np.linalg.eigvals(closed.a)
+        reals = np.concatenate([poles.real, np.linalg.eigvals(k_sys.a).real])
+        abscissa = float(reals.max()) if reals.size else -np.inf
+        loops.append(_Loop(k_sys, closed, poles, abscissa))
     return loops
 
 
@@ -363,7 +349,8 @@ def _top_singular_pairs(g):
 
 _GainPass = namedtuple(
     "_GainPass",
-    ["k_sys", "freqs", "blocks", "wk_resp", "kresp", "x", "closed", "weighted"],
+    ["k_sys", "freqs", "blocks", "wk_resp", "shifted", "xb", "kresp", "x", "closed",
+     "weighted"],
 )
 
 
@@ -371,13 +358,18 @@ def _channel_gains(k_sys, freqs, blocks, wk_resp):
     """Closed-loop and weighted-controller gains of one grid point, and the
     forward pass that produced them (the input of _gain_factors)."""
     p11, p12, p21, p22 = blocks
-    kresp = batched_response(k_sys, freqs)
+    # the controller response c (i w I - a)^-1 b + d, keeping its factors
+    shifted = 1j * freqs[:, None, None] * np.eye(k_sys.n) - k_sys.a
+    xb = np.linalg.solve(shifted, np.broadcast_to(k_sys.b, (len(freqs),) + k_sys.b.shape))
+    kresp = k_sys.c @ xb + k_sys.d
     loop = np.eye(p22.shape[1]) - p22 @ kresp
     x = np.linalg.solve(loop, p21)
     closed = p11 + p12 @ (kresp @ x)
     weighted = wk_resp @ kresp
     gains = [batch_sigma(closed), batch_sigma(weighted)]
-    return gains, _GainPass(k_sys, freqs, blocks, wk_resp, kresp, x, closed, weighted)
+    return gains, _GainPass(
+        k_sys, freqs, blocks, wk_resp, shifted, xb, kresp, x, closed, weighted
+    )
 
 
 def _gain_factors(fwd, factors):
@@ -390,11 +382,9 @@ def _gain_factors(fwd, factors):
     v`` moves by ``Re(u^H p12 (I - K p22)^-1 dK (I - p22 K)^-1 p21 v)`` on the
     closed loop and by ``Re(u^H W dK v)`` on the weighted controller.
     """
-    k_sys, freqs, (_, p12, _, p22), wk_resp, kresp, x, closed, weighted = fwd
+    k_sys, freqs, (_, p12, _, p22), wk_resp, shifted, xb, kresp, x, closed, weighted = fwd
     l1, r1 = factors
     f, n_k = len(freqs), k_sys.n
-    shifted = 1j * freqs[:, None, None] * np.eye(n_k) - k_sys.a
-    xb = np.linalg.solve(shifted, np.broadcast_to(k_sys.b, (f,) + k_sys.b.shape))
     cx_t = np.linalg.solve(
         shifted.transpose(0, 2, 1), np.broadcast_to(k_sys.c.T, (f,) + k_sys.c.T.shape)
     )
@@ -490,22 +480,18 @@ class _FastEvaluator:
 
     def _forward(self, kb):
         """Gains of one block and its forward passes as (grid index, pass)."""
-        loops = _closed_loops(self.problem, kb)
-        if loops is None:
+        try:
+            loops = _closed_loops(self.problem, kb)
+        except IllPosedLFTError:
             return _EvalInfo(False, False, np.inf, None, None, None), ()
-        worst = -np.inf
-        needle_freqs = []
-        for _, lam in loops:
-            if lam.size:
-                worst = max(worst, float(lam.real.max()))
-            light = lam[(lam.imag > 0.0) & (np.abs(lam.real) <= 0.05 * np.abs(lam))]
-            order = np.argsort(np.abs(light.real) / np.abs(light))
-            needle_freqs.append(light.imag[order][:8])
+        worst = max(loop.abscissa for loop in loops)
         if worst >= 0.0:
             return _EvalInfo(True, False, worst, None, None, None), ()
         sigmas, passes = [], []
-        for j, (k_sys, _) in enumerate(loops):
-            needles = needle_freqs[j]
+        for j, loop in enumerate(loops):
+            lam = loop.poles
+            light = lam[(lam.imag > 0.0) & (np.abs(lam.real) <= 0.05 * np.abs(lam))]
+            needles = light.imag[np.argsort(np.abs(light.real) / np.abs(light))][:8]
             try:
                 samples = [(self.freqs, self._responses[j])]
                 if needles.size:
@@ -514,7 +500,7 @@ class _FastEvaluator:
                         self.problem.plants[j], self.problem.wk_list[j], needles
                     )))
                 for freqs, responses in samples:
-                    gains, fwd = _channel_gains(k_sys, freqs, *responses)
+                    gains, fwd = _channel_gains(loop.k_sys, freqs, *responses)
                     sigmas.extend(gains)
                     passes.append((j, fwd))
             except np.linalg.LinAlgError:
@@ -645,18 +631,9 @@ def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=N
 # Stabilization
 
 
-def _closed_abscissas(problem, kb):
-    """Per-grid-point closed-loop spectral abscissas, or None when ill posed."""
-    loops = _closed_loops(problem, kb)
-    if loops is None:
-        return None
-    return np.array(
-        [float(lam.real.max()) if lam.size else -np.inf for _, lam in loops]
-    )
-
-
 def stabilize(problem, kb0, budget=4000, seed=0):
-    """Drive the worst closed-loop spectral abscissa over the grid below zero.
+    """Drive the worst abscissa of the closed loops (see _closed_loops) over
+    the grid below zero.
 
     Minimizes a softened max-abscissa over the free entries of ``kb0`` with
     finite-difference gradients: from a zero block the closed loop has a
@@ -665,10 +642,19 @@ def stabilize(problem, kb0, budget=4000, seed=0):
     StabilizationFailedError once ``budget`` function evaluations are spent
     without success.
     """
-    ab = _closed_abscissas(problem, kb0)
+
+    def abscissas(theta):
+        # per-grid-point abscissas, or None when the block is ill posed
+        try:
+            loops = _closed_loops(problem, kb0.with_free_values(theta))
+        except IllPosedLFTError:
+            return None
+        return np.array([loop.abscissa for loop in loops])
+
+    theta0 = kb0.free_values()
+    ab = abscissas(theta0)
     if ab is not None and ab.max() < 0.0:
         return kb0
-    theta0 = kb0.free_values()
     if theta0.size == 0:
         raise StabilizationFailedError(
             "no free entries to stabilize with (worst abscissa "
@@ -680,19 +666,17 @@ def stabilize(problem, kb0, budget=4000, seed=0):
     def fun(theta):
         nonlocal evals
         evals += 1
-        v = _closed_abscissas(problem, kb0.with_free_values(theta))
+        v = abscissas(theta)
         if v is None:
             return np.inf
         return _soft_max(v, 1e-2 * (1.0 + abs(float(v.max()))))
 
-    open_absc = [
-        _abscissa_or_neg(p.sys) for p in problem.plants if not p.sys.is_static
-    ]
+    open_absc = [spectral_abscissa(p.sys) for p in problem.plants if not p.sys.is_static]
     worst_open = max(open_absc) if open_absc else -1.0
     margin = 0.25 * abs(worst_open) if worst_open < 0.0 else 1e-6
     rng = np.random.default_rng(seed)
     theta = theta0
-    best_theta, best_val = theta0, np.inf
+    best_val = np.inf
     while evals < budget:
         f0 = fun(theta)
         remaining = max(1, (budget - evals) // max(2 * theta.size + 1, 1))
@@ -700,9 +684,8 @@ def stabilize(problem, kb0, budget=4000, seed=0):
             fun, lambda th, f: _fd_gradient(fun, th, f), theta, f0, remaining, 1e-6,
             stop_value=-margin,
         )
-        if fval < best_val:
-            best_theta, best_val = theta, fval
-        true_absc = _closed_abscissas(problem, kb0.with_free_values(theta))
+        best_val = min(best_val, fval)
+        true_absc = abscissas(theta)
         if true_absc is not None and true_absc.max() < 0.0:
             return kb0.with_free_values(theta)
         scale = max(float(np.abs(theta).max()), 1.0)

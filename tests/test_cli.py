@@ -169,6 +169,34 @@ class TestEvalCommand:
         assert len(flagged) >= 1
         assert any(r.split(",")[1] == "" for r in flagged)
 
+    @pytest.mark.parametrize("metric", ["hinf", "h2"])
+    def test_unstable_rows_flagged(self, tmp_path, metric):
+        plants = write_custom_plants(tmp_path, [-1.0, -2.0])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "\n".join(
+                [
+                    "scenario = custom",
+                    "grid = 1.0, 2.0",
+                    f"custom.plants = {', '.join(plants)}",
+                    "n_k = 0",
+                    "n_delta = 1",
+                    "sweep.n_points = 3",
+                    f"sweep.metric = {metric}",
+                ]
+            )
+            + "\n"
+        )
+        # u = 1.5 y moves the pole at -1 to +0.5; the pole at -2 stays stable
+        ctl = tmp_path / "k.txt"
+        ctl.write_text("0 1 1 1\n0 0\n0 1.5\n1 1\n1 1\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["eval", "--controller", str(ctl), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["0", "0", "1"]
+        assert rows[0][1] == rows[1][1] == "" and float(rows[2][1]) > 0.0
+
 
 class TestBodeCommand:
     def test_columns_and_determinism(self, toy_config, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lfsynth import synth
-from lfsynth.errors import DimensionError, DomainError, IllPosedLFTError
+from lfsynth.errors import DimensionError, DomainError, IllPosedLFTError, UnstableError
 from lfsynth.lft import (
     MASK_FREE,
     MASK_FROZEN,
@@ -129,6 +129,13 @@ class TestSynthesisProblem:
             StructureOptions(1, 1),
         )
         assert prob.wk_list[1].d[0, 0] == 0.2
+
+    @pytest.mark.parametrize("pole", [0.5, 0.0])
+    def test_unstable_weight_rejected(self, pole):
+        # the controller poles decide the weighted channel only for stable weights
+        wk = StateSpace([[pole]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(UnstableError):
+            SynthesisProblem((scalar_plant(),), (0.0,), wk, StructureOptions(1, 0))
 
 
 class TestObjective:
@@ -549,33 +556,22 @@ class TestEvaluatorMemo:
 
 class TestWorkCounts:
     def test_each_point_evaluated_once(self, monkeypatch):
-        """Two certificates (start and final) and one forward pass per point;
-        the stability checks of stabilize are not forward passes."""
+        """Two certificates (start and final) and one surrogate forward pass
+        per point."""
         prob, kb = stabilizing_start()
         certs, passes = [], []
-        checking = []
-        real_certify, real_loops = synth._certify, synth._closed_loops
-        real_abscissas = synth._closed_abscissas
+        real_certify, real_forward = synth._certify, synth._FastEvaluator._forward
 
         def certify(problem, block, rel_tol, gamma_big):
             certs.append(rel_tol)
             return real_certify(problem, block, rel_tol, gamma_big)
 
-        def loops(problem, block):
-            if not checking:
-                passes.append(block.k.tobytes())
-            return real_loops(problem, block)
-
-        def abscissas(problem, block):
-            checking.append(True)
-            try:
-                return real_abscissas(problem, block)
-            finally:
-                checking.pop()
+        def forward(evaluator, block):
+            passes.append(block.k.tobytes())
+            return real_forward(evaluator, block)
 
         monkeypatch.setattr(synth, "_certify", certify)
-        monkeypatch.setattr(synth, "_closed_loops", loops)
-        monkeypatch.setattr(synth, "_closed_abscissas", abscissas)
+        monkeypatch.setattr(synth._FastEvaluator, "_forward", forward)
         opts = OptimizeOptions(max_iter=10, restarts=1, refine_rounds=0)
         res = optimize(prob, kb, opts)
         assert len(res.trace) > 2  # the descent accepted steps
@@ -599,6 +595,55 @@ class TestWorkCounts:
         ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
         synth._descend(ev, kb, kb.free_values(), opts, 0.0, later_starts=later_starts)
         assert certs == [1e-4] * later_starts + [opts.certify_rel_tol]
+
+
+class TestClosedLoops:
+    """Certification, the surrogate and stabilization share one decision on
+    stability and well-posedness."""
+
+    def test_unstable_controller_fails_both_evaluations(self):
+        # closed-loop poles -0.25 +- 1.56j, but the controller pole is +0.5
+        st = StructureOptions(1, 0)
+        prob = single_problem(st, wk_gain=1.0)
+        kb = ControllerBlock(1, 0, 1, 1, [[0.5, 1.0], [-3.0, 0.0]], build_mask(st, 1, 1))
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
+        value, info, _ = ev.penalized(kb, 0.01)
+        cert = synth._certify(prob, kb, 1e-6, 1e6)
+        assert not info.stable and not cert.stable
+        assert value == cert.gamma == 1e6 * (1.0 + 0.5)
+        (loop,) = synth._closed_loops(prob, kb)
+        assert loop.poles.real.max() == pytest.approx(-0.25)
+        assert loop.abscissa == info.max_abscissa == cert.max_abscissa == 0.5
+
+    @pytest.mark.parametrize("loop", ["parameter", "feedback"])
+    def test_ill_posed_loop_scores_inf(self, loop):
+        if loop == "parameter":
+            st = StructureOptions(0, 1, dependency="rational")
+            prob = SynthesisProblem(
+                (oscillator_plant(1.0), oscillator_plant(2.0)), (1.0, 2.0),
+                static_gain([[0.0]]), st,
+            )
+            k = [[0.5, 0.0], [0.0, 0.0]]  # d_zw: loop singular at rho = 2
+        else:
+            # y = x + u closed with u = y: the loop I - dk d22 is singular
+            plant = PartitionedSystem(
+                StateSpace([[-1.0]], [[1.0, 1.0]], [[1.0], [1.0]],
+                           [[0.0, 0.0], [0.0, 1.0]]),
+                (1, 1),
+                (1, 1),
+            )
+            st = StructureOptions(0, 0)
+            prob = single_problem(st, plant=plant)
+            k = [[1.0]]
+        kb = ControllerBlock(0, st.n_delta, 1, 1, k, build_mask(st, 1, 1))
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
+        value, info, grad = ev.penalized(kb, 0.01, gradient=True)
+        assert value == np.inf and not info.well_posed
+        assert np.array_equal(grad, np.zeros(grad.size))
+        with pytest.raises(IllPosedLFTError) as err:
+            synth._certify(prob, kb, 1e-6, 1e6)
+        assert err.value.grid_index == prob.m - 1
+        assert objective(prob, stabilize(prob, kb)).stable
 
 
 class TestCampaigns:
