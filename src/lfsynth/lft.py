@@ -12,8 +12,14 @@ Closing the first row/column block through an integrator bank gives the
 controller dynamics; closing the second through ``rho * I`` instantiates the
 parameter dependence.  ``n_delta = 0`` collapses everything to a classical
 non-parametric controller.
+
+Instantiation and closing also take a whole parameter grid at once: a 1-D
+array of parameter values and a GridPlant (stack_plants) give every grid
+point's matrices stacked over a leading axis, bit for bit the ones that one
+point at a time gives.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,7 +62,8 @@ class ControllerBlock:
             mask = mask.reshape(shape)
         if mask.shape != shape:
             raise DimensionError(f"mask has shape {mask.shape}, expected {shape}")
-        if not np.isin(mask, (MASK_ZERO, MASK_FREE, MASK_FROZEN)).all():
+        # the three codes are the consecutive integers MASK_ZERO..MASK_FROZEN
+        if mask.size and not MASK_ZERO <= mask.min() <= mask.max() <= MASK_FROZEN:
             raise DomainError("mask entries must be 0 (zero), 1 (free) or 2 (frozen)")
         if np.any(k[mask == MASK_ZERO] != 0.0):
             raise DomainError("entries flagged zero in the mask must be exactly 0")
@@ -147,11 +154,23 @@ def zero_block(n_k, n_delta, n_u, n_y, mask=None):
 
 
 def _check_loop(m, what):
-    cond = np.linalg.cond(m) if m.size else 1.0
-    if not np.isfinite(cond) or cond > LFT_COND_LIMIT:
-        raise IllPosedLFTError(
-            f"ill-posed {what}: algebraic loop condition estimate {cond:.3e}"
-        )
+    """Raise IllPosedLFTError when the algebraic loop matrix ``m`` is ill
+    conditioned.  For a stack of loops (M, n, n) the error reports the first
+    ill-posed one as ``grid_index``, and ``what`` may be a function of that
+    index."""
+    if m.shape[-1] == 0:
+        return
+    cond = np.linalg.cond(m)
+    bad = ~(cond <= LFT_COND_LIMIT)  # a NaN estimate is ill posed too
+    if not bad.any():
+        return
+    j = int(np.argmax(bad))
+    index = j if m.ndim == 3 else None
+    raise IllPosedLFTError(
+        f"ill-posed {what(index) if callable(what) else what}: "
+        f"algebraic loop condition estimate {np.ravel(cond)[j]:.3e}",
+        grid_index=index,
+    )
 
 
 def upper_lft_matrix(m, delta):
@@ -181,28 +200,56 @@ def upper_lft_matrix(m, delta):
     return m22 + m21 @ (delta @ np.linalg.solve(loop, m12))
 
 
+Realization = namedtuple("Realization", ["a", "b", "c", "d"])
+Realization.__doc__ = """State-space matrices (a, b, c, d) of one system, or
+of one system per grid point stacked over a leading axis."""
+
+GridPlant = namedtuple("GridPlant", ["sys", "input_partition", "output_partition"])
+GridPlant.__doc__ = """Partitioned plants of one grid, their matrices stacked
+over a leading axis in ``sys`` (a Realization); see stack_plants."""
+
+
+def stack_plants(plants):
+    """One GridPlant of partitioned plants that share their state order and
+    channel partitions; raises DimensionError when they do not."""
+    plants = tuple(plants)
+    orders = {p.sys.n for p in plants}
+    if len(orders) != 1:
+        raise DimensionError(f"grid plants differ in state order: {sorted(orders)}")
+    parts = {(p.input_partition, p.output_partition) for p in plants}
+    if len(parts) != 1:
+        raise DimensionError(f"grid plants disagree on channel partitions: {parts}")
+    sys = Realization(*(np.stack([getattr(p.sys, m) for p in plants]) for m in "abcd"))
+    return GridPlant(sys, *parts.pop())
+
+
 def closed_loop_matrices(plant, k):
     """State-space matrices of the lower LFT of a partitioned plant with ``k``.
 
     ``plant`` is a PartitionedSystem with inputs [w; u] and outputs [z; y];
-    ``k`` is the controller realization mapping y to u.  Returns the
-    (a, b, c, d) of the closed transfer w -> z with n_plant + n_k states.
+    ``k`` is the controller realization mapping y to u (a StateSpace or a
+    Realization).  Returns the Realization of the closed transfer w -> z with
+    n_plant + n_k states.  A GridPlant with the controllers stacked over the
+    same grid axis closes every grid point at once; an ill-posed feedback
+    loop then raises IllPosedLFTError with the first such point as
+    ``grid_index``.
     """
     s = plant.sys
     if len(plant.input_partition) != 2 or len(plant.output_partition) != 2:
         raise DimensionError("plant must have 2x2 channel partitions [w;u] -> [z;y]")
     n_w, n_u = plant.input_partition
     n_z, n_y = plant.output_partition
-    if k.n_inputs != n_y or k.n_outputs != n_u:
-        raise DimensionError(
-            f"controller maps {k.n_inputs} -> {k.n_outputs}, plant expects {n_y} -> {n_u}"
-        )
     a, b, c, d = s.a, s.b, s.c, s.d
-    b1, b2 = b[:, :n_w], b[:, n_w:]
-    c1, c2 = c[:n_z, :], c[n_z:, :]
-    d11, d12 = d[:n_z, :n_w], d[:n_z, n_w:]
-    d21, d22 = d[n_z:, :n_w], d[n_z:, n_w:]
     ak, bk, ck, dk = k.a, k.b, k.c, k.d
+    if bk.shape[-1] != n_y or ck.shape[-2] != n_u:
+        raise DimensionError(
+            f"controller maps {bk.shape[-1]} -> {ck.shape[-2]}, "
+            f"plant expects {n_y} -> {n_u}"
+        )
+    b1, b2 = b[..., :n_w], b[..., n_w:]
+    c1, c2 = c[..., :n_z, :], c[..., n_z:, :]
+    d11, d12 = d[..., :n_z, :n_w], d[..., :n_z, n_w:]
+    d21, d22 = d[..., n_z:, :n_w], d[..., n_z:, n_w:]
 
     # u = s_inv (dk c2 x + ck xk + dk d21 w) with s_inv = (I - dk d22)^-1
     loop = np.eye(n_u) - dk @ d22
@@ -211,16 +258,16 @@ def closed_loop_matrices(plant, k):
     s_ck = np.linalg.solve(loop, ck)
     s_dk_d21 = np.linalg.solve(loop, dk @ d21)
 
-    n, nk = s.n, k.n
-    acl = np.zeros((n + nk, n + nk))
-    acl[:n, :n] = a + b2 @ s_dk_c2
-    acl[:n, n:] = b2 @ s_ck
-    acl[n:, :n] = bk @ (c2 + d22 @ s_dk_c2)
-    acl[n:, n:] = ak + bk @ (d22 @ s_ck)
-    bcl = np.vstack([b1 + b2 @ s_dk_d21, bk @ (d21 + d22 @ s_dk_d21)])
-    ccl = np.hstack([c1 + d12 @ s_dk_c2, d12 @ s_ck])
+    n, nk = a.shape[-1], ak.shape[-1]
+    acl = np.zeros(loop.shape[:-2] + (n + nk, n + nk))
+    acl[..., :n, :n] = a + b2 @ s_dk_c2
+    acl[..., :n, n:] = b2 @ s_ck
+    acl[..., n:, :n] = bk @ (c2 + d22 @ s_dk_c2)
+    acl[..., n:, n:] = ak + bk @ (d22 @ s_ck)
+    bcl = np.concatenate([b1 + b2 @ s_dk_d21, bk @ (d21 + d22 @ s_dk_d21)], axis=-2)
+    ccl = np.concatenate([c1 + d12 @ s_dk_c2, d12 @ s_ck], axis=-1)
     dcl = d11 + d12 @ s_dk_d21
-    return acl, bcl, ccl, dcl
+    return Realization(acl, bcl, ccl, dcl)
 
 
 def lower_lft_ss(plant, k):
@@ -236,20 +283,32 @@ def eval_controller_matrices(kb, rho):
         a = a_k + b_w delta m c_z      b = b_u + b_w delta m d_zu
         c = c_y + d_yw delta m c_z     d = d_yu + d_yw delta m d_zu
 
-    with ``delta = rho I`` and ``m = (I - d_zw delta)^-1``.
+    with ``delta = rho I`` and ``m = (I - d_zw delta)^-1``.  A 1-D array of
+    parameter values gives the realizations stacked over a leading axis, and
+    an ill-posed parameter loop then raises IllPosedLFTError with the first
+    such value's index as ``grid_index``.
     """
+    rho = np.asarray(rho, dtype=float)
+    lead = rho.shape
     nd = kb.n_delta
     if nd == 0:
-        return kb.a_k.copy(), kb.b_u.copy(), kb.c_y.copy(), kb.d_yu.copy()
-    loop = np.eye(nd) - rho * kb.d_zw
-    _check_loop(loop, f"parametric controller at rho = {rho}")
-    m_cz = rho * np.linalg.solve(loop, kb.c_z)
-    m_dzu = rho * np.linalg.solve(loop, kb.d_zu)
+        return Realization(*(
+            np.broadcast_to(m, lead + m.shape).copy()
+            for m in (kb.a_k, kb.b_u, kb.c_y, kb.d_yu)
+        ))
+    scale = rho[..., None, None]
+    loop = np.eye(nd) - scale * kb.d_zw
+    _check_loop(
+        loop,
+        lambda j: f"parametric controller at rho = {float(rho if j is None else rho[j])}",
+    )
+    m_cz = scale * np.linalg.solve(loop, kb.c_z)
+    m_dzu = scale * np.linalg.solve(loop, kb.d_zu)
     a = kb.a_k + kb.b_w @ m_cz
     b = kb.b_u + kb.b_w @ m_dzu
     c = kb.c_y + kb.d_yw @ m_cz
     d = kb.d_yu + kb.d_yw @ m_dzu
-    return a, b, c, d
+    return Realization(a, b, c, d)
 
 
 def instantiation_factors(kb, rho):

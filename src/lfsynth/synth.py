@@ -14,11 +14,16 @@ enriched at certified peaks until both agree.  Stabilization alone uses
 finite differences.
 
 Every evaluation instantiates and closes the block in one place,
-_closed_loops.  A grid point is stable when its closed loop and its
-controller are (the weights must be stable, so this covers both channels);
-an ill-posed parameter or feedback loop raises IllPosedLFTError with the grid
-index, which certification passes on and the surrogate and stabilization
-score as infinite.  Iterates that destabilize any channel are scored with a
+_closed_loops, in one pass over the whole grid: the plants share their state
+order, so their matrices are stacked once and lft broadcasts the
+instantiation and the closing algebra over the grid axis.  A grid point is
+stable when its closed loop and its controller are (the weights must be
+stable, so this covers both channels); an ill-posed parameter or feedback
+loop raises IllPosedLFTError with the first such grid index, which
+certification passes on and the surrogate and stabilization score as
+infinite.  The surrogate takes plant and weight responses from one
+eigen-factored FrequencyKernel per system, and the singular pairs of vector
+channels in closed form.  Iterates that destabilize any channel are scored with a
 large abscissa-proportional penalty instead of an infinite value, which keeps
 a useful descent signal near the stability boundary; accepted iterates are
 always strictly stabilizing.
@@ -34,6 +39,7 @@ from .errors import (
     DimensionError,
     DomainError,
     IllPosedLFTError,
+    SingularMatrixError,
     StabilizationFailedError,
     UnstableError,
 )
@@ -41,18 +47,20 @@ from .lft import (
     MASK_FREE,
     MASK_ZERO,
     ControllerBlock,
+    Realization,
+    closed_loop_matrices,
     count_free_params,
     eval_controller_matrices,
     instantiation_factors,
-    lower_lft_ss,
+    stack_plants,
     zero_block,
 )
 from .norms import hinf_norm
 from .statespace import (
+    FrequencyKernel,
     StateSpace,
     append_diag,
     batch_sigma,
-    batched_response,
     series,
     spectral_abscissa,
 )
@@ -127,7 +135,9 @@ class SynthesisProblem:
     ``wk`` may be a single StateSpace (used at every grid point) or one per
     grid point, for weights that themselves depend on the parameter.  Weights
     must be stable, so that the controller poles decide the stability of the
-    weighted controller channel.
+    weighted controller channel.  The plants must share their state order:
+    ``stacked`` holds their matrices stacked over the grid (see
+    lft.stack_plants), which closes every grid point in one pass.
     """
 
     plants: tuple
@@ -142,13 +152,10 @@ class SynthesisProblem:
             raise DimensionError("need one plant per grid value, at least one")
         if len(set(grid)) != len(grid):
             raise DomainError("grid values must be distinct")
-        dims = set()
         for p in plants:
             if len(p.input_partition) != 2 or len(p.output_partition) != 2:
                 raise DimensionError("plants must be partitioned [w;u] -> [z;y]")
-            dims.add(p.input_partition + p.output_partition)
-        if len(dims) != 1:
-            raise DimensionError(f"plants disagree on channel dimensions: {dims}")
+        stacked = stack_plants(plants)
         n_u = plants[0].input_partition[1]
         wk = self.wk
         if isinstance(wk, StateSpace):
@@ -163,6 +170,7 @@ class SynthesisProblem:
         object.__setattr__(self, "plants", plants)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "wk_list", wk_list)
+        object.__setattr__(self, "stacked", stacked)
 
     @property
     def m(self):
@@ -230,8 +238,8 @@ def _certify(problem, kb, rel_tol, gamma_big):
             perf.append(np.nan)
             wk.append(np.nan)
             continue
-        res_p = hinf_norm(loop.closed, rel_tol)
-        res_w = hinf_norm(series(loop.k_sys, weight), rel_tol)
+        res_p = hinf_norm(StateSpace(*loop.closed), rel_tol)
+        res_w = hinf_norm(series(StateSpace(*loop.ctrl), weight), rel_tol)
         per_point.append(max(res_p.value, res_w.value))
         perf.append(res_p.value)
         wk.append(res_w.value)
@@ -300,75 +308,104 @@ def surrogate_grid(problem, n_base=160):
     return np.unique(freqs)
 
 
-_Loop = namedtuple("_Loop", ["k_sys", "closed", "poles", "abscissa"])
+_Loop = namedtuple("_Loop", ["ctrl", "closed", "poles", "abscissa"])
 
 
 def _closed_loops(problem, kb):
-    """Instantiated controller, closed loop, closed-loop poles and abscissa at
-    every grid point.
+    """Instantiated controller and closed loop (Realizations), closed-loop
+    poles and abscissa at every grid point, from one pass over the stacked
+    grid.
 
     ``abscissa`` is the largest real part over the closed-loop and controller
     poles (-inf when there are none).  The weights are stable, so it decides
-    the stability of both channels.  Raises IllPosedLFTError with the grid
-    index when the parameter loop or the feedback loop is ill posed there.
+    the stability of both channels.  Raises IllPosedLFTError with the first
+    grid index at which the parameter loop or the feedback loop is ill posed.
     """
-    loops = []
-    for j, (rho, plant) in enumerate(zip(problem.grid, problem.plants)):
-        try:
-            k_sys = StateSpace(*eval_controller_matrices(kb, rho))
-            closed = lower_lft_ss(plant, k_sys)
-        except IllPosedLFTError as exc:
-            raise IllPosedLFTError(str(exc), grid_index=j) from exc
-        poles = np.linalg.eigvals(closed.a)
-        reals = np.concatenate([poles.real, np.linalg.eigvals(k_sys.a).real])
-        abscissa = float(reals.max()) if reals.size else -np.inf
-        loops.append(_Loop(k_sys, closed, poles, abscissa))
-    return loops
+    try:
+        ctrl = eval_controller_matrices(kb, problem.grid)
+    except IllPosedLFTError as exc:
+        j = exc.grid_index
+        if j:  # an earlier point may fail the feedback loop first
+            closed_loop_matrices(
+                stack_plants(problem.plants[:j]),
+                eval_controller_matrices(kb, problem.grid[:j]),
+            )
+        raise
+    closed = closed_loop_matrices(problem.stacked, ctrl)
+    poles = np.linalg.eigvals(closed.a)
+    reals = np.concatenate([poles.real, np.linalg.eigvals(ctrl.a).real], axis=1)
+    abscissa = reals.max(axis=1) if reals.shape[1] else np.full(problem.m, -np.inf)
+    return [
+        _Loop(
+            Realization(*(m[j] for m in ctrl)),
+            Realization(*(m[j] for m in closed)),
+            poles[j],
+            float(abscissa[j]),
+        )
+        for j in range(problem.m)
+    ]
 
 
-def _plant_responses(plant, wk, freqs):
-    """Plant blocks (p11, p12, p21, p22) and weight response over ``freqs``."""
-    n_w = plant.input_partition[0]
-    n_z = plant.output_partition[0]
-    resp = batched_response(plant.sys, freqs)
-    blocks = (
-        resp[:, :n_z, :n_w],
-        resp[:, :n_z, n_w:],
-        resp[:, n_z:, :n_w],
-        resp[:, n_z:, n_w:],
-    )
-    return blocks, batched_response(wk, freqs)
+def _kernel_response(kernel, freqs):
+    """A kernel's response over ``freqs``; raises SingularMatrixError when a
+    sample sits on a pole of its system."""
+    g, on_pole = kernel.response(freqs)
+    if on_pole.any():
+        raise SingularMatrixError(
+            f"surrogate frequency {freqs[on_pole][0]} rad/s coincides with a "
+            "plant or weight pole"
+        )
+    return g
 
 
 def _top_singular_pairs(g):
     """Left and right singular vectors of the largest singular value of each
-    response in a stack (F, p, q): shapes (F, p) and (F, q)."""
+    response in a stack (F, p, q): shapes (F, p) and (F, q).
+
+    A vector channel needs no SVD: a column ``g`` (q = 1) has ``u = g / |g|``
+    and ``v = 1``, a row (p = 1) has ``u = 1`` and ``v = g^H / |g|``, and a
+    zero response takes the first unit vector in place of ``g / |g|``.  A
+    1x1 channel divides by ``abs(g)``, the gain batch_sigma reports for it.
+    """
+    f, p, q = g.shape
+    if p == 1 or q == 1:
+        vec = g[:, :, 0] if q == 1 else g[:, 0, :].conj()
+        if vec.shape[1] == 1:
+            norm = np.abs(vec)
+        else:
+            norm = np.linalg.norm(vec, axis=1, keepdims=True)
+        unit = np.zeros_like(vec)
+        unit[:, 0] = 1.0
+        vec = np.divide(vec, norm, out=unit, where=norm > 0.0)
+        one = np.ones((f, 1), dtype=vec.dtype)
+        return (vec, one) if q == 1 else (one, vec)
     u, _, vh = np.linalg.svd(g)
     return u[:, :, 0], vh[:, 0, :].conj()
 
 
 _GainPass = namedtuple(
     "_GainPass",
-    ["k_sys", "freqs", "blocks", "wk_resp", "shifted", "xb", "kresp", "x", "closed",
+    ["ctrl", "freqs", "blocks", "wk_resp", "shifted", "xb", "kresp", "x", "closed",
      "weighted"],
 )
 
 
-def _channel_gains(k_sys, freqs, blocks, wk_resp):
-    """Closed-loop and weighted-controller gains of one grid point, and the
-    forward pass that produced them (the input of _gain_factors)."""
+def _channel_gains(ctrl, freqs, blocks, wk_resp):
+    """Closed-loop and weighted-controller gains of one grid point with the
+    controller realization ``ctrl``, and the forward pass that produced them
+    (the input of _gain_factors)."""
     p11, p12, p21, p22 = blocks
     # the controller response c (i w I - a)^-1 b + d, keeping its factors
-    shifted = 1j * freqs[:, None, None] * np.eye(k_sys.n) - k_sys.a
-    xb = np.linalg.solve(shifted, np.broadcast_to(k_sys.b, (len(freqs),) + k_sys.b.shape))
-    kresp = k_sys.c @ xb + k_sys.d
+    shifted = 1j * freqs[:, None, None] * np.eye(ctrl.a.shape[0]) - ctrl.a
+    xb = np.linalg.solve(shifted, np.broadcast_to(ctrl.b, (len(freqs),) + ctrl.b.shape))
+    kresp = ctrl.c @ xb + ctrl.d
     loop = np.eye(p22.shape[1]) - p22 @ kresp
     x = np.linalg.solve(loop, p21)
     closed = p11 + p12 @ (kresp @ x)
     weighted = wk_resp @ kresp
     gains = [batch_sigma(closed), batch_sigma(weighted)]
     return gains, _GainPass(
-        k_sys, freqs, blocks, wk_resp, shifted, xb, kresp, x, closed, weighted
+        ctrl, freqs, blocks, wk_resp, shifted, xb, kresp, x, closed, weighted
     )
 
 
@@ -382,11 +419,11 @@ def _gain_factors(fwd, factors):
     v`` moves by ``Re(u^H p12 (I - K p22)^-1 dK (I - p22 K)^-1 p21 v)`` on the
     closed loop and by ``Re(u^H W dK v)`` on the weighted controller.
     """
-    k_sys, freqs, (_, p12, _, p22), wk_resp, shifted, xb, kresp, x, closed, weighted = fwd
+    ctrl, freqs, (_, p12, _, p22), wk_resp, shifted, xb, kresp, x, closed, weighted = fwd
     l1, r1 = factors
-    f, n_k = len(freqs), k_sys.n
+    f, n_k = len(freqs), ctrl.a.shape[0]
     cx_t = np.linalg.solve(
-        shifted.transpose(0, 2, 1), np.broadcast_to(k_sys.c.T, (f,) + k_sys.c.T.shape)
+        shifted.transpose(0, 2, 1), np.broadcast_to(ctrl.c.T, (f,) + ctrl.c.T.shape)
     )
     left_k = cx_t.transpose(0, 2, 1) @ l1[:n_k] + l1[n_k:]
     right_k = r1[:, :n_k] @ xb + r1[:, n_k:]
@@ -412,18 +449,39 @@ _EvalInfo = namedtuple(
 
 
 class _FastEvaluator:
-    """Precomputed plant/weight responses shared by all surrogate evaluations."""
+    """Precomputed plant/weight responses shared by all surrogate evaluations.
+
+    Each plant and each weight is factored once into a FrequencyKernel, which
+    serves both the fixed grid and the needle samples.  A sample on a pole of
+    a plant or weight raises SingularMatrixError.
+    """
 
     def __init__(self, problem, freqs, gamma_big=1e6):
         self.problem = problem
         self.gamma_big = gamma_big
+        self._kernels = [
+            (FrequencyKernel(plant.sys), FrequencyKernel(wk))
+            for plant, wk in zip(problem.plants, problem.wk_list)
+        ]
         self._set_grid(np.asarray(freqs, dtype=float))
+
+    def _plant_responses(self, j, freqs):
+        """Plant blocks (p11, p12, p21, p22) and weight response of grid
+        point ``j`` over ``freqs``."""
+        n_w, n_z = self.problem.n_w, self.problem.n_z
+        resp, wk_resp = (_kernel_response(k, freqs) for k in self._kernels[j])
+        blocks = (
+            resp[:, :n_z, :n_w],
+            resp[:, :n_z, n_w:],
+            resp[:, n_z:, :n_w],
+            resp[:, n_z:, n_w:],
+        )
+        return blocks, wk_resp
 
     def _set_grid(self, freqs):
         self.freqs = np.unique(freqs[freqs >= 0.0])
         self._responses = [
-            _plant_responses(plant, wk, self.freqs)
-            for plant, wk in zip(self.problem.plants, self.problem.wk_list)
+            self._plant_responses(j, self.freqs) for j in range(self.problem.m)
         ]
         self._memo = None  # (block bytes, _EvalInfo, forward passes)
 
@@ -496,11 +554,9 @@ class _FastEvaluator:
                 samples = [(self.freqs, self._responses[j])]
                 if needles.size:
                     # ad-hoc frequencies: the plant response is not cached
-                    samples.append((needles, _plant_responses(
-                        self.problem.plants[j], self.problem.wk_list[j], needles
-                    )))
+                    samples.append((needles, self._plant_responses(j, needles)))
                 for freqs, responses in samples:
-                    gains, fwd = _channel_gains(loop.k_sys, freqs, *responses)
+                    gains, fwd = _channel_gains(loop.ctrl, freqs, *responses)
                     sigmas.extend(gains)
                     passes.append((j, fwd))
             except np.linalg.LinAlgError:

@@ -9,6 +9,7 @@ from lfsynth.lft import (
     MASK_FROZEN,
     MASK_ZERO,
     ControllerBlock,
+    closed_loop_matrices,
     count_free_params,
     eval_controller,
     eval_controller_matrices,
@@ -16,6 +17,7 @@ from lfsynth.lft import (
     load_controller,
     lower_lft_ss,
     save_controller,
+    stack_plants,
     upper_lft_matrix,
     zero_block,
 )
@@ -69,6 +71,13 @@ class TestControllerBlock:
         k = np.ones((2, 2))
         with pytest.raises(DomainError):
             ControllerBlock(1, 0, 1, 1, k, mask)
+
+    @pytest.mark.parametrize("entry", [3, -1])
+    def test_mask_entry_outside_the_codes(self, entry):
+        mask = np.full((2, 2), MASK_FREE, dtype=np.int8)
+        mask[1, 0] = entry
+        with pytest.raises(DomainError, match="mask entries"):
+            ControllerBlock(1, 0, 1, 1, np.ones((2, 2)), mask)
 
     def test_free_value_roundtrip(self, rng):
         kb = random_block(rng, 2, 1, 1, 1)
@@ -144,6 +153,67 @@ class TestLowerLftSs:
         p = PartitionedSystem(sys, (1, 1), (1, 1))
         with pytest.raises(IllPosedLFTError):
             lower_lft_ss(p, static_gain([[1.0]]))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestStackedGrid:
+    """Instantiating and closing a whole grid at once against one point at a
+    time."""
+
+    RHOS = (0.5, 0.9, 1.3, 2.0)
+
+    @pytest.mark.parametrize("n_k, n_delta", [(2, 0), (3, 2), (0, 1), (0, 0)])
+    def test_matches_per_point_bit_for_bit(self, rng, n_k, n_delta):
+        for _ in range(3):
+            plants = [random_partitioned(rng, 3, 2, 2, 1, 2) for _ in self.RHOS]
+            kb = random_block(rng, n_k, n_delta, 2, 2, well_posed_for=self.RHOS)
+            ctrl = eval_controller_matrices(kb, self.RHOS)
+            closed = closed_loop_matrices(stack_plants(plants), ctrl)
+            assert ctrl.a.shape == (len(self.RHOS), n_k, n_k)
+            assert closed.a.shape == (len(self.RHOS), 3 + n_k, 3 + n_k)
+            for j, (rho, plant) in enumerate(zip(self.RHOS, plants)):
+                one = eval_controller(kb, rho)
+                for m in "abcd":
+                    assert same_bits(getattr(ctrl, m)[j], getattr(one, m))
+                one_closed = closed_loop_matrices(plant, one)
+                for m in "abcd":
+                    assert same_bits(getattr(closed, m)[j], getattr(one_closed, m))
+
+    def test_ill_posed_parameter_loop_reports_first_index(self):
+        k = np.zeros((2, 2))
+        k[0, 0] = 0.5  # d_zw: loop singular at rho = 2
+        kb = ControllerBlock(0, 1, 1, 1, k, np.ones((2, 2), dtype=np.int8))
+        with pytest.raises(IllPosedLFTError, match=r"at rho = 2\.0") as err:
+            eval_controller_matrices(kb, (1.0, 2.0, 2.0))
+        assert err.value.grid_index == 1
+        with pytest.raises(IllPosedLFTError) as err:
+            eval_controller_matrices(kb, 2.0)
+        assert err.value.grid_index is None
+
+    def test_ill_posed_feedback_loop_reports_first_index(self):
+        def plant(d22):
+            sys = StateSpace(
+                [[-1.0]], [[1.0, 1.0]], [[1.0], [1.0]], [[0.0, 0.0], [0.0, d22]]
+            )
+            return PartitionedSystem(sys, (1, 1), (1, 1))
+
+        kb = ControllerBlock(0, 0, 1, 1, [[1.0]], [[1]])
+        grid = (0.0, 1.0, 2.0)
+        with pytest.raises(IllPosedLFTError, match="feedback") as err:
+            closed_loop_matrices(
+                stack_plants([plant(0.0), plant(1.0), plant(1.0)]),
+                eval_controller_matrices(kb, grid),
+            )
+        assert err.value.grid_index == 1
+
+    def test_stack_rejects_mixed_state_orders(self, rng):
+        plants = [random_partitioned(rng, n, 1, 1, 1, 1) for n in (2, 3)]
+        with pytest.raises(DimensionError, match="state order"):
+            stack_plants(plants)
 
 
 class TestCloseIntegrator:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from lfsynth import synth
-from lfsynth.errors import DimensionError, DomainError, IllPosedLFTError, UnstableError
+from lfsynth.errors import (
+    DimensionError,
+    DomainError,
+    IllPosedLFTError,
+    SingularMatrixError,
+    UnstableError,
+)
 from lfsynth.lft import (
     MASK_FREE,
     MASK_FROZEN,
@@ -119,6 +125,13 @@ class TestSynthesisProblem:
         p1 = random_partitioned(rng, 2, 1, 1, 1, 1)
         p2 = random_partitioned(rng, 2, 2, 1, 1, 1)
         with pytest.raises(DimensionError):
+            SynthesisProblem((p1, p2), (0.0, 1.0), static_gain([[0.0]]),
+                             StructureOptions(1, 0))
+
+    def test_mixed_state_orders(self, rng):
+        p1 = random_partitioned(rng, 2, 1, 1, 1, 1)
+        p2 = random_partitioned(rng, 3, 1, 1, 1, 1)
+        with pytest.raises(DimensionError, match="state order"):
             SynthesisProblem((p1, p2), (0.0, 1.0), static_gain([[0.0]]),
                              StructureOptions(1, 0))
 
@@ -402,6 +415,8 @@ class TestClosedFormGradient:
             2, 2, 2, 2,
         ),
         "rational-mimo": (StructureOptions(1, 2, dependency="rational"), 2, 2, 3, 1),
+        # a column performance channel takes the SVD-free singular pair
+        "column-perf": (StructureOptions(2, 1, dependency="rational"), 1, 1, 2, 1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -430,6 +445,47 @@ class TestClosedFormGradient:
         value, info, grad = ev.penalized(kb, 0.01, gradient=True)
         assert not info.stable and value >= 1e6
         assert np.array_equal(grad, np.zeros(1))
+
+
+class TestTopSingularPairs:
+    """The closed-form pairs of vector channels against the SVD."""
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 1), (1, 4), (1, 1), (2, 3)], ids=["column", "row", "scalar", "matrix"]
+    )
+    def test_pair_attains_the_largest_singular_value(self, rng, shape):
+        g = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
+        g[2] = 0.0
+        u, v = synth._top_singular_pairs(g)
+        assert u.shape == (6, shape[0]) and v.shape == (6, shape[1])
+        sigma = np.linalg.svd(g, compute_uv=False)[:, 0]
+        attained = np.einsum("fp,fpq,fq->f", u.conj(), g, v)
+        assert np.allclose(attained.real, sigma, rtol=1e-13, atol=1e-15)
+        assert np.allclose(attained.imag, 0.0, atol=1e-13)
+        assert np.allclose(np.linalg.norm(u, axis=1), 1.0, rtol=1e-14)
+        assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=1e-14)
+
+
+def integrator_plant():
+    """x' = w + u, z = y = x: a pole at 0, the surrogate grid's first sample."""
+    return PartitionedSystem(
+        StateSpace([[0.0]], [[1.0, 1.0]], [[1.0], [1.0]], np.zeros((2, 2))),
+        (1, 1),
+        (1, 1),
+    )
+
+
+class TestSurrogatePoles:
+    def test_sample_on_a_plant_pole_is_a_typed_error(self):
+        st = StructureOptions(0, 0)
+        prob = single_problem(st, plant=integrator_plant())
+        freqs = surrogate_grid(prob, 20)
+        assert freqs[0] == 0.0
+        with pytest.raises(SingularMatrixError, match="pole"):
+            synth._FastEvaluator(prob, freqs)
+        kb = zero_block(0, 0, 1, 1, build_mask(st, 1, 1)).with_free_values([-1.0])
+        with pytest.raises(SingularMatrixError):
+            optimize(prob, kb, OptimizeOptions(max_iter=2, restarts=1))
 
 
 class TestDescentBudget:
@@ -644,6 +700,38 @@ class TestClosedLoops:
             synth._certify(prob, kb, 1e-6, 1e6)
         assert err.value.grid_index == prob.m - 1
         assert objective(prob, stabilize(prob, kb)).stable
+
+    def test_first_ill_posed_point_is_reported(self):
+        """Point 0 fails the feedback loop and point 1 the parameter loop;
+        the error names point 0, as a point-by-point pass would."""
+
+        def plant(d22):
+            return PartitionedSystem(
+                StateSpace([[-1.0]], [[1.0, 1.0]], [[1.0], [1.0]],
+                           [[0.0, 0.0], [0.0, d22]]),
+                (1, 1),
+                (1, 1),
+            )
+
+        st = StructureOptions(0, 1, dependency="rational")
+        prob = SynthesisProblem(
+            (plant(1.0), plant(0.0)), (1.0, 2.0), static_gain([[0.0]]), st
+        )
+        # d_zw = 0.5: parameter loop singular at rho = 2; d_yu = 1 closes
+        # u = y against d22 = 1 at rho = 1
+        kb = ControllerBlock(0, 1, 1, 1, [[0.5, 0.0], [0.0, 1.0]], build_mask(st, 1, 1))
+        for check in (lambda: synth._closed_loops(prob, kb),
+                      lambda: synth._certify(prob, kb, 1e-6, 1e6)):
+            with pytest.raises(IllPosedLFTError, match="feedback") as err:
+                check()
+            assert err.value.grid_index == 0
+        # without the feedback failure the parameter loop at point 1 is named
+        prob = SynthesisProblem(
+            (plant(0.0), plant(0.0)), (1.0, 2.0), static_gain([[0.0]]), st
+        )
+        with pytest.raises(IllPosedLFTError, match="parametric") as err:
+            synth._closed_loops(prob, kb)
+        assert err.value.grid_index == 1
 
 
 class TestCampaigns:
