@@ -319,21 +319,28 @@ def instantiation_factors(kb, rho):
     state and output rows and columns enter as they are, its parameter rows
     through ``rho [b_w; d_yw] m`` and its parameter columns through
     ``rho m [c_z, d_zu]``, with ``m = (I - rho d_zw)^-1``.  The block must be
-    well posed at ``rho``.
+    well posed at ``rho``.  A 1-D array of parameter values gives the factors
+    stacked over a leading axis, bit for bit the ones of one value at a time.
     """
+    rho = np.asarray(rho, dtype=float)
+    lead = rho.shape
     nk, nd = kb.n_k, kb.n_delta
-    l1 = np.zeros((nk + kb.n_u, kb.k.shape[0]))
-    l1[:nk, :nk] = np.eye(nk)
-    l1[nk:, nk + nd :] = np.eye(kb.n_u)
-    r1 = np.zeros((kb.k.shape[1], nk + kb.n_y))
-    r1[:nk, :nk] = np.eye(nk)
-    r1[nk + nd :, nk:] = np.eye(kb.n_y)
+    l1 = np.zeros(lead + (nk + kb.n_u, kb.k.shape[0]))
+    l1[..., :nk, :nk] = np.eye(nk)
+    l1[..., nk:, nk + nd :] = np.eye(kb.n_u)
+    r1 = np.zeros(lead + (kb.k.shape[1], nk + kb.n_y))
+    r1[..., :nk, :nk] = np.eye(nk)
+    r1[..., nk + nd :, nk:] = np.eye(kb.n_y)
     if nd:
-        loop = np.eye(nd) - rho * kb.d_zw
-        l1[:, nk : nk + nd] = rho * np.linalg.solve(
-            loop.T, np.vstack([kb.b_w, kb.d_yw]).T
-        ).T
-        r1[nk : nk + nd, :] = rho * np.linalg.solve(loop, np.hstack([kb.c_z, kb.d_zu]))
+        scale = rho[..., None, None]
+        loop = np.eye(nd) - scale * kb.d_zw
+        l1[..., :, nk : nk + nd] = scale * np.swapaxes(
+            np.linalg.solve(np.swapaxes(loop, -1, -2), np.vstack([kb.b_w, kb.d_yw]).T),
+            -1, -2,
+        )
+        r1[..., nk : nk + nd, :] = scale * np.linalg.solve(
+            loop, np.hstack([kb.c_z, kb.d_zu])
+        )
     return l1, r1
 
 

@@ -170,10 +170,11 @@ def batched_response(sys, freqs):
 
 
 def batch_sigma(g):
-    """Largest singular value of each response in a stack (F, n_y, n_u)."""
-    if g.shape[1] == 1 and g.shape[2] == 1:
-        return np.abs(g[:, 0, 0])
-    return np.linalg.svd(g, compute_uv=False)[:, 0]
+    """Largest singular value of each response in a stack (..., n_y, n_u),
+    with any number of leading stack axes."""
+    if g.shape[-2] == 1 and g.shape[-1] == 1:
+        return np.abs(g[..., 0, 0])
+    return np.linalg.svd(g, compute_uv=False)[..., 0]
 
 
 class FrequencyKernel:

@@ -22,13 +22,18 @@ stable, so this covers both channels); an ill-posed parameter or feedback
 loop raises IllPosedLFTError with the first such grid index, which
 certification passes on and the surrogate and stabilization score as
 infinite.  The surrogate takes plant and weight responses from one
-eigen-factored FrequencyKernel per system, and the singular pairs of vector
-channels in closed form.  Iterates that destabilize any channel are scored with a
-large abscissa-proportional penalty instead of an infinite value, which keeps
-a useful descent signal near the stability boundary; accepted iterates are
-always strictly stabilizing.
+eigen-factored FrequencyKernel per system, and the controller responses from
+one eigendecomposition of each grid point's controller per evaluated block
+(_Resolvent), which the gradient reuses.  It runs the fixed frequency grid of
+every grid point in one pass stacked over the grid, and the few needle
+samples of each point one point at a time.  The singular pairs of vector
+channels come in closed form.  Iterates that destabilize any channel are
+scored with a large abscissa-proportional penalty instead of an infinite
+value, which keeps a useful descent signal near the stability boundary;
+accepted iterates are always strictly stabilizing.
 """
 
+import copy
 import time
 from collections import deque, namedtuple
 from dataclasses import dataclass, replace
@@ -57,6 +62,7 @@ from .lft import (
 )
 from .norms import hinf_norm
 from .statespace import (
+    EIG_COND_LIMIT,
     FrequencyKernel,
     StateSpace,
     append_diag,
@@ -135,7 +141,8 @@ class SynthesisProblem:
     ``wk`` may be a single StateSpace (used at every grid point) or one per
     grid point, for weights that themselves depend on the parameter.  Weights
     must be stable, so that the controller poles decide the stability of the
-    weighted controller channel.  The plants must share their state order:
+    weighted controller channel, and share their output count, so that the
+    surrogate stacks their responses.  The plants must share their state order:
     ``stacked`` holds their matrices stacked over the grid (see
     lft.stack_plants), which closes every grid point in one pass.
     """
@@ -165,6 +172,8 @@ class SynthesisProblem:
             if len(wk_list) != len(plants):
                 raise DimensionError("need one weight per grid point (or a single one)")
         wk_list = tuple(_broadcast_weight(w, n_u) for w in wk_list)
+        if len({w.n_outputs for w in wk_list}) != 1:
+            raise DimensionError("the weights must share their output count")
         if any(not w.is_static and spectral_abscissa(w) >= 0.0 for w in wk_list):
             raise UnstableError("controller weights must be stable")
         object.__setattr__(self, "plants", plants)
@@ -360,86 +369,168 @@ def _kernel_response(kernel, freqs):
 
 def _top_singular_pairs(g):
     """Left and right singular vectors of the largest singular value of each
-    response in a stack (F, p, q): shapes (F, p) and (F, q).
+    response in a stack (..., p, q): shapes (..., p) and (..., q).
 
     A vector channel needs no SVD: a column ``g`` (q = 1) has ``u = g / |g|``
     and ``v = 1``, a row (p = 1) has ``u = 1`` and ``v = g^H / |g|``, and a
     zero response takes the first unit vector in place of ``g / |g|``.  A
     1x1 channel divides by ``abs(g)``, the gain batch_sigma reports for it.
     """
-    f, p, q = g.shape
+    p, q = g.shape[-2:]
     if p == 1 or q == 1:
-        vec = g[:, :, 0] if q == 1 else g[:, 0, :].conj()
-        if vec.shape[1] == 1:
+        vec = g[..., :, 0] if q == 1 else g[..., 0, :].conj()
+        if vec.shape[-1] == 1:
             norm = np.abs(vec)
         else:
-            norm = np.linalg.norm(vec, axis=1, keepdims=True)
+            norm = np.linalg.norm(vec, axis=-1, keepdims=True)
         unit = np.zeros_like(vec)
-        unit[:, 0] = 1.0
+        unit[..., 0] = 1.0
         vec = np.divide(vec, norm, out=unit, where=norm > 0.0)
-        one = np.ones((f, 1), dtype=vec.dtype)
+        one = np.ones(g.shape[:-2] + (1,), dtype=vec.dtype)
         return (vec, one) if q == 1 else (one, vec)
     u, _, vh = np.linalg.svd(g)
-    return u[:, :, 0], vh[:, 0, :].conj()
+    return u[..., :, 0], vh[..., 0, :].conj()
+
+
+class _Resolvent:
+    """Resolvent ``X(i w) = (i w I - a)^-1`` of controller state matrices
+    stacked over grid points (M, n_k, n_k), factored once for many
+    frequencies.
+
+    Each ``a`` is diagonalized once, ``a = V diag(lambda) V^-1``, so that
+    ``X = V diag(1 / (i w - lambda)) V^-1`` (Laub 1981, as FrequencyKernel
+    does for plants and weights): ``X b = V (d * V^-1 b)`` and ``c X = ((c V)
+    * d) V^-1`` with ``d = 1 / (i w - lambda)``.  When ``cond(V)`` exceeds
+    EIG_COND_LIMIT at any grid point (a defective or nearly defective ``a``),
+    both products come from dense solves with ``i w I - a`` instead.
+    """
+
+    def __init__(self, a):
+        self.a = a
+        self._modal = None
+        if a.shape[-1]:
+            eigvals, v = np.linalg.eig(a)
+            if (np.linalg.cond(v) <= EIG_COND_LIMIT).all():
+                self._modal = (eigvals, v, np.linalg.inv(v))
+
+    @property
+    def dense(self):
+        """True when the products come from dense solves, not the eigenbasis."""
+        return self.a.shape[-1] > 0 and self._modal is None
+
+    def point(self, j):
+        """Grid point ``j``'s resolvent as a stack of one, sharing this
+        factorization."""
+        sub = copy.copy(self)
+        sub.a = self.a[j : j + 1]
+        if self._modal is not None:
+            sub._modal = tuple(m[j : j + 1] for m in self._modal)
+        return sub
+
+    def _shifted(self, freqs):
+        return 1j * freqs[:, None, None] * np.eye(self.a.shape[-1]) - self.a[:, None]
+
+    def _diag(self, freqs):
+        return 1.0 / (1j * freqs[:, None] - self._modal[0][:, None, :])
+
+    def right(self, freqs, b):
+        """``X b`` for ``b`` stacked over the grid (M, n_k, q): shape (M, F, n_k, q)."""
+        if self._modal is None:
+            shifted = self._shifted(freqs)
+            return np.linalg.solve(
+                shifted, np.broadcast_to(b[:, None], shifted.shape[:2] + b.shape[1:])
+            )
+        _, v, v_inv = self._modal
+        return v[:, None] @ (self._diag(freqs)[..., None] * (v_inv @ b)[:, None])
+
+    def left(self, freqs, c):
+        """``c X`` for ``c`` stacked over the grid (M, p, n_k): shape (M, F, p, n_k)."""
+        if self._modal is None:
+            shifted = self._shifted(freqs)
+            c_t = np.swapaxes(c, -1, -2)[:, None]
+            x_t = np.linalg.solve(
+                np.swapaxes(shifted, -1, -2),
+                np.broadcast_to(c_t, shifted.shape[:2] + c_t.shape[2:]),
+            )
+            return np.swapaxes(x_t, -1, -2)
+        _, v, v_inv = self._modal
+        return ((c @ v)[:, None] * self._diag(freqs)[:, :, None, :]) @ v_inv[:, None]
 
 
 _GainPass = namedtuple(
     "_GainPass",
-    ["ctrl", "freqs", "blocks", "wk_resp", "shifted", "xb", "kresp", "x", "closed",
+    ["ctrl", "resolvent", "freqs", "blocks", "wk_resp", "xb", "kresp", "x", "closed",
      "weighted"],
 )
 
 
-def _channel_gains(ctrl, freqs, blocks, wk_resp):
-    """Closed-loop and weighted-controller gains of one grid point with the
-    controller realization ``ctrl``, and the forward pass that produced them
-    (the input of _gain_factors)."""
+def _channel_gains(ctrl, resolvent, freqs, blocks, wk_resp):
+    """Closed-loop and weighted-controller gains, shape (M, F) each, and the
+    forward pass that produced them (the input of _gain_factors).
+
+    ``ctrl`` is the controller Realization stacked over M grid points,
+    ``resolvent`` their _Resolvent, and ``blocks`` and ``wk_resp`` are those
+    points' plant blocks and weight responses over ``freqs``, (M, F, ., .).
+    """
     p11, p12, p21, p22 = blocks
     # the controller response c (i w I - a)^-1 b + d, keeping its factors
-    shifted = 1j * freqs[:, None, None] * np.eye(ctrl.a.shape[0]) - ctrl.a
-    xb = np.linalg.solve(shifted, np.broadcast_to(ctrl.b, (len(freqs),) + ctrl.b.shape))
-    kresp = ctrl.c @ xb + ctrl.d
-    loop = np.eye(p22.shape[1]) - p22 @ kresp
+    xb = resolvent.right(freqs, ctrl.b)
+    kresp = ctrl.c[:, None] @ xb + ctrl.d[:, None]
+    loop = np.eye(p22.shape[-2]) - p22 @ kresp
     x = np.linalg.solve(loop, p21)
     closed = p11 + p12 @ (kresp @ x)
     weighted = wk_resp @ kresp
     gains = [batch_sigma(closed), batch_sigma(weighted)]
     return gains, _GainPass(
-        ctrl, freqs, blocks, wk_resp, shifted, xb, kresp, x, closed, weighted
+        ctrl, resolvent, freqs, blocks, wk_resp, xb, kresp, x, closed, weighted
     )
 
 
 def _gain_factors(fwd, factors):
     """Rank-one factors ``(left, right)`` of the gradients of the gains of one
-    forward pass, ``d sigma_f / dk = Re(outer(left_f, right_f))``.
+    forward pass, ``d sigma / dk = Re(outer(left, right))``, stacked as the
+    gains are (M, F, .).
 
     ``factors`` are the instantiation factors ``(l1, r1)`` of the block at
-    the pass's grid value.  With ``X = (i w I - a)^-1`` the controller
-    response moves by ``dK = [c X, I] l1 dk r1 [X b; I]``, so ``sigma = u^H T
-    v`` moves by ``Re(u^H p12 (I - K p22)^-1 dK (I - p22 K)^-1 p21 v)`` on the
-    closed loop and by ``Re(u^H W dK v)`` on the weighted controller.
+    the pass's grid values, stacked over them.  With ``X = (i w I - a)^-1``
+    the controller response moves by ``dK = [c X, I] l1 dk r1 [X b; I]``, so
+    ``sigma = u^H T v`` moves by ``Re(u^H p12 (I - K p22)^-1 dK (I - p22
+    K)^-1 p21 v)`` on the closed loop and by ``Re(u^H W dK v)`` on the
+    weighted controller.
     """
-    ctrl, freqs, (_, p12, _, p22), wk_resp, shifted, xb, kresp, x, closed, weighted = fwd
-    l1, r1 = factors
-    f, n_k = len(freqs), ctrl.a.shape[0]
-    cx_t = np.linalg.solve(
-        shifted.transpose(0, 2, 1), np.broadcast_to(ctrl.c.T, (f,) + ctrl.c.T.shape)
-    )
-    left_k = cx_t.transpose(0, 2, 1) @ l1[:n_k] + l1[n_k:]
-    right_k = r1[:, :n_k] @ xb + r1[:, n_k:]
+    ctrl, resolvent, freqs, (_, p12, _, p22), wk_resp, xb, kresp, x, closed, weighted = fwd
+    l1, r1 = (f[:, None] for f in factors)  # broadcast over frequencies
+    n_k = ctrl.a.shape[-1]
+    left_k = resolvent.left(freqs, ctrl.c) @ l1[..., :n_k, :] + l1[..., n_k:, :]
+    right_k = r1[..., :n_k] @ xb + r1[..., n_k:]
     # p12 (I - K p22)^-1, by a solve with the transposed loop
-    out_loop = np.eye(p22.shape[2]) - kresp @ p22
-    s_out = np.linalg.solve(
-        out_loop.transpose(0, 2, 1), p12.transpose(0, 2, 1)
-    ).transpose(0, 2, 1)
+    out_loop = np.eye(p22.shape[-1]) - kresp @ p22
+    s_out = np.swapaxes(
+        np.linalg.solve(np.swapaxes(out_loop, -1, -2), np.swapaxes(p12, -1, -2)), -1, -2
+    )
     u, v = _top_singular_pairs(closed)
     uw, vw = _top_singular_pairs(weighted)
     left = [
-        (u.conj()[:, None, :] @ s_out @ left_k)[:, 0, :],
-        (uw.conj()[:, None, :] @ wk_resp @ left_k)[:, 0, :],
+        (u.conj()[..., None, :] @ s_out @ left_k)[..., 0, :],
+        (uw.conj()[..., None, :] @ wk_resp @ left_k)[..., 0, :],
     ]
-    right = [(right_k @ (x @ v[:, :, None]))[:, :, 0], (right_k @ vw[:, :, None])[:, :, 0]]
+    right = [(right_k @ (x @ v[..., None]))[..., 0], (right_k @ vw[..., None])[..., 0]]
     return left, right
+
+
+def _in_gain_order(grid, needles):
+    """Per-gain rows in the surrogate's order: point by point, the fixed
+    grid's closed-loop and weighted rows, then the point's needle rows.
+
+    ``grid`` holds the closed-loop and weighted rows of the fixed-grid pass,
+    stacked over the grid (M, F, ...); ``needles`` maps a grid index to those
+    of its needle pass, a stack of one (1, N, ...).
+    """
+    parts = []
+    for j in range(grid[0].shape[0]):
+        parts.extend(g[j] for g in grid)
+        parts.extend(g[0] for g in needles.get(j, ()))
+    return np.concatenate(parts)
 
 
 _EvalInfo = namedtuple(
@@ -452,8 +543,9 @@ class _FastEvaluator:
     """Precomputed plant/weight responses shared by all surrogate evaluations.
 
     Each plant and each weight is factored once into a FrequencyKernel, which
-    serves both the fixed grid and the needle samples.  A sample on a pole of
-    a plant or weight raises SingularMatrixError.
+    serves both the fixed grid and the needle samples; the fixed grid's
+    responses are kept stacked over the grid.  A sample on a pole of a plant
+    or weight raises SingularMatrixError.
     """
 
     def __init__(self, problem, freqs, gamma_big=1e6):
@@ -465,24 +557,25 @@ class _FastEvaluator:
         ]
         self._set_grid(np.asarray(freqs, dtype=float))
 
-    def _plant_responses(self, j, freqs):
-        """Plant blocks (p11, p12, p21, p22) and weight response of grid
-        point ``j`` over ``freqs``."""
+    def _responses(self, points, freqs):
+        """Plant blocks (p11, p12, p21, p22) and weight responses of the grid
+        points ``points`` over ``freqs``, stacked over those points."""
         n_w, n_z = self.problem.n_w, self.problem.n_z
-        resp, wk_resp = (_kernel_response(k, freqs) for k in self._kernels[j])
+        resp, wk_resp = (
+            np.stack([_kernel_response(self._kernels[j][i], freqs) for j in points])
+            for i in (0, 1)
+        )
         blocks = (
-            resp[:, :n_z, :n_w],
-            resp[:, :n_z, n_w:],
-            resp[:, n_z:, :n_w],
-            resp[:, n_z:, n_w:],
+            resp[..., :n_z, :n_w],
+            resp[..., :n_z, n_w:],
+            resp[..., n_z:, :n_w],
+            resp[..., n_z:, n_w:],
         )
         return blocks, wk_resp
 
     def _set_grid(self, freqs):
         self.freqs = np.unique(freqs[freqs >= 0.0])
-        self._responses = [
-            self._plant_responses(j, self.freqs) for j in range(self.problem.m)
-        ]
+        self._grid_responses = self._responses(range(self.problem.m), self.freqs)
         self._memo = None  # (block bytes, _EvalInfo, forward passes)
 
     def add_frequencies(self, omegas):
@@ -523,21 +616,29 @@ class _FastEvaluator:
         _, info, passes = self._memo
         if not gradient or not info.stable or info.dsigmas is not None:
             return info
-        factors = [instantiation_factors(kb, rho) for rho in self.problem.grid]
-        left, right = [], []
+        grid_pass, needle_passes = passes
+        l1, r1 = instantiation_factors(kb, self.problem.grid)
         try:
-            for j, fwd in passes:
-                dleft, dright = _gain_factors(fwd, factors[j])
-                left.extend(dleft)
-                right.extend(dright)
+            grid = _gain_factors(grid_pass, (l1, r1))
+            needles = {
+                j: _gain_factors(fwd, (l1[j : j + 1], r1[j : j + 1]))
+                for j, fwd in needle_passes.items()
+            }
         except np.linalg.LinAlgError:
             return _EvalInfo(False, False, info.max_abscissa, None, None, None)
-        info = info._replace(dsigmas=(np.concatenate(left), np.concatenate(right)))
+        dsigmas = tuple(
+            _in_gain_order(grid[i], {j: f[i] for j, f in needles.items()}) for i in (0, 1)
+        )
+        info = info._replace(dsigmas=dsigmas)
         self._memo = (key, info, passes)
         return info
 
     def _forward(self, kb):
-        """Gains of one block and its forward passes as (grid index, pass)."""
+        """Gains of one block and its forward passes: the fixed grid's,
+        stacked over the grid, and each needle set's by grid index.
+
+        The controllers are factored into one _Resolvent, which every pass
+        of the block shares."""
         try:
             loops = _closed_loops(self.problem, kb)
         except IllPosedLFTError:
@@ -545,24 +646,32 @@ class _FastEvaluator:
         worst = max(loop.abscissa for loop in loops)
         if worst >= 0.0:
             return _EvalInfo(True, False, worst, None, None, None), ()
-        sigmas, passes = [], []
-        for j, loop in enumerate(loops):
-            lam = loop.poles
-            light = lam[(lam.imag > 0.0) & (np.abs(lam.real) <= 0.05 * np.abs(lam))]
-            needles = light.imag[np.argsort(np.abs(light.real) / np.abs(light))][:8]
-            try:
-                samples = [(self.freqs, self._responses[j])]
-                if needles.size:
-                    # ad-hoc frequencies: the plant response is not cached
-                    samples.append((needles, self._plant_responses(j, needles)))
-                for freqs, responses in samples:
-                    gains, fwd = _channel_gains(loop.ctrl, freqs, *responses)
-                    sigmas.extend(gains)
-                    passes.append((j, fwd))
-            except np.linalg.LinAlgError:
-                return _EvalInfo(False, False, worst, None, None, None), ()
-        v = np.concatenate(sigmas)
-        return _EvalInfo(True, True, worst, v, float(v.max()), None), tuple(passes)
+        ctrl = Realization(*(np.stack(m) for m in zip(*(loop.ctrl for loop in loops))))
+        needle_gains, needle_passes = {}, {}
+        try:
+            resolvent = _Resolvent(ctrl.a)
+            grid_gains, grid_pass = _channel_gains(
+                ctrl, resolvent, self.freqs, *self._grid_responses
+            )
+            for j, loop in enumerate(loops):
+                poles = loop.poles
+                damped = np.abs(poles.real) <= 0.05 * np.abs(poles)
+                light = poles[(poles.imag > 0.0) & damped]
+                needles = light.imag[np.argsort(np.abs(light.real) / np.abs(light))][:8]
+                if not needles.size:
+                    continue
+                # ad-hoc frequencies: the plant response is not cached
+                needle_gains[j], needle_passes[j] = _channel_gains(
+                    Realization(*(m[j : j + 1] for m in ctrl)), resolvent.point(j),
+                    needles, *self._responses([j], needles),
+                )
+        except np.linalg.LinAlgError:
+            return _EvalInfo(False, False, worst, None, None, None), ()
+        v = _in_gain_order(grid_gains, needle_gains)
+        return (
+            _EvalInfo(True, True, worst, v, float(v.max()), None),
+            (grid_pass, needle_passes),
+        )
 
     def penalized(self, kb, tau_rel, gradient=False):
         """Soft-max of the gains at relative width ``tau_rel``, or the
@@ -589,7 +698,9 @@ class _FastEvaluator:
             p = np.exp((sig - info.grid_max) / tau)
             p /= p.sum()
             if abs(info.grid_max) > 1e-12:
-                p[np.argmax(sig)] += tau_rel * (value - float(p @ sig)) / tau
+                # numpy's own sum, not a BLAS dot: OpenBLAS splits long dots
+                # over its threads, which changes their rounding
+                p[np.argmax(sig)] += tau_rel * (value - float((p * sig).sum())) / tau
             left, right = info.dsigmas
             dk = (left.T @ (p[:, None] * right)).real
             grad = dk[kb.mask == MASK_FREE]

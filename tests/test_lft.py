@@ -183,6 +183,17 @@ class TestStackedGrid:
                 for m in "abcd":
                     assert same_bits(getattr(closed, m)[j], getattr(one_closed, m))
 
+    @pytest.mark.parametrize("n_k, n_delta", [(2, 0), (3, 2), (0, 1), (0, 0)])
+    def test_instantiation_factors_match_per_point_bit_for_bit(self, rng, n_k, n_delta):
+        for _ in range(3):
+            kb = random_block(rng, n_k, n_delta, 2, 1, well_posed_for=self.RHOS)
+            l1, r1 = instantiation_factors(kb, self.RHOS)
+            assert l1.shape == (len(self.RHOS), n_k + 2, kb.k.shape[0])
+            assert r1.shape == (len(self.RHOS), kb.k.shape[1], n_k + 1)
+            for j, rho in enumerate(self.RHOS):
+                one_l1, one_r1 = instantiation_factors(kb, rho)
+                assert same_bits(l1[j], one_l1) and same_bits(r1[j], one_r1)
+
     def test_ill_posed_parameter_loop_reports_first_index(self):
         k = np.zeros((2, 2))
         k[0, 0] = 0.5  # d_zw: loop singular at rho = 2

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lfsynth import synth
+from lfsynth import cli, synth
 from lfsynth.errors import (
     DimensionError,
     DomainError,
@@ -15,11 +17,12 @@ from lfsynth.lft import (
     MASK_ZERO,
     ControllerBlock,
     eval_controller,
+    load_controller,
     zero_block,
 )
 from lfsynth.models import WeightSpec, make_weight
 from lfsynth.norms import hinf_norm
-from lfsynth.statespace import PartitionedSystem, StateSpace, static_gain
+from lfsynth.statespace import PartitionedSystem, StateSpace, batch_sigma, static_gain
 from lfsynth.synth import (
     _TAU_SCHEDULE,
     ObjectiveEval,
@@ -35,6 +38,8 @@ from lfsynth.synth import (
 )
 
 from conftest import random_partitioned
+
+BUNDLED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def scalar_plant(pole=-1.0):
@@ -142,6 +147,14 @@ class TestSynthesisProblem:
             StructureOptions(1, 1),
         )
         assert prob.wk_list[1].d[0, 0] == 0.2
+
+    def test_weights_share_output_count(self):
+        wks = (static_gain([[0.1]]), static_gain([[0.1], [0.2]]))
+        with pytest.raises(DimensionError, match="output count"):
+            SynthesisProblem(
+                (oscillator_plant(1.0), oscillator_plant(2.0)), (1.0, 2.0), wks,
+                StructureOptions(1, 1),
+            )
 
     @pytest.mark.parametrize("pole", [0.5, 0.0])
     def test_unstable_weight_rejected(self, pole):
@@ -357,20 +370,25 @@ class TestOptimize:
         assert ev.value == pytest.approx(max(ev.per_point), rel=1e-12)
 
 
-def gradient_point(seed, structure, n_w, n_u, n_z, n_y):
+def gradient_point(seed, structure, n_w, n_u, n_z, n_y, a_k=None):
     """Random two-point problem and stabilizing block with frozen entries, or
     None where the surrogate's sample count changes within a finite-difference
-    step of the block (a needle frequency appears or vanishes there)."""
+    step of the block (a needle frequency appears or vanishes there).  A
+    given ``a_k`` is frozen into the block."""
     rng = np.random.default_rng(seed)
     grid = (0.6, 1.4)
     plants = tuple(random_partitioned(rng, 3, n_w, n_u, n_z, n_y) for _ in grid)
     nk, nd = structure.n_k, structure.n_delta
     mask = build_mask(structure, n_u, n_y)
+    if a_k is not None:
+        mask[:nk, :nk] = MASK_FROZEN
     free = np.argwhere(mask == MASK_FREE)
     for i, j in free[rng.choice(len(free), size=2, replace=False)]:
         mask[i, j] = MASK_FROZEN
     k = 0.3 * rng.normal(size=mask.shape)
     k[:nk, :nk] -= 1.5 * np.eye(nk)
+    if a_k is not None:
+        k[:nk, :nk] = a_k
     k[nk : nk + nd, nk : nk + nd] *= 0.5
     k[mask == MASK_ZERO] = 0.0
     kb = ControllerBlock(nk, nd, n_u, n_y, k, mask)
@@ -403,6 +421,20 @@ def gradient_point(seed, structure, n_w, n_u, n_z, n_y):
     return ev, kb
 
 
+def spy_resolvents(monkeypatch):
+    """List that receives the ``dense`` flag of every controller resolvent
+    the surrogate factors from now on."""
+    dense = []
+
+    class Spy(synth._Resolvent):
+        def __init__(self, a):
+            super().__init__(a)
+            dense.append(self.dense)
+
+    monkeypatch.setattr(synth, "_Resolvent", Spy)
+    return dense
+
+
 class TestClosedFormGradient:
     """The surrogate's closed-form gradient against central differences."""
 
@@ -417,14 +449,17 @@ class TestClosedFormGradient:
         "rational-mimo": (StructureOptions(1, 2, dependency="rational"), 2, 2, 3, 1),
         # a column performance channel takes the SVD-free singular pair
         "column-perf": (StructureOptions(2, 1, dependency="rational"), 1, 1, 2, 1),
+        # a defective controller state matrix takes the dense resolvent
+        "jordan": (StructureOptions(2, 0), 1, 1, 1, 1, [[-1.0, 1.0], [0.0, -1.0]]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_finite_differences(self, case):
-        structure, n_w, n_u, n_z, n_y = self.CASES[case]
-        points = [gradient_point(seed, structure, n_w, n_u, n_z, n_y) for seed in range(6)]
+    def test_matches_finite_differences(self, monkeypatch, case):
+        structure, *dims = self.CASES[case]
+        points = [gradient_point(seed, structure, *dims) for seed in range(6)]
         points = [p for p in points if p is not None]
         assert len(points) >= 2
+        dense = spy_resolvents(monkeypatch)
         for ev, kb in points[:2]:
             theta = kb.free_values()
             for tau in _TAU_SCHEDULE:
@@ -436,6 +471,7 @@ class TestClosedFormGradient:
                 oracle = synth._fd_gradient(fun, theta, value)
                 assert grad.shape == theta.shape
                 assert np.linalg.norm(grad - oracle) <= 1e-6 * np.linalg.norm(oracle)
+        assert set(dense) == {case == "jordan"}
 
     def test_zero_at_unstable_block(self):
         st = StructureOptions(0, 0)
@@ -450,9 +486,11 @@ class TestClosedFormGradient:
 class TestTopSingularPairs:
     """The closed-form pairs of vector channels against the SVD."""
 
-    @pytest.mark.parametrize(
+    SHAPES = pytest.mark.parametrize(
         "shape", [(3, 1), (1, 4), (1, 1), (2, 3)], ids=["column", "row", "scalar", "matrix"]
     )
+
+    @SHAPES
     def test_pair_attains_the_largest_singular_value(self, rng, shape):
         g = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
         g[2] = 0.0
@@ -464,6 +502,68 @@ class TestTopSingularPairs:
         assert np.allclose(attained.imag, 0.0, atol=1e-13)
         assert np.allclose(np.linalg.norm(u, axis=1), 1.0, rtol=1e-14)
         assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=1e-14)
+
+    @SHAPES
+    def test_grid_stack_matches_slice_by_slice(self, rng, shape):
+        g = rng.normal(size=(3, 6) + shape) + 1j * rng.normal(size=(3, 6) + shape)
+        g[1, 2] = 0.0
+        u, v = synth._top_singular_pairs(g)
+        sigma = batch_sigma(g)
+        assert u.shape == (3, 6, shape[0]) and v.shape == (3, 6, shape[1])
+        for j in range(3):
+            one_u, one_v = synth._top_singular_pairs(g[j])
+            assert np.array_equal(u[j], one_u) and np.array_equal(v[j], one_v)
+            assert np.array_equal(sigma[j], batch_sigma(g[j]))
+
+
+def bundled_problem(name):
+    """Problem and committed controller block of a perfbench input."""
+    cfg = cli.parse_config(str(BUNDLED / f"{name}.cfg"))
+    return cli.build_problem(cfg)[1], load_controller(BUNDLED / f"{name}_controller.txt")
+
+
+class TestModalResolvent:
+    """The stacked pass with the eigen-factored controller resolvent against
+    the dense pass one grid point at a time."""
+
+    @pytest.mark.parametrize("name", ["beam", "building"])
+    def test_agrees_with_dense_per_point_pass(self, monkeypatch, name):
+        prob, kb0 = bundled_problem(name)
+        freqs = surrogate_grid(prob, 160)
+        stacked = synth._FastEvaluator(prob, freqs)
+        rng = np.random.default_rng(0)
+        theta0 = kb0.free_values()
+        # the committed blocks have a diagonal a_k, so perturb every entry
+        blocks = [kb0] + [
+            kb0.with_free_values(theta0 + 0.05 * rng.normal(size=theta0.size))
+            for _ in range(3)
+        ]
+        for kb in blocks:
+            dense = spy_resolvents(monkeypatch)
+            info = stacked.evaluate(kb, gradient=True)
+            assert info.stable and dense == [False]
+            # no eigenbasis is well conditioned enough: every pass solves densely
+            monkeypatch.setattr(synth, "EIG_COND_LIMIT", 0.0)
+            points = [
+                synth._FastEvaluator(
+                    SynthesisProblem(
+                        (prob.plants[j],), (prob.grid[j],), (prob.wk_list[j],),
+                        prob.structure,
+                    ),
+                    freqs,
+                ).evaluate(kb, gradient=True)
+                for j in range(prob.m)
+            ]
+            monkeypatch.undo()
+            assert dense == [False] + [True] * prob.m
+            expect = [
+                np.concatenate([p.sigmas for p in points]),
+                np.concatenate([p.dsigmas[0] for p in points]),
+                np.concatenate([p.dsigmas[1] for p in points]),
+            ]
+            for got, ref in zip((info.sigmas, *info.dsigmas), expect):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def integrator_plant():
