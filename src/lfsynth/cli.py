@@ -80,13 +80,10 @@ class RunConfig:
     wk_m: float = 0.1
     wk_rho_scaled: bool = False
     opt_max_iter: int = 500
-    opt_tol: float = 1e-4
     opt_restarts: int = 3
     opt_seed: int = 0
     opt_nominal_index: int = -1  # -1: middle of the grid
-    opt_grid_points: int = 160
     opt_refine_rounds: int = 2
-    opt_stabilize_budget: int = 4000
     sweep_rho_min: float = np.nan
     sweep_rho_max: float = np.nan
     sweep_n_points: int = 21
@@ -137,13 +134,10 @@ _KEYS = {
     "wk.m": ("wk_m", float),
     "wk.rho_scaled": ("wk_rho_scaled", _parse_bool),
     "opt.max_iter": ("opt_max_iter", int),
-    "opt.tol": ("opt_tol", float),
     "opt.restarts": ("opt_restarts", int),
     "opt.seed": ("opt_seed", int),
     "opt.nominal_index": ("opt_nominal_index", int),
-    "opt.grid_points": ("opt_grid_points", int),
     "opt.refine_rounds": ("opt_refine_rounds", int),
-    "opt.stabilize_budget": ("opt_stabilize_budget", int),
     "sweep.rho_min": ("sweep_rho_min", float),
     "sweep.rho_max": ("sweep_rho_max", float),
     "sweep.n_points": ("sweep_n_points", int),
@@ -299,11 +293,8 @@ def build_problem(cfg):
 def make_options(cfg):
     return OptimizeOptions(
         max_iter=cfg.opt_max_iter,
-        tol=cfg.opt_tol,
         restarts=cfg.opt_restarts,
         seed=cfg.opt_seed,
-        stabilize_budget=cfg.opt_stabilize_budget,
-        grid_points=cfg.opt_grid_points,
         refine_rounds=cfg.opt_refine_rounds,
     )
 

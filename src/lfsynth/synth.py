@@ -24,16 +24,16 @@ certification passes on and the surrogate and stabilization score as
 infinite.  The surrogate takes plant and weight responses from one
 eigen-factored FrequencyKernel per system, and the controller responses from
 one eigendecomposition of each grid point's controller per evaluated block
-(_Resolvent), which the gradient reuses.  It runs the fixed frequency grid of
-every grid point in one pass stacked over the grid, and the few needle
-samples of each point one point at a time.  The singular pairs of vector
-channels come in closed form.  Iterates that destabilize any channel are
-scored with a large abscissa-proportional penalty instead of an infinite
-value, which keeps a useful descent signal near the stability boundary;
-accepted iterates are always strictly stabilizing.
+(_Resolvent), which the gradient reuses.  Each block takes one forward pass
+and one gradient pass, both stacked over the grid: every grid point's row
+holds the fixed frequency grid followed by that point's few needle samples.
+The singular pairs of vector channels come in closed form.  Iterates that
+destabilize any channel are scored with a large abscissa-proportional
+penalty instead of an infinite value, which keeps a useful descent signal
+near the stability boundary; accepted iterates are always strictly
+stabilizing.
 """
 
-import copy
 import time
 from collections import deque, namedtuple
 from dataclasses import dataclass, replace
@@ -52,7 +52,6 @@ from .lft import (
     MASK_FREE,
     MASK_ZERO,
     ControllerBlock,
-    Realization,
     closed_loop_matrices,
     count_free_params,
     eval_controller_matrices,
@@ -62,7 +61,6 @@ from .lft import (
 )
 from .norms import hinf_norm
 from .statespace import (
-    EIG_COND_LIMIT,
     FrequencyKernel,
     StateSpace,
     append_diag,
@@ -241,19 +239,21 @@ def _certify(problem, kb, rel_tol, gamma_big):
     """Per-grid-point certified channel norms (or abscissa penalties)."""
     loops = _closed_loops(problem, kb)
     per_point, perf, wk, peaks = [], [], [], []
-    for loop, weight in zip(loops, problem.wk_list):
-        if loop.abscissa >= 0.0:
-            per_point.append(gamma_big * (1.0 + loop.abscissa))
+    for j, weight in enumerate(problem.wk_list):
+        abscissa = float(loops.abscissa[j])
+        if abscissa >= 0.0:
+            per_point.append(gamma_big * (1.0 + abscissa))
             perf.append(np.nan)
             wk.append(np.nan)
             continue
-        res_p = hinf_norm(StateSpace(*loop.closed), rel_tol)
-        res_w = hinf_norm(series(StateSpace(*loop.ctrl), weight), rel_tol)
+        ctrl, closed = (StateSpace(*(m[j] for m in r)) for r in loops[:2])
+        res_p = hinf_norm(closed, rel_tol)
+        res_w = hinf_norm(series(ctrl, weight), rel_tol)
         per_point.append(max(res_p.value, res_w.value))
         perf.append(res_p.value)
         wk.append(res_w.value)
         peaks.extend((res_p.peak_omega, res_w.peak_omega))
-    worst = max(loop.abscissa for loop in loops)
+    worst = float(loops.abscissa.max())
     return _Cert(
         max(per_point), tuple(per_point), tuple(perf), tuple(wk), tuple(peaks),
         worst < 0.0, worst,
@@ -317,16 +317,16 @@ def surrogate_grid(problem, n_base=160):
     return np.unique(freqs)
 
 
-_Loop = namedtuple("_Loop", ["ctrl", "closed", "poles", "abscissa"])
+_Loops = namedtuple("_Loops", ["ctrl", "closed", "poles", "abscissa"])
 
 
 def _closed_loops(problem, kb):
-    """Instantiated controller and closed loop (Realizations), closed-loop
-    poles and abscissa at every grid point, from one pass over the stacked
-    grid.
+    """Instantiated controllers and closed loops (Realizations), closed-loop
+    poles (M, n) and abscissas (M,) of the whole grid, from one pass over
+    the stacked grid and stacked as it is.
 
-    ``abscissa`` is the largest real part over the closed-loop and controller
-    poles (-inf when there are none).  The weights are stable, so it decides
+    The abscissa is the largest real part over a point's closed-loop and
+    controller poles (-inf when there are none).  The weights are stable, so it decides
     the stability of both channels.  Raises IllPosedLFTError with the first
     grid index at which the parameter loop or the feedback loop is ill posed.
     """
@@ -344,15 +344,7 @@ def _closed_loops(problem, kb):
     poles = np.linalg.eigvals(closed.a)
     reals = np.concatenate([poles.real, np.linalg.eigvals(ctrl.a).real], axis=1)
     abscissa = reals.max(axis=1) if reals.shape[1] else np.full(problem.m, -np.inf)
-    return [
-        _Loop(
-            Realization(*(m[j] for m in ctrl)),
-            Realization(*(m[j] for m in closed)),
-            poles[j],
-            float(abscissa[j]),
-        )
-        for j in range(problem.m)
-    ]
+    return _Loops(ctrl, closed, poles, abscissa)
 
 
 def _kernel_response(kernel, freqs):
@@ -392,17 +384,22 @@ def _top_singular_pairs(g):
     return u[..., :, 0], vh[..., 0, :].conj()
 
 
+RESOLVENT_COND_LIMIT = 1e4  # eps * cond(V), the modal loss, stays near 1e-12
+
+
 class _Resolvent:
     """Resolvent ``X(i w) = (i w I - a)^-1`` of controller state matrices
     stacked over grid points (M, n_k, n_k), factored once for many
-    frequencies.
+    frequencies: shared ones (F,) or a row of its own per point (M, F).
 
     Each ``a`` is diagonalized once, ``a = V diag(lambda) V^-1``, so that
     ``X = V diag(1 / (i w - lambda)) V^-1`` (Laub 1981, as FrequencyKernel
     does for plants and weights): ``X b = V (d * V^-1 b)`` and ``c X = ((c V)
-    * d) V^-1`` with ``d = 1 / (i w - lambda)``.  When ``cond(V)`` exceeds
-    EIG_COND_LIMIT at any grid point (a defective or nearly defective ``a``),
-    both products come from dense solves with ``i w I - a`` instead.
+    * d) V^-1`` with ``d = 1 / (i w - lambda)``.  These lose about ``eps
+    cond(V)`` of relative accuracy, so when ``cond(V)`` exceeds
+    RESOLVENT_COND_LIMIT at any grid point (a defective or nearly defective
+    ``a``), both products come from dense solves with ``i w I - a`` instead,
+    which the controller's few states make cheap.
     """
 
     def __init__(self, a):
@@ -410,7 +407,7 @@ class _Resolvent:
         self._modal = None
         if a.shape[-1]:
             eigvals, v = np.linalg.eig(a)
-            if (np.linalg.cond(v) <= EIG_COND_LIMIT).all():
+            if (np.linalg.cond(v) <= RESOLVENT_COND_LIMIT).all():
                 self._modal = (eigvals, v, np.linalg.inv(v))
 
     @property
@@ -418,20 +415,11 @@ class _Resolvent:
         """True when the products come from dense solves, not the eigenbasis."""
         return self.a.shape[-1] > 0 and self._modal is None
 
-    def point(self, j):
-        """Grid point ``j``'s resolvent as a stack of one, sharing this
-        factorization."""
-        sub = copy.copy(self)
-        sub.a = self.a[j : j + 1]
-        if self._modal is not None:
-            sub._modal = tuple(m[j : j + 1] for m in self._modal)
-        return sub
-
     def _shifted(self, freqs):
-        return 1j * freqs[:, None, None] * np.eye(self.a.shape[-1]) - self.a[:, None]
+        return 1j * freqs[..., None, None] * np.eye(self.a.shape[-1]) - self.a[:, None]
 
     def _diag(self, freqs):
-        return 1.0 / (1j * freqs[:, None] - self._modal[0][:, None, :])
+        return 1.0 / (1j * freqs[..., None] - self._modal[0][:, None, :])
 
     def right(self, freqs, b):
         """``X b`` for ``b`` stacked over the grid (M, n_k, q): shape (M, F, n_k, q)."""
@@ -469,8 +457,9 @@ def _channel_gains(ctrl, resolvent, freqs, blocks, wk_resp):
     forward pass that produced them (the input of _gain_factors).
 
     ``ctrl`` is the controller Realization stacked over M grid points,
-    ``resolvent`` their _Resolvent, and ``blocks`` and ``wk_resp`` are those
-    points' plant blocks and weight responses over ``freqs``, (M, F, ., .).
+    ``resolvent`` their _Resolvent, ``freqs`` the frequencies, shared (F,)
+    or a row per point (M, F), and ``blocks`` and ``wk_resp`` are the points'
+    plant blocks and weight responses there, (M, F, ., .).
     """
     p11, p12, p21, p22 = blocks
     # the controller response c (i w I - a)^-1 b + d, keeping its factors
@@ -518,18 +507,18 @@ def _gain_factors(fwd, factors):
     return left, right
 
 
-def _in_gain_order(grid, needles):
+def _in_gain_order(rows, n_grid, counts):
     """Per-gain rows in the surrogate's order: point by point, the fixed
     grid's closed-loop and weighted rows, then the point's needle rows.
 
-    ``grid`` holds the closed-loop and weighted rows of the fixed-grid pass,
-    stacked over the grid (M, F, ...); ``needles`` maps a grid index to those
-    of its needle pass, a stack of one (1, N, ...).
+    ``rows`` holds the closed-loop and weighted rows of one pass stacked over
+    the grid (M, F, ...): each point's fixed grid in its first ``n_grid``
+    columns, then its ``counts[j]`` needles, then padding.
     """
     parts = []
-    for j in range(grid[0].shape[0]):
-        parts.extend(g[j] for g in grid)
-        parts.extend(g[0] for g in needles.get(j, ()))
+    for j, n in enumerate(counts):
+        parts.extend(r[j, :n_grid] for r in rows)
+        parts.extend(r[j, n_grid : n_grid + n] for r in rows)
     return np.concatenate(parts)
 
 
@@ -557,26 +546,20 @@ class _FastEvaluator:
         ]
         self._set_grid(np.asarray(freqs, dtype=float))
 
-    def _responses(self, points, freqs):
-        """Plant blocks (p11, p12, p21, p22) and weight responses of the grid
-        points ``points`` over ``freqs``, stacked over those points."""
-        n_w, n_z = self.problem.n_w, self.problem.n_z
-        resp, wk_resp = (
-            np.stack([_kernel_response(self._kernels[j][i], freqs) for j in points])
+    def _responses(self, freqs):
+        """Plant and weight responses of every grid point, stacked over the
+        grid (M, F, ., .): over shared frequencies ``freqs`` (F,) or over
+        each point's own row of them (M, F)."""
+        rows = np.broadcast_to(freqs, (self.problem.m, freqs.shape[-1]))
+        return tuple(
+            np.stack([_kernel_response(k[i], row) for k, row in zip(self._kernels, rows)])
             for i in (0, 1)
         )
-        blocks = (
-            resp[..., :n_z, :n_w],
-            resp[..., :n_z, n_w:],
-            resp[..., n_z:, :n_w],
-            resp[..., n_z:, n_w:],
-        )
-        return blocks, wk_resp
 
     def _set_grid(self, freqs):
         self.freqs = np.unique(freqs[freqs >= 0.0])
-        self._grid_responses = self._responses(range(self.problem.m), self.freqs)
-        self._memo = None  # (block bytes, _EvalInfo, forward passes)
+        self._grid_responses = self._responses(self.freqs)
+        self._memo = None  # (block bytes, _EvalInfo, (forward pass, needle counts))
 
     def add_frequencies(self, omegas):
         """Enrich the grid near newly certified peaks."""
@@ -616,62 +599,64 @@ class _FastEvaluator:
         _, info, passes = self._memo
         if not gradient or not info.stable or info.dsigmas is not None:
             return info
-        grid_pass, needle_passes = passes
-        l1, r1 = instantiation_factors(kb, self.problem.grid)
+        fwd, counts = passes
         try:
-            grid = _gain_factors(grid_pass, (l1, r1))
-            needles = {
-                j: _gain_factors(fwd, (l1[j : j + 1], r1[j : j + 1]))
-                for j, fwd in needle_passes.items()
-            }
+            factors = _gain_factors(fwd, instantiation_factors(kb, self.problem.grid))
         except np.linalg.LinAlgError:
             return _EvalInfo(False, False, info.max_abscissa, None, None, None)
-        dsigmas = tuple(
-            _in_gain_order(grid[i], {j: f[i] for j, f in needles.items()}) for i in (0, 1)
-        )
+        dsigmas = tuple(_in_gain_order(f, self.freqs.size, counts) for f in factors)
         info = info._replace(dsigmas=dsigmas)
         self._memo = (key, info, passes)
         return info
 
     def _forward(self, kb):
-        """Gains of one block and its forward passes: the fixed grid's,
-        stacked over the grid, and each needle set's by grid index.
+        """Gains of one block, its forward pass stacked over the grid, and
+        each grid point's needle count.
 
-        The controllers are factored into one _Resolvent, which every pass
-        of the block shares."""
+        A point's row holds the fixed grid, then its needle frequencies,
+        padded up to the largest count with the grid's first frequency: the
+        fixed grid has already sampled and solved there at every point, so
+        the padding raises nothing new.  Without needles the rows are the
+        fixed grid alone, whose responses are cached.  The controllers are
+        factored once into a _Resolvent, which the gradient reuses."""
         try:
             loops = _closed_loops(self.problem, kb)
         except IllPosedLFTError:
             return _EvalInfo(False, False, np.inf, None, None, None), ()
-        worst = max(loop.abscissa for loop in loops)
+        worst = float(loops.abscissa.max())
         if worst >= 0.0:
             return _EvalInfo(True, False, worst, None, None, None), ()
-        ctrl = Realization(*(np.stack(m) for m in zip(*(loop.ctrl for loop in loops))))
-        needle_gains, needle_passes = {}, {}
+        needles = []
+        for poles in loops.poles:
+            damped = np.abs(poles.real) <= 0.05 * np.abs(poles)
+            light = poles[(poles.imag > 0.0) & damped]
+            needles.append(light.imag[np.argsort(np.abs(light.real) / np.abs(light))][:8])
+        counts = [n.size for n in needles]
+        freqs, (resp, wk_resp) = self.freqs, self._grid_responses
+        m, n_w, n_z = self.problem.m, self.problem.n_w, self.problem.n_z
         try:
-            resolvent = _Resolvent(ctrl.a)
-            grid_gains, grid_pass = _channel_gains(
-                ctrl, resolvent, self.freqs, *self._grid_responses
-            )
-            for j, loop in enumerate(loops):
-                poles = loop.poles
-                damped = np.abs(poles.real) <= 0.05 * np.abs(poles)
-                light = poles[(poles.imag > 0.0) & damped]
-                needles = light.imag[np.argsort(np.abs(light.real) / np.abs(light))][:8]
-                if not needles.size:
-                    continue
-                # ad-hoc frequencies: the plant response is not cached
-                needle_gains[j], needle_passes[j] = _channel_gains(
-                    Realization(*(m[j : j + 1] for m in ctrl)), resolvent.point(j),
-                    needles, *self._responses([j], needles),
+            if max(counts):
+                extra = np.full((m, max(counts)), freqs[0])
+                for row, n in zip(extra, needles):
+                    row[: n.size] = n
+                resp, wk_resp = (
+                    np.concatenate(pair, axis=1)
+                    for pair in zip((resp, wk_resp), self._responses(extra))
                 )
+                freqs = np.concatenate([np.broadcast_to(freqs, (m, freqs.size)), extra], 1)
+            blocks = (
+                resp[..., :n_z, :n_w],
+                resp[..., :n_z, n_w:],
+                resp[..., n_z:, :n_w],
+                resp[..., n_z:, n_w:],
+            )
+            gains, fwd = _channel_gains(
+                loops.ctrl, _Resolvent(loops.ctrl.a), freqs, blocks, wk_resp
+            )
         except np.linalg.LinAlgError:
             return _EvalInfo(False, False, worst, None, None, None), ()
-        v = _in_gain_order(grid_gains, needle_gains)
-        return (
-            _EvalInfo(True, True, worst, v, float(v.max()), None),
-            (grid_pass, needle_passes),
-        )
+        v = _in_gain_order(gains, self.freqs.size, counts)
+        return _EvalInfo(True, True, worst, v, float(v.max()), None), (fwd, counts)
 
     def penalized(self, kb, tau_rel, gradient=False):
         """Soft-max of the gains at relative width ``tau_rel``, or the
@@ -813,10 +798,9 @@ def stabilize(problem, kb0, budget=4000, seed=0):
     def abscissas(theta):
         # per-grid-point abscissas, or None when the block is ill posed
         try:
-            loops = _closed_loops(problem, kb0.with_free_values(theta))
+            return _closed_loops(problem, kb0.with_free_values(theta)).abscissa
         except IllPosedLFTError:
             return None
-        return np.array([loop.abscissa for loop in loops])
 
     theta0 = kb0.free_values()
     ab = abscissas(theta0)
@@ -869,19 +853,14 @@ def stabilize(problem, kb0, budget=4000, seed=0):
 @dataclass(frozen=True)
 class OptimizeOptions:
     max_iter: int = 500
-    tol: float = 1e-4
     restarts: int = 3
     seed: int = 0
-    stabilize_budget: int = 4000
-    grid_points: int = 160
     refine_rounds: int = 2
     certify_rel_tol: float = 1e-6
 
     def __post_init__(self):
         if self.max_iter < 1 or self.restarts < 1:
             raise DomainError("max_iter and restarts must be at least 1")
-        if self.tol <= 0.0:
-            raise DomainError("tol must be positive")
 
 
 _TAU_SCHEDULE = (0.05, 0.01, 2e-3)
@@ -956,7 +935,7 @@ def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
                 return g
 
             theta, fval, used, conv = _bfgs(
-                fun, grad, theta, fun(theta), cap, opts.tol, on_accept=record
+                fun, grad, theta, fun(theta), cap, 1e-4, on_accept=record
             )
             iters_left -= used
             converged = conv
@@ -1051,7 +1030,7 @@ def optimize(problem, kb_init, options=None):
         )
 
     try:
-        kb0 = stabilize(problem, kb_init, opts.stabilize_budget, seed=opts.seed)
+        kb0 = stabilize(problem, kb_init, seed=opts.seed)
     except StabilizationFailedError:
         return failed(kb_init)
 
@@ -1061,9 +1040,7 @@ def optimize(problem, kb_init, options=None):
     gamma_big = 1e6 * max(init_cert.gamma if init_cert.stable else 1.0, 1.0)
     theta_init = kb0.free_values()
 
-    evaluator = _FastEvaluator(
-        problem, surrogate_grid(problem, opts.grid_points), gamma_big
-    )
+    evaluator = _FastEvaluator(problem, surrogate_grid(problem), gamma_big)
 
     candidates = []
     init_trace = (
@@ -1083,10 +1060,7 @@ def optimize(problem, kb_init, options=None):
             starts.append(theta_init + rng.normal(0.0, 0.1 * scale, theta_init.size))
         for i, start in enumerate(starts):
             try:
-                kb_start = stabilize(
-                    problem, kb0.with_free_values(start), opts.stabilize_budget,
-                    seed=opts.seed,
-                )
+                kb_start = stabilize(problem, kb0.with_free_values(start), seed=opts.seed)
             except StabilizationFailedError:
                 continue
             theta, cert, trace, conv = _descend(
