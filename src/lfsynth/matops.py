@@ -1,11 +1,12 @@
 """Dense linear-algebra kernels used by the state-space and synthesis layers.
 
 All routines operate on plain 2-D ``numpy`` arrays of real floats and are pure
-functions of their inputs, so they are safe to call concurrently.
+functions of their inputs, so they are safe to call concurrently.  Only
+``solve_lyapunov`` needs scipy; it imports ``scipy.linalg`` on its first call,
+so importing lfsynth loads numpy alone.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -86,8 +87,9 @@ def solve_linear(a, b):
 def solve_lyapunov(a, q):
     """Solve ``a @ p + p @ a.T + q = 0`` for symmetric ``p``.
 
-    ``a`` must be Hurwitz and ``q`` symmetric.  Uses the dense Schur-based
-    solver; the result is explicitly symmetrized.
+    ``a`` must be Hurwitz and ``q`` symmetric.  Uses scipy's dense
+    Schur-based solver, importing ``scipy.linalg`` on the first call; the
+    result is explicitly symmetrized.
     """
     a = as_matrix(a, "a")
     q = as_matrix(q, "q")
@@ -107,5 +109,7 @@ def solve_lyapunov(a, q):
         raise UnstableError(
             f"state matrix is not Hurwitz (spectral abscissa {alpha:.3e})"
         )
+    import scipy.linalg  # the only scipy use: deferred off the import path
+
     p = scipy.linalg.solve_continuous_lyapunov(a, -q)
     return 0.5 * (p + p.T)

@@ -137,13 +137,12 @@ def hinf_norm(sys, rel_tol=1e-6):
 
 
 def h2_norm(sys):
-    """H2 norm of a stable, strictly proper system via the controllability Gramian."""
-    if sys.is_static:
-        if max_singular_value(sys.d) > 1e-12:
-            raise DomainError("H2 norm undefined for systems with feedthrough")
-        return 0.0
-    if np.abs(sys.d).max() > 1e-12:
+    """H2 norm of a stable, strictly proper system via the controllability
+    Gramian; 0.0 for a system with no inputs or no outputs."""
+    if max_singular_value(sys.d) > 1e-12:
         raise DomainError("H2 norm undefined for systems with feedthrough")
+    if sys.is_static:
+        return 0.0
     if spectral_abscissa(sys) >= 0.0:
         raise UnstableError("H2 norm requires a stable system")
     p = solve_lyapunov(sys.a, sys.b @ sys.b.T)

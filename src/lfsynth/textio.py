@@ -4,7 +4,8 @@ Writers go through a temporary file that is renamed into place, so a failed
 run never leaves a partial output.  Readers take a header line of
 nonnegative integer counts followed by rows of whitespace-separated numbers;
 blank lines and lines starting with '#' are skipped, and every ParseError
-names the file and, where there is one, the offending line.
+names the file and, where there is one, the offending line; a file that
+cannot be opened or decoded is a ParseError too.
 """
 
 import os
@@ -28,11 +29,14 @@ class DataReader:
     def __init__(self, path):
         self.path = path
         self._lines = []
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                stripped = raw.strip()
-                if stripped and not stripped.startswith("#"):
-                    self._lines.append((lineno, stripped))
+        try:
+            with open(path) as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    stripped = raw.strip()
+                    if stripped and not stripped.startswith("#"):
+                        self._lines.append((lineno, stripped))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
         self._cursor = 0
 
     def header(self, names, kind):

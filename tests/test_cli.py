@@ -142,6 +142,30 @@ class TestEvalCommand:
             if stable == "1":
                 assert float(value) > 0.0
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    def test_unreadable_controller_exits_1(self, toy_config, capsys, kind):
+        cfg, base = toy_config
+        ctl = {"missing": base / "nofile.txt", "directory": base, "binary": base / "k.bin"}[kind]
+        if kind == "binary":
+            ctl.write_bytes(b"\xff\xfe\x00\n")
+        out = base / "sweep.csv"
+        code = main(["eval", "--controller", str(ctl), "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        # an escaping exception would fail the call itself, so no traceback
+        assert err.startswith("error: ") and str(ctl) in err
+        assert not out.exists()
+
+    def test_missing_model_file_exits_1(self, toy_config, capsys):
+        cfg, base = toy_config
+        missing = base / "gone.ss"
+        cfg.write_text(cfg.read_text().replace(str(base / "plant1.ss"), str(missing)))
+        code = main(["synth", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
     def test_ill_posed_rows_flagged(self, tmp_path):
         plants = write_custom_plants(tmp_path, [-1.0, -2.0])
         cfg = tmp_path / "run.cfg"

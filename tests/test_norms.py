@@ -277,6 +277,12 @@ class TestH2Norm:
         s = StateSpace(-np.eye(3), np.zeros((3, 1)), np.ones((1, 3)), [[0.0]])
         assert h2_norm(s) == 0.0
 
+    @pytest.mark.parametrize("n_u, n_y", [(0, 1), (1, 0)], ids=["no_inputs", "no_outputs"])
+    def test_empty_channels(self, n_u, n_y):
+        s = StateSpace([[-1.0]], np.ones((1, n_u)), np.ones((n_y, 1)), np.zeros((n_y, n_u)))
+        assert h2_norm(s) == 0.0
+        assert hinf_norm(s).value == 0.0
+
     def test_unit_energy_family(self):
         # b = sqrt(2 a), c = 1: gramian p = b^2 / (2 a) = 1, norm 1
         a = 2.0
