@@ -384,7 +384,7 @@ def cmd_bode(controller_path, config_path, rho_list, out_path):
     omegas = default_frequency_grid(open_loop, 200)
 
     def magnitudes(sys):
-        mags = FrequencyKernel(sys).sigma(omegas)
+        mags = FrequencyKernel(sys).sigma(omegas)[0]
         if np.isnan(mags).any():
             raise SingularMatrixError("a bode frequency coincides with a system pole")
         return mags

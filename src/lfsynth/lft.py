@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, IllPosedLFTError, ParseError
 from .matops import as_matrix
-from .statespace import StateSpace
+from .statespace import Realization, StateSpace
 from .textio import DataReader, write_lines
 
 MASK_ZERO = 0
@@ -199,10 +199,6 @@ def upper_lft_matrix(m, delta):
     _check_loop(loop, "upper LFT")
     return m22 + m21 @ (delta @ np.linalg.solve(loop, m12))
 
-
-Realization = namedtuple("Realization", ["a", "b", "c", "d"])
-Realization.__doc__ = """State-space matrices (a, b, c, d) of one system, or
-of one system per grid point stacked over a leading axis."""
 
 GridPlant = namedtuple("GridPlant", ["sys", "input_partition", "output_partition"])
 GridPlant.__doc__ = """Partitioned plants of one grid, their matrices stacked

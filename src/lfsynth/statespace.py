@@ -11,6 +11,7 @@ B-entries, n_y rows of n C-entries and n_y rows of n_u D-entries, all
 whitespace-separated decimal floats.  Lines starting with '#' are comments.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,11 @@ NEAR_POLE_TOL = 1e-8
 # Condition number of the eigenvector matrix past which FrequencyKernel
 # solves densely instead of working in the eigenbasis.
 EIG_COND_LIMIT = 1e8
+
+
+Realization = namedtuple("Realization", ["a", "b", "c", "d"])
+Realization.__doc__ = """State-space matrices (a, b, c, d) of one system, or
+of one system per grid point stacked over a leading axis."""
 
 
 def _frozen(m):
@@ -159,16 +165,6 @@ def frequency_gain(sys, omega):
     return g
 
 
-def batched_response(sys, freqs):
-    """Response H(i w) stacked over frequencies: shape (F, n_y, n_u)."""
-    f = len(freqs)
-    if sys.n == 0:
-        return np.broadcast_to(sys.d, (f,) + sys.d.shape).astype(complex)
-    m = 1j * freqs[:, None, None] * np.eye(sys.n) - sys.a
-    x = np.linalg.solve(m, np.broadcast_to(sys.b, (f,) + sys.b.shape))
-    return sys.c @ x + sys.d
-
-
 def batch_sigma(g):
     """Largest singular value of each response in a stack (..., n_y, n_u),
     with any number of leading stack axes."""
@@ -177,61 +173,102 @@ def batch_sigma(g):
     return np.linalg.svd(g, compute_uv=False)[..., 0]
 
 
-class FrequencyKernel:
-    """Frequency response of one system, factored once for many frequencies.
+def _dense_response(a, b, c, d, freqs):
+    """Response of one system by one dense solve per frequency: (F, n_y, n_u)."""
+    m = 1j * freqs[:, None, None] * np.eye(a.shape[0]) - a
+    x = np.linalg.solve(m, np.broadcast_to(b, (len(freqs),) + b.shape))
+    return c @ x + d
 
-    The state matrix is diagonalized once, ``a = V diag(lambda) V^-1``; a
-    batch of samples then costs ``(c V) diag(1 / (i w - lambda)) (V^-1 b) + d``
-    (Laub 1981).  When ``cond(V)`` exceeds EIG_COND_LIMIT (a defective or
-    nearly defective ``a``), responses come from dense solves instead.
+
+class FrequencyKernel:
+    """Frequency responses of systems stacked over a leading axis, each
+    factored once for many frequencies.
+
+    ``systems`` holds the matrices (a, b, c, d) of M systems that share
+    their state order, stacked as (M, n, n), (M, n, n_u) and so on (a
+    Realization); a StateSpace is a stack of one.  Each state matrix is
+    diagonalized once, ``a = V diag(lambda) V^-1``; a batch of samples then
+    costs ``(c V) diag(1 / (i w - lambda)) (V^-1 b) + d`` (Laub 1981).  A
+    point whose ``cond(V)`` exceeds EIG_COND_LIMIT (a defective or nearly
+    defective ``a``) takes dense solves instead.
     """
 
-    def __init__(self, sys):
-        self.sys = sys
-        self.poles = np.zeros(0, dtype=complex)
-        self._modal = None
-        if sys.n:
-            self.poles, v = np.linalg.eig(sys.a)
-            if np.linalg.cond(v) <= EIG_COND_LIMIT:
-                self._modal = (sys.c @ v, np.linalg.solve(v, sys.b))
+    def __init__(self, systems):
+        a, b, c, d = (np.asarray(getattr(systems, m), dtype=float) for m in "abcd")
+        if a.ndim == 2:
+            a, b, c, d = a[None], b[None], c[None], d[None]
+        self.a, self.b, self.c, self.d = a, b, c, d
+        m, n = a.shape[0], a.shape[-1]
+        self.poles = np.zeros((m, n), dtype=complex)
+        self.dense = np.zeros(m, dtype=bool)
+        # modal factors c V and V^-1 b, zero at dense points
+        self._cv = np.zeros((m, c.shape[1], n), dtype=complex)
+        self._wb = np.zeros((m, n, b.shape[2]), dtype=complex)
+        if not n:
+            return
+        self.poles, v = np.linalg.eig(a)
+        for j in range(m):
+            # eig returns real eigenvectors for a real spectrum, and the
+            # products below round differently on those: each point takes
+            # its vectors in the type, and the memory layout, that eig gives
+            # it alone, so it gets the factors it has on its own
+            vectors = v[j].real if (self.poles[j].imag == 0.0).all() else v[j]
+            if np.linalg.cond(vectors) <= EIG_COND_LIMIT:
+                self._cv[j] = c[j] @ vectors
+                self._wb[j] = np.linalg.solve(vectors, b[j])
+            else:
+                self.dense[j] = True
 
-    @property
-    def dense(self):
-        """True when responses come from dense solves, not the eigenbasis."""
-        return self.sys.n > 0 and self._modal is None
+    def take(self, points):
+        """The kernel of some points of the stack (an index or a mask),
+        without factoring them again."""
+        sub = object.__new__(FrequencyKernel)
+        for name in ("a", "b", "c", "d", "poles", "dense", "_cv", "_wb"):
+            setattr(sub, name, getattr(self, name)[points])
+        return sub
 
     def response(self, omegas):
-        """Responses stacked over ``omegas``, shape (F, n_y, n_u), and the mask
-        of samples that sit on a pole (see frequency_gain); those hold NaN.
+        """Responses at ``omegas``, shared (F,) or a row per point (M, F),
+        shape (M, F, n_y, n_u), and the mask (M, F) of samples that sit on a
+        pole (see frequency_gain); those hold NaN.
 
         Samples within NEAR_POLE_TOL of an eigenvalue go through
         frequency_gain one at a time.
         """
+        a, b, c, d = self.a, self.b, self.c, self.d
         omegas = np.asarray(omegas, dtype=float)
-        sys = self.sys
-        on_pole = np.zeros(omegas.size, dtype=bool)
-        if sys.is_static:
-            return batched_response(sys, omegas), on_pole
-        dist = np.abs(1j * omegas[:, None] - self.poles).min(axis=1)
-        near = dist <= NEAR_POLE_TOL * np.abs(self.poles).max()
-        far = ~near
-        g = np.empty((omegas.size,) + sys.d.shape, dtype=complex)
-        if self._modal is None:
-            g[far] = batched_response(sys, omegas[far])
-        else:
-            cv, wb = self._modal
-            inv = 1.0 / (1j * omegas[far, None] - self.poles)
-            g[far] = (cv * inv[:, None, :]) @ wb + sys.d
-        for i in np.flatnonzero(near):
+        omegas = np.broadcast_to(omegas, (a.shape[0], omegas.shape[-1]))
+        on_pole = np.zeros(omegas.shape, dtype=bool)
+        if a.shape[-1] == 0:
+            g = np.broadcast_to(d[:, None], omegas.shape + d.shape[1:])
+            return g.astype(complex), on_pole
+        dist = np.abs(1j * omegas[..., None] - self.poles[:, None, :]).min(axis=-1)
+        near = dist <= NEAR_POLE_TOL * np.abs(self.poles).max(axis=-1)[:, None]
+        g = np.empty(omegas.shape + d.shape[1:], dtype=complex)
+        # a slice when every point is modal, so the selections copy nothing
+        modal = slice(None) if not self.dense.any() else ~self.dense
+        # samples on a pole divide by zero here; the near-pole pass below
+        # overwrites them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / (1j * omegas[modal][..., None] - self.poles[modal][:, None, :])
+            g[modal] = (
+                (self._cv[modal][:, None] * inv[..., None, :]) @ self._wb[modal][:, None]
+                + d[modal][:, None]
+            )
+        for j in np.flatnonzero(self.dense):
+            far = ~near[j]
+            g[j, far] = _dense_response(a[j], b[j], c[j], d[j], omegas[j, far])
+        for j, i in zip(*np.nonzero(near)):
             try:
-                g[i] = frequency_gain(sys, omegas[i])
+                g[j, i] = frequency_gain(StateSpace(a[j], b[j], c[j], d[j]), omegas[j, i])
             except SingularMatrixError:
-                g[i] = np.nan
-                on_pole[i] = True
+                g[j, i] = np.nan
+                on_pole[j, i] = True
         return g, on_pole
 
     def sigma(self, omegas):
-        """Largest singular value at each of ``omegas``; NaN on a pole."""
+        """Largest singular value at each sample of ``response``, shape
+        (M, F); NaN on a pole."""
         g, on_pole = self.response(omegas)
         s = np.full(on_pole.shape, np.nan)
         s[~on_pole] = batch_sigma(g[~on_pole])
@@ -245,22 +282,27 @@ def spectral_abscissa(sys):
     return float(np.max(np.linalg.eigvals(sys.a).real))
 
 
+def series_matrices(g1, g2):
+    """Realization of the cascade ``H2(s) H1(s)``: the output of ``g1``
+    drives ``g2``.  Systems stacked over the same leading axes (as
+    Realizations) give every point's cascade at once."""
+    n1, n2 = g1.a.shape[-1], g2.a.shape[-1]
+    a = np.zeros(g1.a.shape[:-2] + (n1 + n2, n1 + n2))
+    a[..., :n1, :n1] = g1.a
+    a[..., n1:, n1:] = g2.a
+    a[..., n1:, :n1] = g2.b @ g1.c
+    b = np.concatenate([g1.b, g2.b @ g1.d], axis=-2)
+    c = np.concatenate([g2.d @ g1.c, g2.c], axis=-1)
+    return Realization(a, b, c, g2.d @ g1.d)
+
+
 def series(g1, g2):
     """Cascade: the output of ``g1`` drives ``g2`` (transfer ``H2(s) H1(s)``)."""
     if g1.n_outputs != g2.n_inputs:
         raise DimensionError(
             f"series: g1 has {g1.n_outputs} outputs, g2 expects {g2.n_inputs} inputs"
         )
-    n1, n2 = g1.n, g2.n
-    n = n1 + n2
-    a = np.zeros((n, n))
-    a[:n1, :n1] = g1.a
-    a[n1:, n1:] = g2.a
-    a[n1:, :n1] = g2.b @ g1.c
-    b = np.vstack([g1.b, g2.b @ g1.d])
-    c = np.hstack([g2.d @ g1.c, g2.c])
-    d = g2.d @ g1.d
-    return StateSpace(a, b, c, d)
+    return StateSpace(*series_matrices(g1, g2))
 
 
 def append_diag(systems):

@@ -15,16 +15,19 @@ finite differences.
 
 Every evaluation instantiates and closes the block in one place,
 _closed_loops, in one pass over the whole grid: the plants share their state
-order, so their matrices are stacked once and lft broadcasts the
-instantiation and the closing algebra over the grid axis.  A grid point is
-stable when its closed loop and its controller are (the weights must be
-stable, so this covers both channels); an ill-posed parameter or feedback
-loop raises IllPosedLFTError with the first such grid index, which
-certification passes on and the surrogate and stabilization score as
-infinite.  The surrogate takes plant and weight responses from one
-eigen-factored FrequencyKernel per system, and the controller responses from
-one eigendecomposition of each grid point's controller per evaluated block
-(_Resolvent), which the gradient reuses.  Each block takes one forward pass
+order, and so do the weights, so their matrices are stacked once and lft
+broadcasts the instantiation and the closing algebra over the grid axis.  A
+grid point is stable when its closed loop and its controller are (the
+weights must be stable, so this covers both channels); an ill-posed
+parameter or feedback loop raises IllPosedLFTError with the first such grid
+index, which certification passes on and the surrogate and stabilization
+score as infinite.  A certificate is two stacked level-set passes, one over
+the stable points' closed loops and one over their weighted controllers.
+The surrogate takes plant and weight responses from two eigen-factored
+FrequencyKernels stacked over the grid, one for the plants and one for the
+weights, and the controller responses from one eigendecomposition of each
+grid point's controller per evaluated block (_Resolvent), which the gradient
+reuses.  Each block takes one forward pass
 and one gradient pass, both stacked over the grid: every grid point's row
 holds the fixed frequency grid followed by that point's few needle samples.
 The singular pairs of vector channels come in closed form.  Iterates that
@@ -59,13 +62,14 @@ from .lft import (
     stack_plants,
     zero_block,
 )
-from .norms import hinf_norm
+from .norms import _hinf_norms
 from .statespace import (
     FrequencyKernel,
+    Realization,
     StateSpace,
     append_diag,
     batch_sigma,
-    series,
+    series_matrices,
     spectral_abscissa,
 )
 
@@ -139,10 +143,12 @@ class SynthesisProblem:
     ``wk`` may be a single StateSpace (used at every grid point) or one per
     grid point, for weights that themselves depend on the parameter.  Weights
     must be stable, so that the controller poles decide the stability of the
-    weighted controller channel, and share their output count, so that the
-    surrogate stacks their responses.  The plants must share their state order:
+    weighted controller channel.  The plants must share their state order:
     ``stacked`` holds their matrices stacked over the grid (see
-    lft.stack_plants), which closes every grid point in one pass.
+    lft.stack_plants), which closes every grid point in one pass.  So must
+    the weights, with their output count: ``weights`` holds their matrices
+    stacked over the grid (a Realization), for the stacked weighted
+    controllers and weight responses.
     """
 
     plants: tuple
@@ -172,12 +178,17 @@ class SynthesisProblem:
         wk_list = tuple(_broadcast_weight(w, n_u) for w in wk_list)
         if len({w.n_outputs for w in wk_list}) != 1:
             raise DimensionError("the weights must share their output count")
+        orders = {w.n for w in wk_list}
+        if len(orders) != 1:
+            raise DimensionError(f"the weights differ in state order: {sorted(orders)}")
         if any(not w.is_static and spectral_abscissa(w) >= 0.0 for w in wk_list):
             raise UnstableError("controller weights must be stable")
         object.__setattr__(self, "plants", plants)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "wk_list", wk_list)
         object.__setattr__(self, "stacked", stacked)
+        weights = Realization(*(np.stack([getattr(w, m) for w in wk_list]) for m in "abcd"))
+        object.__setattr__(self, "weights", weights)
 
     @property
     def m(self):
@@ -236,26 +247,29 @@ _Cert = namedtuple(
 
 
 def _certify(problem, kb, rel_tol, gamma_big):
-    """Per-grid-point certified channel norms (or abscissa penalties)."""
+    """Certified channel norms of every grid point, or the abscissa penalty
+    ``gamma_big * (1 + abscissa)`` of an unstable one.
+
+    One stacked level-set pass (norms._hinf_norms) certifies the closed
+    loops of every stable point and a second one their weighted
+    controllers, which series_matrices builds over the grid axis.
+    """
     loops = _closed_loops(problem, kb)
-    per_point, perf, wk, peaks = [], [], [], []
-    for j, weight in enumerate(problem.wk_list):
-        abscissa = float(loops.abscissa[j])
-        if abscissa >= 0.0:
-            per_point.append(gamma_big * (1.0 + abscissa))
-            perf.append(np.nan)
-            wk.append(np.nan)
-            continue
-        ctrl, closed = (StateSpace(*(m[j] for m in r)) for r in loops[:2])
-        res_p = hinf_norm(closed, rel_tol)
-        res_w = hinf_norm(series(ctrl, weight), rel_tol)
-        per_point.append(max(res_p.value, res_w.value))
-        perf.append(res_p.value)
-        wk.append(res_w.value)
-        peaks.extend((res_p.peak_omega, res_w.peak_omega))
+    stable = loops.abscissa < 0.0
+    closed, ctrl, weight = (
+        Realization(*(m[stable] for m in r))
+        for r in (loops.closed, loops.ctrl, problem.weights)
+    )
+    perf_stable, peaks_p = _hinf_norms(closed, rel_tol)
+    wk_stable, peaks_w = _hinf_norms(series_matrices(ctrl, weight), rel_tol)
+    per_point = gamma_big * (1.0 + loops.abscissa)
+    per_point[stable] = np.maximum(perf_stable, wk_stable)
+    perf, wk = np.full(problem.m, np.nan), np.full(problem.m, np.nan)
+    perf[stable], wk[stable] = perf_stable, wk_stable
     worst = float(loops.abscissa.max())
     return _Cert(
-        max(per_point), tuple(per_point), tuple(perf), tuple(wk), tuple(peaks),
+        float(per_point.max()), tuple(per_point.tolist()), tuple(perf.tolist()),
+        tuple(wk.tolist()), tuple(np.column_stack([peaks_p, peaks_w]).ravel().tolist()),
         worst < 0.0, worst,
     )
 
@@ -348,13 +362,14 @@ def _closed_loops(problem, kb):
 
 
 def _kernel_response(kernel, freqs):
-    """A kernel's response over ``freqs``; raises SingularMatrixError when a
-    sample sits on a pole of its system."""
+    """A kernel's response over ``freqs``, shared (F,) or a row per point
+    (M, F); raises SingularMatrixError when a sample sits on a pole of its
+    system."""
     g, on_pole = kernel.response(freqs)
     if on_pole.any():
+        omega = np.broadcast_to(freqs, on_pole.shape)[on_pole][0]
         raise SingularMatrixError(
-            f"surrogate frequency {freqs[on_pole][0]} rad/s coincides with a "
-            "plant or weight pole"
+            f"surrogate frequency {omega} rad/s coincides with a plant or weight pole"
         )
     return g
 
@@ -531,30 +546,25 @@ _EvalInfo = namedtuple(
 class _FastEvaluator:
     """Precomputed plant/weight responses shared by all surrogate evaluations.
 
-    Each plant and each weight is factored once into a FrequencyKernel, which
-    serves both the fixed grid and the needle samples; the fixed grid's
-    responses are kept stacked over the grid.  A sample on a pole of a plant
-    or weight raises SingularMatrixError.
+    The plants and the weights are factored once, each into one
+    FrequencyKernel stacked over the grid, which serves both the fixed grid
+    and the needle samples; the fixed grid's responses are kept.  A sample on
+    a pole of a plant or weight raises SingularMatrixError.
     """
 
     def __init__(self, problem, freqs, gamma_big=1e6):
         self.problem = problem
         self.gamma_big = gamma_big
-        self._kernels = [
-            (FrequencyKernel(plant.sys), FrequencyKernel(wk))
-            for plant, wk in zip(problem.plants, problem.wk_list)
-        ]
+        self._kernels = (
+            FrequencyKernel(problem.stacked.sys), FrequencyKernel(problem.weights)
+        )
         self._set_grid(np.asarray(freqs, dtype=float))
 
     def _responses(self, freqs):
         """Plant and weight responses of every grid point, stacked over the
         grid (M, F, ., .): over shared frequencies ``freqs`` (F,) or over
         each point's own row of them (M, F)."""
-        rows = np.broadcast_to(freqs, (self.problem.m, freqs.shape[-1]))
-        return tuple(
-            np.stack([_kernel_response(k[i], row) for k, row in zip(self._kernels, rows)])
-            for i in (0, 1)
-        )
+        return tuple(_kernel_response(k, freqs) for k in self._kernels)
 
     def _set_grid(self, freqs):
         self.freqs = np.unique(freqs[freqs >= 0.0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lfsynth import ControllerBlock, PartitionedSystem, StateSpace
+from lfsynth.statespace import static_gain
 
 
 def random_stable_ss(rng, n, n_u=1, n_y=1, margin=0.3, with_d=True):
@@ -12,6 +13,41 @@ def random_stable_ss(rng, n, n_u=1, n_y=1, margin=0.3, with_d=True):
     b = rng.normal(size=(n, n_u))
     c = rng.normal(size=(n_y, n))
     d = rng.normal(size=(n_y, n_u)) * (0.2 if with_d else 0.0)
+    return StateSpace(a, b, c, d)
+
+
+STACK_KINDS = ("plain", "real", "jordan", "near-pole", "zero-b", "feedthrough")
+
+
+def stack_point(rng, kind, n, n_u=1, n_y=1):
+    """One stable system of a stack whose points share n, n_u and n_y.
+
+    ``kind`` picks what the stacked kernel and norm must handle per point: a
+    real spectrum (eig gives real eigenvectors), a Jordan block (the dense
+    fallback), a resonance damped by 1e-10 (its resonance sample lies within
+    NEAR_POLE_TOL of the pole), zero b, or a feedthrough that dominates
+    small dynamics (the response may peak at infinite frequency).  With
+    ``n = 0`` every kind is a static gain.
+    """
+    if n == 0:
+        return static_gain(rng.normal(size=(n_y, n_u)))
+    sys = random_stable_ss(rng, n, n_u, n_y)
+    a, b, c, d = (np.array(m) for m in (sys.a, sys.b, sys.c, sys.d))
+    if kind == "real":
+        a = np.triu(rng.normal(size=(n, n)), 1) - np.diag(rng.uniform(0.2, 5.0, n))
+    elif kind == "jordan":
+        a = -np.eye(n) + np.eye(n, k=1)
+    elif kind == "near-pole" and n >= 2:
+        w, zeta = rng.uniform(0.5, 5.0), 1e-10
+        a = np.zeros((n, n))
+        a[:2, :2] = [[0.0, 1.0], [-w * w, -2.0 * zeta * w]]
+        if n > 2:
+            a[2:, 2:] = random_stable_ss(rng, n - 2).a
+    elif kind == "zero-b":
+        b[:] = 0.0
+    elif kind == "feedthrough":
+        b *= 1e-3
+        d = 10.0 * np.eye(n_y, n_u) + d
     return StateSpace(a, b, c, d)
 
 

@@ -6,12 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfsynth.cli import Scenario, parse_config
-from lfsynth.errors import DomainError, UnstableError
+from lfsynth.errors import DomainError, NumericalError, UnstableError
 from lfsynth.lft import eval_controller, load_controller, lower_lft_ss
-from lfsynth.norms import default_frequency_grid, h2_norm, hinf_norm
-from lfsynth.statespace import StateSpace, append_diag, frequency_gain, static_gain
+from lfsynth.norms import _hinf_norms, default_frequency_grid, h2_norm, hinf_norm
+from lfsynth.statespace import (
+    Realization,
+    StateSpace,
+    append_diag,
+    frequency_gain,
+    static_gain,
+)
 
-from conftest import random_stable_ss
+from conftest import STACK_KINDS, random_stable_ss, stack_point
 
 
 def lag():
@@ -161,6 +167,49 @@ class TestHinfNorm:
             assert va == pytest.approx(max(v1, v2), rel=5e-6)
 
 
+class TestStackedNorms:
+    """The level-set pass over a stack against hinf_norm one system at a
+    time (a stack of one), bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 8),
+        n_u=st.integers(1, 3),
+        n_y=st.integers(1, 3),
+        kinds=st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=6),
+        rel_tol=st.sampled_from([1e-6, 1e-4]),
+    )
+    def test_matches_one_at_a_time(self, seed, n, n_u, n_y, kinds, rel_tol):
+        rng = np.random.default_rng(seed)
+        systems = [stack_point(rng, kind, n, n_u, n_y) for kind in kinds]
+        stack = Realization(*(np.stack([getattr(s, m) for s in systems]) for m in "abcd"))
+        try:
+            one = [hinf_norm(s, rel_tol) for s in systems]
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                _hinf_norms(stack, rel_tol)
+            return
+        values, peaks = _hinf_norms(stack, rel_tol)
+        assert np.array_equal(values, [r.value for r in one])
+        assert np.array_equal(peaks, [r.peak_omega for r in one])
+
+    def test_unstable_point_rejects_the_stack(self, rng):
+        unstable = StateSpace(np.diag([-1.0, -2.0, 0.1]), np.ones((3, 1)), np.ones((1, 3)), [[0.0]])
+        systems = [random_stable_ss(rng, 3), unstable]
+        stack = Realization(*(np.stack([getattr(s, m) for s in systems]) for m in "abcd"))
+        with pytest.raises(UnstableError):
+            _hinf_norms(stack, 1e-6)
+
+    def test_empty_stack(self):
+        values, peaks = _hinf_norms(
+            Realization(np.zeros((0, 2, 2)), np.zeros((0, 2, 1)), np.zeros((0, 1, 2)),
+                        np.zeros((0, 1, 1))),
+            1e-6,
+        )
+        assert values.shape == peaks.shape == (0,)
+
+
 def modal_system(rng, n_modes, zeta_min, scale_bits, n_u=2, n_y=2):
     """Lightly damped modal system in displacement/velocity coordinates.
 
@@ -298,6 +347,20 @@ class TestH2Norm:
         s = StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(UnstableError):
             h2_norm(s)
+
+    def test_one_eigensolve(self, rng, monkeypatch):
+        # the Lyapunov solver's Hurwitz check is the only spectrum taken
+        calls = []
+        real_eigvals = np.linalg.eigvals
+
+        def counting(m):
+            calls.append(m.shape)
+            return real_eigvals(m)
+
+        sys = random_stable_ss(rng, 12, 2, 2, with_d=False)
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        h2_norm(sys)
+        assert calls == [(12, 12)]
 
     def test_similarity_invariance(self, rng):
         sys = random_stable_ss(rng, 5, 2, 2, with_d=False)

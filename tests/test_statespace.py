@@ -5,16 +5,23 @@ from lfsynth.errors import DimensionError, DomainError, SingularMatrixError
 from lfsynth.statespace import (
     FrequencyKernel,
     PartitionedSystem,
+    Realization,
     StateSpace,
     append_diag,
     frequency_gain,
     series,
+    series_matrices,
     spectral_abscissa,
     static_gain,
     subsystem,
 )
 
-from conftest import random_stable_ss
+from conftest import STACK_KINDS, random_stable_ss, stack_point
+
+
+def stacked(systems):
+    """Realization of systems that share their dimensions, stacked."""
+    return Realization(*(np.stack([getattr(s, m) for s in systems]) for m in "abcd"))
 
 
 def lag():
@@ -89,6 +96,8 @@ def lightly_damped(rng, n_modes, zeta, n_u=2, n_y=2):
 def assert_kernel_matches(sys, omegas):
     kernel = FrequencyKernel(sys)
     got, on_pole = kernel.response(omegas)
+    assert got.shape[:2] == on_pole.shape == (1, len(omegas))  # a stack of one
+    got, on_pole = got[0], on_pole[0]
     assert not on_pole.any()
     for w, g in zip(omegas, got):
         expect = frequency_gain(sys, w)
@@ -101,7 +110,7 @@ class TestFrequencyKernel:
         for n, n_u, n_y in ((1, 1, 1), (4, 2, 3), (12, 3, 2), (30, 1, 1)):
             sys = random_stable_ss(rng, n, n_u, n_y)
             kernel = assert_kernel_matches(sys, np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)]))
-            assert not kernel.dense
+            assert not kernel.dense.any()
 
     def test_lightly_damped(self, rng):
         zeta = 1e-4
@@ -115,18 +124,18 @@ class TestFrequencyKernel:
             [[0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0]], [[0.0]],
         )
         kernel = assert_kernel_matches(jordan, np.geomspace(1e-3, 1e3, 40))
-        assert kernel.dense
+        assert kernel.dense.all()
         # 1 / (s + 1)^3
-        got = kernel.response([0.0, 1.0])[0][:, 0, 0]
+        got = kernel.response([0.0, 1.0])[0][0, :, 0, 0]
         assert np.allclose(got, [1.0, 1.0 / (1.0 + 1j) ** 3], rtol=1e-12)
 
     def test_sample_on_undamped_pole_is_flagged(self):
         osc = StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
         kernel = FrequencyKernel(osc)
         g, on_pole = kernel.response([0.5, 1.0, 2.0])
-        assert on_pole.tolist() == [False, True, False]
-        assert np.isnan(g[1]).all() and np.isfinite(g[[0, 2]]).all()
-        sigma = kernel.sigma([0.5, 1.0, 2.0])
+        assert on_pole.tolist() == [[False, True, False]]
+        assert np.isnan(g[0, 1]).all() and np.isfinite(g[0, [0, 2]]).all()
+        sigma = kernel.sigma([0.5, 1.0, 2.0])[0]
         assert np.isnan(sigma[1]) and sigma[0] == pytest.approx(1.0 / 0.75)
 
     def test_near_pole_sample_is_solved_densely(self):
@@ -136,11 +145,51 @@ class TestFrequencyKernel:
         osc = StateSpace([[0.0, 1.0], [-1.0, -2.0 * zeta]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
         g, on_pole = FrequencyKernel(osc).response([1.0])
         assert not on_pole.any()
-        assert abs(g[0, 0, 0]) == pytest.approx(1.0 / (2.0 * zeta), rel=1e-12)
+        assert abs(g[0, 0, 0, 0]) == pytest.approx(1.0 / (2.0 * zeta), rel=1e-12)
 
     def test_static(self):
         g, on_pole = FrequencyKernel(static_gain([[2.0, 1.0]])).response([0.0, 5.0])
-        assert np.array_equal(g, np.array([[[2.0, 1.0]]] * 2)) and not on_pole.any()
+        assert np.array_equal(g, np.array([[[[2.0, 1.0]]] * 2])) and not on_pole.any()
+
+
+class TestStackedKernel:
+    """A kernel over a stack against kernels of one system each, bit for bit."""
+
+    @staticmethod
+    def undamped(rng, n, n_u, n_y):
+        """A point with an undamped pole pair at +-1j: a sample at 1 sits on it."""
+        sys = stack_point(rng, "plain", n, n_u, n_y)
+        a = np.array(sys.a)
+        a[:2], a[:, :2] = 0.0, 0.0
+        a[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+        return StateSpace(a, sys.b, sys.c, sys.d)
+
+    @pytest.mark.parametrize("n", [0, 2, 5])
+    def test_matches_one_at_a_time(self, rng, n):
+        kinds = STACK_KINDS + ("plain", "real")
+        systems = [stack_point(rng, kind, n, 2, 3) for kind in kinds]
+        if n:
+            systems.append(self.undamped(rng, n, 2, 3))
+        kernel = FrequencyKernel(stacked(systems))
+        # a row of frequencies per point, led by the point's largest
+        # resonance (a near-pole sample at the lightly damped point) and 1.0
+        rows = np.sort(rng.uniform(0.0, 10.0, (len(systems), 30)), axis=1)
+        for row, sys in zip(rows, systems):
+            row[:2] = np.abs(np.linalg.eigvals(sys.a).imag).max(initial=0.0), 1.0
+        g, on_pole = kernel.response(rows)
+        shared, shared_on_pole = kernel.response(rows[0])
+        assert on_pole.any() == (n > 0)
+        for j, sys in enumerate(systems):
+            one, one_on_pole = FrequencyKernel(sys).response(rows[j])
+            assert np.array_equal(g[j], one[0], equal_nan=True)
+            assert np.array_equal(on_pole[j], one_on_pole[0])
+            one, one_on_pole = FrequencyKernel(sys).response(rows[0])
+            assert np.array_equal(shared[j], one[0], equal_nan=True)
+            assert np.array_equal(shared_on_pole[j], one_on_pole[0])
+            taken = kernel.take([j]).sigma(rows[j])
+            assert np.array_equal(taken, FrequencyKernel(sys).sigma(rows[j]), equal_nan=True)
+        dense = [n > 1 and kind == "jordan" for kind in kinds] + [False] * (n > 0)
+        assert kernel.dense.tolist() == dense
 
 
 class TestSpectralAbscissa:
@@ -197,6 +246,15 @@ class TestSeries:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             series(random_stable_ss(rng, 2, 1, 2), random_stable_ss(rng, 2, 3, 1))
+
+
+    def test_stacked_matches_one_at_a_time(self, rng):
+        ctrl = [random_stable_ss(rng, 2, 3, 2) for _ in range(4)]
+        weights = [random_stable_ss(rng, 3, 2, 2) for _ in range(4)]
+        got = series_matrices(stacked(ctrl), stacked(weights))
+        for j, (g1, g2) in enumerate(zip(ctrl, weights)):
+            one = series(g1, g2)
+            assert all(np.array_equal(m[j], getattr(one, k)) for m, k in zip(got, "abcd"))
 
 
 class TestAppendDiag:

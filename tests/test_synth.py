@@ -22,7 +22,14 @@ from lfsynth.lft import (
 )
 from lfsynth.models import WeightSpec, make_weight
 from lfsynth.norms import hinf_norm
-from lfsynth.statespace import PartitionedSystem, StateSpace, batch_sigma, static_gain
+from lfsynth.statespace import (
+    FrequencyKernel,
+    PartitionedSystem,
+    StateSpace,
+    batch_sigma,
+    series,
+    static_gain,
+)
 from lfsynth.synth import (
     _TAU_SCHEDULE,
     ObjectiveEval,
@@ -151,6 +158,15 @@ class TestSynthesisProblem:
     def test_weights_share_output_count(self):
         wks = (static_gain([[0.1]]), static_gain([[0.1], [0.2]]))
         with pytest.raises(DimensionError, match="output count"):
+            SynthesisProblem(
+                (oscillator_plant(1.0), oscillator_plant(2.0)), (1.0, 2.0), wks,
+                StructureOptions(1, 1),
+            )
+
+    def test_weights_share_state_order(self):
+        # the weights are stacked over the grid, as the plants are
+        wks = (static_gain([[0.1]]), StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]]))
+        with pytest.raises(DimensionError, match="state order"):
             SynthesisProblem(
                 (oscillator_plant(1.0), oscillator_plant(2.0)), (1.0, 2.0), wks,
                 StructureOptions(1, 1),
@@ -602,11 +618,12 @@ class TestSinglePass:
             ref = np.concatenate([p.dsigmas[i] for p in points])
             assert np.array_equal(info.dsigmas[i], ref)
         counts = [(p.sigmas.size - 2 * ev.freqs.size) // 2 for p in points]
-        # without needles no point samples the plants or weights again
+        # the needles take one stacked sample of the plants and one of the
+        # weights; without needles no point samples them again
         assert calls == {
             "_channel_gains": 1,
             "_gain_factors": 1,
-            "_kernel_response": 2 * prob.m if max(counts) else 0,
+            "_kernel_response": 2 if max(counts) else 0,
         }
         return counts
 
@@ -634,6 +651,96 @@ class TestSinglePass:
             counts = self.assert_matches_points(monkeypatch, prob, kb, freqs)
             # the beam's loops are lightly damped, the building's are not
             assert (max(counts) > 0) == (name == "beam")
+
+
+def certify_per_point(problem, kb, rel_tol, gamma_big):
+    """synth._certify one grid point at a time: two hinf_norm calls per
+    stable point (the oracle of the stacked certificate)."""
+    loops = synth._closed_loops(problem, kb)
+    per_point, perf, wk, peaks = [], [], [], []
+    for j, weight in enumerate(problem.wk_list):
+        abscissa = float(loops.abscissa[j])
+        if abscissa >= 0.0:
+            per_point.append(gamma_big * (1.0 + abscissa))
+            perf.append(np.nan)
+            wk.append(np.nan)
+            continue
+        ctrl, closed = (StateSpace(*(m[j] for m in r)) for r in loops[:2])
+        res_p = hinf_norm(closed, rel_tol)
+        res_w = hinf_norm(series(ctrl, weight), rel_tol)
+        per_point.append(max(res_p.value, res_w.value))
+        perf.append(res_p.value)
+        wk.append(res_w.value)
+        peaks.extend((res_p.peak_omega, res_w.peak_omega))
+    worst = float(loops.abscissa.max())
+    return synth._Cert(
+        max(per_point), tuple(per_point), tuple(perf), tuple(wk), tuple(peaks),
+        worst < 0.0, worst,
+    )
+
+
+class TestStackedCertificate:
+    """The certificate's two stacked level-set passes against two hinf_norm
+    calls per grid point, bit for bit."""
+
+    # the last perturbation's scale leaves some points unstable, not all
+    @pytest.mark.parametrize("name, large", [("beam", 1.0), ("building", 0.2)])
+    def test_bundled_problems(self, name, large):
+        prob, kb0 = bundled_problem(name)
+        rng = np.random.default_rng(2)
+        theta0 = kb0.free_values()
+        blocks = [kb0] + [
+            kb0.with_free_values(theta0 + scale * rng.normal(size=theta0.size))
+            for scale in (0.05, 0.05, large)
+        ]
+        stable = []
+        for kb, rel_tol in zip(blocks, (1e-6, 1e-4, 1e-6, 1e-6)):
+            got = synth._certify(prob, kb, rel_tol, 1e6)
+            ref = certify_per_point(prob, kb, rel_tol, 1e6)
+            for field in got._fields:
+                assert np.array_equal(
+                    getattr(got, field), getattr(ref, field), equal_nan=True
+                ), field
+            stable.append(np.isfinite(got.perf).sum())
+        assert stable[:3] == [prob.m] * 3 and 0 < stable[3] < prob.m
+
+
+    def test_feedthrough_peak_on_a_padded_row(self):
+        # a(rho) = [[-1, 1], [-rho / 2, -1]]: real controller poles at
+        # rho = -1, a resonance at rho = 1, so the first point's frequency
+        # rows are the shorter ones.  Its weighted controller tends to its
+        # feedthrough, which no sample reaches: the peak is its own last
+        # pole-grid frequency, 1e3 times its fastest pole.
+        st = StructureOptions(2, 1, dependency="affine")
+        prob = SynthesisProblem(
+            (scalar_plant(), scalar_plant()), (-1.0, 1.0), static_gain([[1.0]]), st
+        )
+        k = [[-1.0, 1.0, 0.0, 0.0],
+             [0.0, -1.0, 1.0, 0.3],
+             [-0.5, 0.0, 0.0, 0.0],
+             [0.0, 0.3, 0.0, -1.0]]
+        kb = ControllerBlock(2, 1, 1, 1, k, build_mask(st, 1, 1))
+        got = synth._certify(prob, kb, 1e-6, 1e6)
+        ref = certify_per_point(prob, kb, 1e-6, 1e6)
+        assert got == ref
+        assert got.wk == (1.0, 1.0) and got.peaks[1] == 1e3 * (1.0 + np.sqrt(0.5))
+
+
+class TestStackedKernels:
+    """The surrogate's stacked plant and weight kernels against one kernel
+    per system, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["beam", "building"])
+    def test_grid_responses(self, name):
+        prob, _ = bundled_problem(name)
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 160))
+        rows = np.sort(np.random.default_rng(3).uniform(0.0, 50.0, (prob.m, 9)), axis=1)
+        per_row = ev._responses(rows)
+        for j, (plant, weight) in enumerate(zip(prob.plants, prob.wk_list)):
+            for sys, grid, row in zip((plant.sys, weight), ev._grid_responses, per_row):
+                kernel = FrequencyKernel(sys)
+                assert np.array_equal(grid[j], kernel.response(ev.freqs)[0][0])
+                assert np.array_equal(row[j], kernel.response(rows[j])[0][0])
 
 
 def integrator_plant():
