@@ -22,6 +22,7 @@ partial outputs.
 import argparse
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -159,8 +160,8 @@ def parse_config(path):
     """Parse a flat key=value config file into a validated RunConfig."""
     cfg = RunConfig()
     try:
-        lines = open(path).read().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

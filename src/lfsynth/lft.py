@@ -155,9 +155,9 @@ def zero_block(n_k, n_delta, n_u, n_y, mask=None):
 
 def _check_loop(m, what):
     """Raise IllPosedLFTError when the algebraic loop matrix ``m`` is ill
-    conditioned.  For a stack of loops (M, n, n) the error reports the first
-    ill-posed one as ``grid_index``, and ``what`` may be a function of that
-    index."""
+    conditioned.  For a stack of loops (..., n, n) the error reports the
+    first ill-posed one, its index into the flattened stack, as
+    ``grid_index``, and ``what`` may be a function of that index."""
     if m.shape[-1] == 0:
         return
     cond = np.linalg.cond(m)
@@ -165,7 +165,7 @@ def _check_loop(m, what):
     if not bad.any():
         return
     j = int(np.argmax(bad))
-    index = j if m.ndim == 3 else None
+    index = j if m.ndim >= 3 else None
     raise IllPosedLFTError(
         f"ill-posed {what(index) if callable(what) else what}: "
         f"algebraic loop condition estimate {np.ravel(cond)[j]:.3e}",
@@ -226,9 +226,10 @@ def closed_loop_matrices(plant, k):
     ``k`` is the controller realization mapping y to u (a StateSpace or a
     Realization).  Returns the Realization of the closed transfer w -> z with
     n_plant + n_k states.  A GridPlant with the controllers stacked over the
-    same grid axis closes every grid point at once; an ill-posed feedback
-    loop then raises IllPosedLFTError with the first such point as
-    ``grid_index``.
+    same grid axis closes every grid point at once, and controllers stacked
+    (B, M, ...) over blocks too, the plants broadcasting over the blocks; an
+    ill-posed feedback loop then raises IllPosedLFTError with the first such
+    point of the flattened stack as ``grid_index``.
     """
     s = plant.sys
     if len(plant.input_partition) != 2 or len(plant.output_partition) != 2:
@@ -274,36 +275,63 @@ def lower_lft_ss(plant, k):
 def eval_controller_matrices(kb, rho):
     """Realization (a, b, c, d) of the controller instantiated at ``rho``.
 
-    Closes the parameter channel of the block with ``rho * I``:
+    A 1-D array of parameter values gives the realizations stacked over a
+    leading axis, and an ill-posed parameter loop then raises
+    IllPosedLFTError with the first such value's index as ``grid_index``.
+    See instantiate_stack, which this calls with the block's own values.
+    """
+    return instantiate_stack(kb, kb.k, rho)
+
+
+def instantiate_stack(kb, k, rho):
+    """Realizations of the controllers with values ``k`` at ``rho``.
+
+    ``k`` holds value matrices with kb's sizes (and mask), alone or stacked
+    over leading axes (B, rows, cols); each is instantiated at every value
+    of ``rho``, so the matrices come stacked (B, M, ...) for a 1-D ``rho``
+    of M values.  Closes the parameter channel of each block with
+    ``rho * I``:
 
         a = a_k + b_w delta m c_z      b = b_u + b_w delta m d_zu
         c = c_y + d_yw delta m c_z     d = d_yu + d_yw delta m d_zu
 
-    with ``delta = rho I`` and ``m = (I - d_zw delta)^-1``.  A 1-D array of
-    parameter values gives the realizations stacked over a leading axis, and
-    an ill-posed parameter loop then raises IllPosedLFTError with the first
-    such value's index as ``grid_index``.
+    with ``delta = rho I`` and ``m = (I - d_zw delta)^-1``.  Every block and
+    value gets bit for bit the matrices that it gets alone.  An ill-posed
+    parameter loop raises IllPosedLFTError with the first such (block,
+    value), flattened, as ``grid_index``.
     """
     rho = np.asarray(rho, dtype=float)
-    lead = rho.shape
+    k = np.asarray(k, dtype=float)
+    lead = k.shape[:-2] + rho.shape
+    r1, r2 = kb.n_k, kb.n_k + kb.n_delta
+
+    def part(rows, cols):
+        # one sub-block of every value matrix, broadcast over the values of rho
+        sub = k[..., rows, cols]
+        return sub.reshape(sub.shape[:-2] + (1,) * rho.ndim + sub.shape[-2:])
+
+    cuts = (slice(None, r1), slice(r1, r2), slice(r2, None))
+    (a_k, b_w, b_u), (c_z, d_zw, d_zu), (c_y, d_yw, d_yu) = (
+        [part(rows, cols) for cols in cuts] for rows in cuts
+    )
     nd = kb.n_delta
     if nd == 0:
         return Realization(*(
-            np.broadcast_to(m, lead + m.shape).copy()
-            for m in (kb.a_k, kb.b_u, kb.c_y, kb.d_yu)
+            np.broadcast_to(m, lead + m.shape[-2:]).copy() for m in (a_k, b_u, c_y, d_yu)
         ))
     scale = rho[..., None, None]
-    loop = np.eye(nd) - scale * kb.d_zw
+    loop = np.eye(nd) - scale * d_zw
     _check_loop(
         loop,
-        lambda j: f"parametric controller at rho = {float(rho if j is None else rho[j])}",
+        lambda j: "parametric controller at rho = "
+        f"{float(rho.flat[0 if j is None else j % rho.size])}",
     )
-    m_cz = scale * np.linalg.solve(loop, kb.c_z)
-    m_dzu = scale * np.linalg.solve(loop, kb.d_zu)
-    a = kb.a_k + kb.b_w @ m_cz
-    b = kb.b_u + kb.b_w @ m_dzu
-    c = kb.c_y + kb.d_yw @ m_cz
-    d = kb.d_yu + kb.d_yw @ m_dzu
+    m_cz = scale * np.linalg.solve(loop, c_z)
+    m_dzu = scale * np.linalg.solve(loop, d_zu)
+    a = a_k + b_w @ m_cz
+    b = b_u + b_w @ m_dzu
+    c = c_y + d_yw @ m_cz
+    d = d_yu + d_yw @ m_dzu
     return Realization(a, b, c, d)
 
 

@@ -11,12 +11,14 @@ singular vectors, as in Apkarian and Noll's nonsmooth H-infinity synthesis),
 BFGS updates and a backtracking line search; candidate values are
 re-certified with the Hamiltonian-based norm and the surrogate grid is
 enriched at certified peaks until both agree.  Stabilization alone uses
-finite differences.
+finite differences: central differences of a softened abscissa, all 2n probe
+blocks of a gradient closed in one stacked pass.
 
 Every evaluation instantiates and closes the block in one place,
 _closed_loops, in one pass over the whole grid: the plants share their state
 order, and so do the weights, so their matrices are stacked once and lft
-broadcasts the instantiation and the closing algebra over the grid axis.  A
+broadcasts the instantiation and the closing algebra over the grid axis (and
+over a leading axis of blocks, for stabilization's probes).  A
 grid point is stable when its closed loop and its controller are (the
 weights must be stable, so this covers both channels); an ill-posed
 parameter or feedback loop raises IllPosedLFTError with the first such grid
@@ -57,7 +59,7 @@ from .lft import (
     ControllerBlock,
     closed_loop_matrices,
     count_free_params,
-    eval_controller_matrices,
+    instantiate_stack,
     instantiation_factors,
     stack_plants,
     zero_block,
@@ -334,30 +336,49 @@ def surrogate_grid(problem, n_base=160):
 _Loops = namedtuple("_Loops", ["ctrl", "closed", "poles", "abscissa"])
 
 
-def _closed_loops(problem, kb):
+def _closed_loops(problem, kb, free=None):
     """Instantiated controllers and closed loops (Realizations), closed-loop
     poles (M, n) and abscissas (M,) of the whole grid, from one pass over
     the stacked grid and stacked as it is.
 
-    The abscissa is the largest real part over a point's closed-loop and
-    controller poles (-inf when there are none).  The weights are stable, so it decides
-    the stability of both channels.  Raises IllPosedLFTError with the first
-    grid index at which the parameter loop or the feedback loop is ill posed.
+    With ``free``, B sets of free values stacked (B, n_free), the same pass
+    closes each of those blocks (kb with its free entries replaced) at every
+    point, and everything comes stacked (B, M, ...); a single block is a
+    stack of one.  The abscissa is the largest real part over a point's
+    closed-loop and controller poles (-inf when there are none).  The
+    weights are stable, so it decides the stability of both channels.
+    Raises IllPosedLFTError at the first (block, point) whose parameter loop
+    or, failing that, feedback loop is ill posed, flattened as
+    ``grid_index``; within that block no earlier point's feedback loop is
+    ill posed, so for one block it is the first ill-posed grid index.
     """
+    if free is None:
+        k = kb.k[None]
+    else:
+        k = np.repeat(kb.k[None], len(free), axis=0)
+        k[:, kb.mask == MASK_FREE] = free
+    m = problem.m
     try:
-        ctrl = eval_controller_matrices(kb, problem.grid)
+        ctrl = instantiate_stack(kb, k, problem.grid)
     except IllPosedLFTError as exc:
-        j = exc.grid_index
-        if j:  # an earlier point may fail the feedback loop first
-            closed_loop_matrices(
-                stack_plants(problem.plants[:j]),
-                eval_controller_matrices(kb, problem.grid[:j]),
-            )
+        b, j = divmod(exc.grid_index, m)
+        if j:  # an earlier point of that block may fail the feedback loop first
+            try:
+                closed_loop_matrices(
+                    stack_plants(problem.plants[:j]),
+                    instantiate_stack(kb, k[b], problem.grid[:j]),
+                )
+            except IllPosedLFTError as first:
+                first.grid_index += b * m
+                raise
         raise
     closed = closed_loop_matrices(problem.stacked, ctrl)
     poles = np.linalg.eigvals(closed.a)
-    reals = np.concatenate([poles.real, np.linalg.eigvals(ctrl.a).real], axis=1)
-    abscissa = reals.max(axis=1) if reals.shape[1] else np.full(problem.m, -np.inf)
+    reals = np.concatenate([poles.real, np.linalg.eigvals(ctrl.a).real], axis=-1)
+    abscissa = reals.max(axis=-1) if reals.shape[-1] else np.full(k.shape[:1] + (m,), -np.inf)
+    if free is None:  # a stack of one, in the shapes of one block
+        ctrl, closed = (Realization(*(x[0] for x in r)) for r in (ctrl, closed))
+        poles, abscissa = poles[0], abscissa[0]
     return _Loops(ctrl, closed, poles, abscissa)
 
 
@@ -706,29 +727,6 @@ class _FastEvaluator:
 # Quasi-Newton descent
 
 
-def _fd_gradient(fun, theta, f0):
-    """Central differences with one-sided fallback where a side is invalid.
-
-    The gradient of stabilization, and the test oracle of the surrogate's
-    closed-form gradient.
-    """
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        h = 1e-6 * (1.0 + abs(theta[i]))
-        up = theta.copy()
-        up[i] += h
-        dn = theta.copy()
-        dn[i] -= h
-        fp, fm = fun(up), fun(dn)
-        if np.isfinite(fp) and np.isfinite(fm):
-            g[i] = (fp - fm) / (2.0 * h)
-        elif np.isfinite(fp):
-            g[i] = (fp - f0) / h
-        elif np.isfinite(fm):
-            g[i] = (f0 - fm) / h
-    return g
-
-
 def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=None):
     """Minimize ``fun`` from theta0; accepts only strictly improving steps.
 
@@ -793,24 +791,71 @@ def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=N
 # Stabilization
 
 
+def _softened_abscissa(abscissa):
+    """Soft-max of a block's per-point abscissas, the value stabilization
+    minimizes."""
+    return _soft_max(abscissa, 1e-2 * (1.0 + abs(float(abscissa.max()))))
+
+
+def _abscissa_gradient(problem, kb, theta, f0):
+    """Central differences of _softened_abscissa over the free entries of
+    ``kb`` at ``theta``, whose value is ``f0``.
+
+    Entry i steps by ``h = 1e-6 (1 + |theta_i|)`` either way.  All 2n probe
+    blocks are closed in one stacked _closed_loops pass; an ill-posed probe
+    scores infinite and leaves the pass, which reruns on the others.  Where
+    one side is infinite the difference is one-sided from ``f0``, and where
+    both are it is zero.
+    """
+    n = theta.size
+    h = 1e-6 * (1.0 + np.abs(theta))
+    probes = np.repeat(theta[None], 2 * n, axis=0)  # up, down, up, down, ...
+    probes[0::2][np.diag_indices(n)] += h
+    probes[1::2][np.diag_indices(n)] -= h
+    values = np.full(2 * n, np.inf)
+    left = np.arange(2 * n)
+    while left.size:
+        try:
+            absc = _closed_loops(problem, kb, probes[left]).abscissa
+        except IllPosedLFTError as exc:
+            left = np.delete(left, exc.grid_index // problem.m)
+            continue
+        values[left] = [_softened_abscissa(v) for v in absc]
+        break
+    fp, fm = values[0::2], values[1::2]
+    up, dn = np.isfinite(fp), np.isfinite(fm)
+    with np.errstate(invalid="ignore"):  # inf - inf where a side is ill posed
+        return np.select(
+            [up & dn, up, dn], [(fp - fm) / (2.0 * h), (fp - f0) / h, (f0 - fm) / h]
+        )
+
+
 def stabilize(problem, kb0, budget=4000, seed=0):
     """Drive the worst abscissa of the closed loops (see _closed_loops) over
     the grid below zero.
 
     Minimizes a softened max-abscissa over the free entries of ``kb0`` with
-    finite-difference gradients: from a zero block the closed loop has a
-    repeated pole, where eigenvalue sensitivities are undefined.  The block is
+    central-difference gradients (_abscissa_gradient, one stacked pass over
+    all 2n probe blocks): from a zero block the closed loop has a repeated
+    pole, where eigenvalue sensitivities are undefined.  The block is
     returned unchanged when it is already stabilizing.  Raises
-    StabilizationFailedError once ``budget`` function evaluations are spent
-    without success.
+    StabilizationFailedError once ``budget`` function evaluations (2n per
+    gradient) are spent without success.
     """
+    # The latest block's theta bytes and abscissas: the start is scored
+    # right after its check, and a descent ends where it last scored.
+    latest = [None, None]
 
     def abscissas(theta):
         # per-grid-point abscissas, or None when the block is ill posed
-        try:
-            return _closed_loops(problem, kb0.with_free_values(theta)).abscissa
-        except IllPosedLFTError:
-            return None
+        key = theta.tobytes()
+        if latest[0] != key:
+            try:
+                absc = _closed_loops(problem, kb0.with_free_values(theta)).abscissa
+            except IllPosedLFTError:
+                absc = None
+            latest[:] = key, absc
+        return latest[1]
 
     theta0 = kb0.free_values()
     ab = abscissas(theta0)
@@ -828,9 +873,12 @@ def stabilize(problem, kb0, budget=4000, seed=0):
         nonlocal evals
         evals += 1
         v = abscissas(theta)
-        if v is None:
-            return np.inf
-        return _soft_max(v, 1e-2 * (1.0 + abs(float(v.max()))))
+        return np.inf if v is None else _softened_abscissa(v)
+
+    def gradient(theta, f0):
+        nonlocal evals
+        evals += 2 * theta.size
+        return _abscissa_gradient(problem, kb0, theta, f0)
 
     open_absc = [spectral_abscissa(p.sys) for p in problem.plants if not p.sys.is_static]
     worst_open = max(open_absc) if open_absc else -1.0
@@ -842,8 +890,7 @@ def stabilize(problem, kb0, budget=4000, seed=0):
         f0 = fun(theta)
         remaining = max(1, (budget - evals) // max(2 * theta.size + 1, 1))
         theta, fval, _, _ = _bfgs(
-            fun, lambda th, f: _fd_gradient(fun, th, f), theta, f0, remaining, 1e-6,
-            stop_value=-margin,
+            fun, gradient, theta, f0, remaining, 1e-6, stop_value=-margin
         )
         best_val = min(best_val, fval)
         true_absc = abscissas(theta)

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,23 @@ class TestConfigParsing:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scenario = beam\n")
         assert main(["synth", "--config", str(cfg)]) == 1
+
+    def test_binary_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00scenario = beam\n")
+        assert main(["synth", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        # an escaping exception would fail the call itself, so no traceback
+        assert err.startswith("config error: cannot read config") and str(cfg) in err
+
+    def test_config_file_is_closed(self, tmp_path):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("scenario = beam\ngrid = 10, 15, 20\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            parse_config(str(cfg))
+            gc.collect()  # an unclosed file warns when it is collected
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSynthCommand:

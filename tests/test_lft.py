@@ -13,6 +13,7 @@ from lfsynth.lft import (
     count_free_params,
     eval_controller,
     eval_controller_matrices,
+    instantiate_stack,
     instantiation_factors,
     load_controller,
     lower_lft_ss,
@@ -220,6 +221,34 @@ class TestStackedGrid:
                 eval_controller_matrices(kb, grid),
             )
         assert err.value.grid_index == 1
+
+    @pytest.mark.parametrize("n_k, n_delta", [(2, 0), (3, 2), (0, 1)])
+    def test_stacked_blocks_match_per_block_bit_for_bit(self, rng, n_k, n_delta):
+        """Value matrices stacked (B, rows, cols) against each block alone,
+        instantiated and closed over the grid."""
+        plants = stack_plants([random_partitioned(rng, 3, 2, 2, 1, 2) for _ in self.RHOS])
+        blocks = [
+            random_block(rng, n_k, n_delta, 2, 2, well_posed_for=self.RHOS) for _ in range(4)
+        ]
+        ks = np.stack([kb.k for kb in blocks])
+        ctrl = instantiate_stack(blocks[0], ks, self.RHOS)
+        closed = closed_loop_matrices(plants, ctrl)
+        assert ctrl.a.shape == (4, len(self.RHOS), n_k, n_k)
+        assert closed.a.shape == (4, len(self.RHOS), 3 + n_k, 3 + n_k)
+        for b, kb in enumerate(blocks):
+            one = eval_controller_matrices(kb, self.RHOS)
+            one_closed = closed_loop_matrices(plants, one)
+            for m in "abcd":
+                assert same_bits(getattr(ctrl, m)[b], getattr(one, m))
+                assert same_bits(getattr(closed, m)[b], getattr(one_closed, m))
+
+    def test_stacked_ill_posed_parameter_loop_reports_flat_index(self):
+        kb = ControllerBlock(0, 1, 1, 1, np.zeros((2, 2)), np.ones((2, 2), dtype=np.int8))
+        ks = np.zeros((3, 2, 2))
+        ks[2, 0, 0] = 0.5  # the third block's loop is singular at rho = 2
+        with pytest.raises(IllPosedLFTError, match=r"at rho = 2\.0") as err:
+            instantiate_stack(kb, ks, (1.0, 2.0))
+        assert err.value.grid_index == 2 * 2 + 1
 
     def test_stack_rejects_mixed_state_orders(self, rng):
         plants = [random_partitioned(rng, n, 1, 1, 1, 1) for n in (2, 3)]

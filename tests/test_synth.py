@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,27 @@ class TestOptimize:
         assert ev.value == pytest.approx(max(ev.per_point), rel=1e-12)
 
 
+def fd_gradient(fun, theta, f0):
+    """Central differences with one-sided fallback where a side is invalid,
+    one evaluation of ``fun`` per probe: the oracle of the surrogate's
+    closed-form gradient and of stabilization's stacked probe gradient."""
+    g = np.zeros_like(theta)
+    for i in range(theta.size):
+        h = 1e-6 * (1.0 + abs(theta[i]))
+        up = theta.copy()
+        up[i] += h
+        dn = theta.copy()
+        dn[i] -= h
+        fp, fm = fun(up), fun(dn)
+        if np.isfinite(fp) and np.isfinite(fm):
+            g[i] = (fp - fm) / (2.0 * h)
+        elif np.isfinite(fp):
+            g[i] = (fp - f0) / h
+        elif np.isfinite(fm):
+            g[i] = (f0 - fm) / h
+    return g
+
+
 def gradient_point(seed, structure, n_w, n_u, n_z, n_y, a_k=None, freeze_a_k=True):
     """Random two-point problem and stabilizing block with frozen entries, or
     None where the surrogate's sample count changes within a finite-difference
@@ -490,7 +512,7 @@ class TestClosedFormGradient:
                 def fun(th, _tau=tau):
                     return ev.penalized(kb.with_free_values(th), _tau)[0]
 
-                oracle = synth._fd_gradient(fun, theta, value)
+                oracle = fd_gradient(fun, theta, value)
                 assert grad.shape == theta.shape
                 assert np.linalg.norm(grad - oracle) <= 1e-6 * np.linalg.norm(oracle)
         assert set(dense) == self.DENSE.get(case, {False})
@@ -1009,6 +1031,118 @@ class TestClosedLoops:
         with pytest.raises(IllPosedLFTError, match="parametric") as err:
             synth._closed_loops(prob, kb)
         assert err.value.grid_index == 1
+
+
+def softened_abscissa(problem, kb):
+    """Stabilization's value over the free entries of ``kb``, one
+    _closed_loops pass per block: infinite where the block is ill posed."""
+
+    def fun(theta):
+        try:
+            absc = synth._closed_loops(problem, kb.with_free_values(theta)).abscissa
+        except IllPosedLFTError:
+            return np.inf
+        return synth._soft_max(absc, 1e-2 * (1.0 + abs(float(absc.max()))))
+
+    return fun
+
+
+def nominal_zero_block(name):
+    """The one-point, n_delta = 0 problem that init_from_nominal stabilizes
+    first for a bundled config, and its zero start block."""
+    cfg = cli.parse_config(str(BUNDLED / f"{name}.cfg"))
+    prob = cli.build_problem(cfg)[1]
+    j = cfg.opt_nominal_index
+    st = replace(prob.structure, n_delta=0)
+    nominal = SynthesisProblem((prob.plants[j],), (prob.grid[j],), (prob.wk_list[j],), st)
+    return nominal, zero_block(st.n_k, 0, prob.n_u, prob.n_y, build_mask(st, prob.n_u, prob.n_y))
+
+
+def ill_posed_probe_block():
+    """Two-point rational problem and a block whose d_zw[0, 0] sits one
+    difference step below 1/rho at rho = 2, so that its upward probe closes
+    a singular parameter loop; returns the problem, the block and the
+    index of that entry among the free ones."""
+    grid = (1.0, 2.0)
+    st = StructureOptions(1, 2, dependency="rational")
+    prob = SynthesisProblem(
+        tuple(oscillator_plant(r) for r in grid), grid, static_gain([[0.1]]), st
+    )
+    rng = np.random.default_rng(7)
+    k = 0.3 * rng.normal(size=(4, 4))
+    k[0, 0] = 0.4  # an unstable controller pole
+    # d_zw = diag(d, 0.25) with d + 1e-6 (1 + d) = 1/2
+    k[1:3, 1:3] = [[(0.5 - 1e-6) / (1.0 + 1e-6), 0.0], [0.0, 0.25]]
+    kb = ControllerBlock(1, 2, 1, 1, k, build_mask(st, 1, 1))
+    return prob, kb, 5  # row 1, column 1 of an all-free 4 x 4 block
+
+
+class TestStabilizationGradient:
+    """Stabilization's gradient, one stacked pass over all probe blocks,
+    against central differences one probe block at a time."""
+
+    def assert_matches_oracle(self, prob, kb):
+        theta = kb.free_values()
+        fun = softened_abscissa(prob, kb)
+        f0 = fun(theta)
+        grad = synth._abscissa_gradient(prob, kb, theta, f0)
+        assert np.array_equal(grad, fd_gradient(fun, theta, f0))
+        return grad
+
+    def test_zero_nominal_block(self):
+        """The building's nominal start: every controller pole sits at 0."""
+        prob, kb = nominal_zero_block("building")
+        loops = synth._closed_loops(prob, kb)
+        assert np.count_nonzero(np.linalg.eigvals(loops.ctrl.a) == 0.0) == kb.n_k >= 2
+        assert np.any(self.assert_matches_oracle(prob, kb) != 0.0)
+
+    @pytest.mark.parametrize("name", ["beam", "building"])
+    def test_unstable_parametric_block(self, name):
+        prob, kb = bundled_problem(name)
+        theta = kb.free_values()
+        kb = kb.with_free_values(theta + np.random.default_rng(1).normal(0.0, 1.0, theta.size))
+        absc = synth._closed_loops(prob, kb).abscissa
+        assert kb.n_delta > 0 and absc.max() > 0.0 and np.unique(absc).size == prob.m
+        self.assert_matches_oracle(prob, kb)
+
+    def test_ill_posed_probe(self):
+        prob, kb, i = ill_posed_probe_block()
+        theta = kb.free_values()
+        fun = softened_abscissa(prob, kb)
+        up, dn = theta.copy(), theta.copy()
+        up[i] += 1e-6 * (1.0 + abs(theta[i]))
+        dn[i] -= 1e-6 * (1.0 + abs(theta[i]))
+        assert fun(up) == np.inf and np.isfinite(fun(dn)) and np.isfinite(fun(theta))
+        grad = self.assert_matches_oracle(prob, kb)
+        assert np.isfinite(grad).all()
+
+    def test_one_stacked_pass_per_gradient(self, monkeypatch):
+        """Each gradient is one stacked pass over its 2n probe blocks, and
+        no single block is closed twice in a row."""
+        prob, kb = nominal_zero_block("building")
+        passes = []  # free-value stack shape, or the block's bytes for one block
+        real_loops, real_gradient = synth._closed_loops, synth._abscissa_gradient
+
+        def spy(problem, block, free=None):
+            passes.append(block.k.tobytes() if free is None else free.shape)
+            return real_loops(problem, block, free)
+
+        gradients = []
+
+        def gradient(*args):
+            before = len(passes)
+            g = real_gradient(*args)
+            gradients.append(passes[before:])
+            return g
+
+        monkeypatch.setattr(synth, "_closed_loops", spy)
+        monkeypatch.setattr(synth, "_abscissa_gradient", gradient)
+        stabilize(prob, kb)
+        n = kb.free_values().size
+        assert gradients and all(g == [(2 * n, n)] for g in gradients)
+        assert sum(isinstance(p, tuple) for p in passes) == len(gradients)
+        singles = [p for p in passes if isinstance(p, bytes)]
+        assert all(a != b for a, b in zip(singles, singles[1:]))
 
 
 class TestCampaigns:
