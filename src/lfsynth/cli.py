@@ -47,7 +47,7 @@ from .models import (
     save_statespace,
     timoshenko_beam,
 )
-from .norms import default_frequency_grid, h2_norm, hinf_norm
+from .norms import _pole_grids, h2_norm, hinf_norm
 from .statespace import FrequencyKernel, PartitionedSystem, subsystem
 from .synth import (
     OptimizeOptions,
@@ -382,19 +382,22 @@ def cmd_bode(controller_path, config_path, rho_list, out_path):
     kb = load_controller(controller_path)
     scn = Scenario(cfg)
     open_loop = scn.open_loop()
-    omegas = default_frequency_grid(open_loop, 200)
+    # one eigendecomposition of the open loop serves its grid and its curve
+    open_kernel = FrequencyKernel(open_loop)
+    omegas = (np.array([1.0]) if open_loop.is_static
+              else _pole_grids(open_kernel.poles, 200)[0])
 
-    def magnitudes(sys):
-        mags = FrequencyKernel(sys).sigma(omegas)[0]
+    def magnitudes(kernel):
+        mags = kernel.sigma(omegas)[0]
         if np.isnan(mags).any():
             raise SingularMatrixError("a bode frequency coincides with a system pole")
         return mags
 
-    columns = [magnitudes(open_loop)]
+    columns = [magnitudes(open_kernel)]
     header = ["omega", "open_loop"]
     for rho in rho_list:
         closed = lower_lft_ss(scn.measurement_plant(rho), eval_controller(kb, rho))
-        columns.append(magnitudes(closed))
+        columns.append(magnitudes(FrequencyKernel(closed)))
         header.append(f"rho_{rho:g}")
     rows = [
         tuple([w] + [col[i] for col in columns]) for i, w in enumerate(omegas)

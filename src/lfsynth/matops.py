@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels used by the state-space and synthesis layers.
 
 All routines operate on plain 2-D ``numpy`` arrays of real floats and are pure
-functions of their inputs, so they are safe to call concurrently.  Only
-``solve_lyapunov`` needs scipy; it imports ``scipy.linalg`` on its first call,
-so importing lfsynth loads numpy alone.
+functions of their inputs, so they are safe to call concurrently.  They need
+numpy alone: the Lyapunov solve is a matrix sign iteration of inverses and
+products.
 """
 
 import numpy as np
@@ -18,6 +18,11 @@ from .errors import (
 
 # Condition number beyond which a solve is declared numerically singular.
 COND_SINGULAR = 1e14
+# Sign iteration of solve_lyapunov: scale while the relative step exceeds
+# SIGN_SCALE_TOL, stop once it falls to SIGN_TOL, give up after SIGN_MAX_ITER.
+SIGN_SCALE_TOL = 1e-2
+SIGN_TOL = 1e-13
+SIGN_MAX_ITER = 100
 
 
 def as_matrix(a, name="matrix"):
@@ -87,9 +92,14 @@ def solve_linear(a, b):
 def solve_lyapunov(a, q):
     """Solve ``a @ p + p @ a.T + q = 0`` for symmetric ``p``.
 
-    ``a`` must be Hurwitz and ``q`` symmetric.  Uses scipy's dense
-    Schur-based solver, importing ``scipy.linalg`` on the first call; the
-    result is explicitly symmetrized.
+    ``a`` must be Hurwitz and ``q`` symmetric.  The scaled Newton iteration
+    for the matrix sign function (Roberts 1980) runs on
+    ``[[a, q], [0, -a.T]]``, whose sign is ``[[-I, 2 p], [0, I]]``; it needs
+    only the inverse of the top-left block and products with it.  The result
+    is explicitly symmetrized.  Raises UnstableError when ``a`` is not
+    Hurwitz, SingularMatrixError when an iterate is numerically singular
+    (the inverses, and so ``p``, would carry no correct digits) and
+    NumericalError when the iteration does not converge.
     """
     a = as_matrix(a, "a")
     q = as_matrix(q, "q")
@@ -109,7 +119,30 @@ def solve_lyapunov(a, q):
         raise UnstableError(
             f"state matrix is not Hurwitz (spectral abscissa {alpha:.3e})"
         )
-    import scipy.linalg  # the only scipy use: deferred off the import path
-
-    p = scipy.linalg.solve_continuous_lyapunov(a, -q)
-    return 0.5 * (p + p.T)
+    scale = True
+    for _ in range(SIGN_MAX_ITER):
+        try:
+            a_inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"state matrix is singular: {exc}") from exc
+        mu = 1.0
+        if scale:
+            # mu balances the norms of mu a and its inverse
+            norm_a, norm_inv = np.linalg.norm(a), np.linalg.norm(a_inv)
+            if not norm_a * norm_inv <= COND_SINGULAR:
+                raise SingularMatrixError(
+                    "state matrix is numerically singular "
+                    f"(condition estimate {norm_a * norm_inv:.3e})"
+                )
+            mu = np.sqrt(norm_inv / norm_a)
+        a_next = (0.5 * mu) * a + (0.5 / mu) * a_inv
+        q = (0.5 * mu) * q + (0.5 / mu) * (a_inv @ q @ a_inv.T)
+        step = np.linalg.norm(a_next - a) / np.linalg.norm(a_next)
+        a = a_next
+        if step <= SIGN_TOL:
+            p = 0.5 * q
+            return 0.5 * (p + p.T)
+        scale = step > SIGN_SCALE_TOL
+    raise NumericalError(
+        f"sign iteration failed to converge (relative step {step:.3e})"
+    )

@@ -194,7 +194,12 @@ def hinf_norm(sys, rel_tol=1e-6):
 
 def h2_norm(sys):
     """H2 norm of a stable, strictly proper system via the controllability
-    Gramian; 0.0 for a system with no inputs or no outputs."""
+    Gramian; 0.0 for a system with no inputs or no outputs.
+
+    The Gramian comes from solve_lyapunov's matrix sign iteration.  Raises
+    UnstableError when the state matrix is not Hurwitz, and NumericalError
+    when it is numerically singular or the iteration does not converge.
+    """
     if max_singular_value(sys.d) > 1e-12:
         raise DomainError("H2 norm undefined for systems with feedthrough")
     if sys.is_static:

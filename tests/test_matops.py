@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import solve_continuous_lyapunov
 
+from lfsynth import matops
 from lfsynth.errors import (
     DimensionError,
     DomainError,
+    NumericalError,
     SingularMatrixError,
     UnstableError,
 )
@@ -27,6 +30,28 @@ finite_matrices = hnp.arrays(
 
 def sorted_complex(vals):
     return np.sort_complex(np.asarray(vals))
+
+
+def kronecker_lyapunov(a, q):
+    """Oracle: the Lyapunov equation as one dense n^2 x n^2 linear solve."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    p = np.linalg.solve(np.kron(eye, a) + np.kron(a, eye), -q.reshape(-1))
+    return p.reshape(n, n)
+
+
+def triangular_lyapunov(a, q):
+    """Oracle for upper-triangular ``a`` with a negative diagonal, entries
+    >= 0 above it and ``q >= 0`` elementwise: back substitution adds only
+    nonnegative terms, so every entry of ``p`` is correct to a few roundings
+    however close ``a`` is to the axis."""
+    n = a.shape[0]
+    p = np.zeros((n, n))
+    for i in range(n - 1, -1, -1):
+        for j in range(n - 1, i - 1, -1):
+            s = q[i, j] + a[i, i + 1 :] @ p[i + 1 :, j] + a[j, j + 1 :] @ p[i, j + 1 :]
+            p[i, j] = p[j, i] = s / -(a[i, i] + a[j, j])
+    return p
 
 
 class TestValidation:
@@ -146,6 +171,58 @@ class TestSolveLyapunov:
     def test_asymmetric_q(self):
         with pytest.raises(DomainError):
             solve_lyapunov(-np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_near_marginal_accurate_or_refused(self):
+        # a non-normal a with a pole at -delta, reversed so that no step sees
+        # the triangle; its rounding errors grow like 1 / delta, and once a
+        # is numerically singular a returned p could be wrong in every digit
+        q = np.ones((3, 3))
+        for k in range(1, 18):
+            delta = 10.0**-k
+            a = np.array([[-1e3, 1.0, 1e2], [0.0, -delta, 10.0], [0.0, 0.0, -10.0]])
+            exact = triangular_lyapunov(a, q)
+            try:
+                p = solve_lyapunov(a[::-1, ::-1], q)[::-1, ::-1]
+            except NumericalError:
+                assert delta < 1e-9, delta
+                continue
+            assert np.abs(p - exact).max() <= 1e-6 * np.abs(exact).max(), delta
+
+    def test_singular_state_matrix_refused(self):
+        # eigenvalues 0 and -5: the computed 0 may land on either side of
+        # the axis, and neither way may a solution come back
+        with pytest.raises((SingularMatrixError, UnstableError)):
+            solve_lyapunov([[3.0, 6.0], [-4.0, -8.0]], np.eye(2))
+
+    def test_iteration_cap(self, monkeypatch):
+        a = -np.diag([1e-3, 1.0, 1e3])
+        assert solve_lyapunov(a, np.eye(3)) == pytest.approx(np.diag(0.5 / -np.diag(a)))
+        monkeypatch.setattr(matops, "SIGN_MAX_ITER", 2)
+        with pytest.raises(NumericalError):
+            solve_lyapunov(a, np.eye(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    n_b=st.integers(1, 3),
+    log_scale=st.floats(-3, 3),
+    log_margin=st.floats(-3, 1),
+    seed=st.integers(0, 2**16),
+)
+def test_lyapunov_matches_kronecker_and_scipy(n, n_b, log_scale, log_margin, seed):
+    # random Hurwitz a, its abscissa 1e-3 to 10 times its scale left of the axis
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    a = scale * rng.normal(size=(n, n))
+    a -= (np.max(np.linalg.eigvals(a).real) + scale * 10.0**log_margin) * np.eye(n)
+    b = rng.normal(size=(n, n_b))
+    q = b @ b.T
+    p = solve_lyapunov(a, q)
+    exact = kronecker_lyapunov(a, q)
+    assert np.linalg.norm(p - exact) <= 1e-8 * np.linalg.norm(exact)
+    assert np.linalg.norm(p - solve_continuous_lyapunov(a, -q)) <= 1e-8 * np.linalg.norm(exact)
+    np.testing.assert_array_equal(p, p.T)
 
 
 @settings(max_examples=40, deadline=None)

@@ -362,6 +362,23 @@ class TestH2Norm:
         h2_norm(sys)
         assert calls == [(12, 12)]
 
+    @pytest.mark.parametrize("zeta", [1e-4, 1e-2])
+    def test_lightly_damped_and_defective(self, zeta):
+        # w^2 / (s^2 + 2 zeta w s + w^2) has H2^2 = w / (4 zeta); a Jordan
+        # block 1 / (s + a)^2 has H2^2 = 1 / (4 a^3).  Side by side on their
+        # own channels, squares add; a rotation hides the blocks.
+        parts, squares = [], []
+        for w in (0.3, 1.0, 40.0):
+            parts.append(resonant(zeta, w))
+            squares.append(w / (4.0 * zeta))
+        for a in (1e-2, 0.5, 20.0):
+            parts.append(StateSpace([[-a, 1.0], [0.0, -a]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]))
+            squares.append(1.0 / (4.0 * a**3))
+        sys = append_diag(parts)
+        t = np.linalg.qr(np.random.default_rng(3).normal(size=(sys.n, sys.n)))[0]
+        rotated = StateSpace(t @ sys.a @ t.T, t @ sys.b, sys.c @ t.T, sys.d)
+        assert h2_norm(rotated) == pytest.approx(np.sqrt(sum(squares)), rel=1e-9)
+
     def test_similarity_invariance(self, rng):
         sys = random_stable_ss(rng, 5, 2, 2, with_d=False)
         base = h2_norm(sys)
