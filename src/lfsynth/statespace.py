@@ -5,6 +5,10 @@ A system is the quadruple (a, b, c, d) with transfer ``c (sI - a)^-1 b + d``.
 memoryless blocks.  All types are immutable after construction and every
 operation is a pure function, so concurrent evaluation is safe.
 
+FrequencyKernel is the one code that eigen-factors systems for frequency
+responses and resolvent products; norms, the bode curves and the synthesis
+surrogate all sample through it.
+
 Text file format (shared with :func:`lfsynth.models.load_statespace`): the
 first data line is ``n n_u n_y``; then n rows of n A-entries, n rows of n_u
 B-entries, n_y rows of n C-entries and n_y rows of n_u D-entries, all
@@ -13,6 +17,7 @@ whitespace-separated decimal floats.  Lines starting with '#' are comments.
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +29,8 @@ from .matops import as_matrix
 # own rounding error is divided by the distance), so FrequencyKernel solves
 # such samples densely instead.
 NEAR_POLE_TOL = 1e-8
-# Condition number of the eigenvector matrix past which FrequencyKernel
-# solves densely instead of working in the eigenbasis.
+# FrequencyKernel's default limit on the condition number of a point's
+# eigenvector matrix, past which it solves densely instead of in the eigenbasis.
 EIG_COND_LIMIT = 1e8
 
 
@@ -173,47 +178,55 @@ def batch_sigma(g):
     return np.linalg.svd(g, compute_uv=False)[..., 0]
 
 
-def _dense_response(a, b, c, d, freqs):
-    """Response of one system by one dense solve per frequency: (F, n_y, n_u)."""
-    m = 1j * freqs[:, None, None] * np.eye(a.shape[0]) - a
-    x = np.linalg.solve(m, np.broadcast_to(b, (len(freqs),) + b.shape))
-    return c @ x + d
+def _shifted_solve(a, omegas, rhs):
+    """``(i w I - a)^-1 rhs`` by one dense solve per frequency, for ``a`` and
+    ``rhs`` stacked over the same leading axes as the rows of ``omegas``:
+    shape (..., F, n, q)."""
+    m = 1j * omegas[..., None, None] * np.eye(a.shape[-1]) - a[..., None, :, :]
+    rhs = np.broadcast_to(rhs[..., None, :, :], m.shape[:-1] + rhs.shape[-1:])
+    return np.linalg.solve(m, rhs)
 
 
 class FrequencyKernel:
-    """Frequency responses of systems stacked over a leading axis, each
-    factored once for many frequencies.
+    """Frequency responses and resolvent products of systems stacked over a
+    leading axis, each factored once for many frequencies.
 
     ``systems`` holds the matrices (a, b, c, d) of M systems that share
     their state order, stacked as (M, n, n), (M, n, n_u) and so on (a
     Realization); a StateSpace is a stack of one.  Each state matrix is
     diagonalized once, ``a = V diag(lambda) V^-1``; a batch of samples then
-    costs ``(c V) diag(1 / (i w - lambda)) (V^-1 b) + d`` (Laub 1981).  A
-    point whose ``cond(V)`` exceeds EIG_COND_LIMIT (a defective or nearly
-    defective ``a``) takes dense solves instead.
+    costs ``(c V) diag(1 / (i w - lambda)) (V^-1 b) + d`` (Laub 1981), and
+    the resolvent ``X = (i w I - a)^-1`` is ``V diag(1 / (i w - lambda))
+    V^-1``.  The eigenbasis loses about ``eps cond(V)`` of relative
+    accuracy, so a point whose ``cond(V)`` exceeds ``cond_limit`` (a
+    defective or nearly defective ``a``) takes dense solves with ``i w I -
+    a`` instead.  A sample on a pole raises SingularMatrixError.
     """
 
-    def __init__(self, systems):
+    def __init__(self, systems, cond_limit=EIG_COND_LIMIT):
         a, b, c, d = (np.asarray(getattr(systems, m), dtype=float) for m in "abcd")
         if a.ndim == 2:
             a, b, c, d = a[None], b[None], c[None], d[None]
         self.a, self.b, self.c, self.d = a, b, c, d
         m, n = a.shape[0], a.shape[-1]
-        self.poles = np.zeros((m, n), dtype=complex)
+        # eigenvectors as eig gives them for the stack, and the modal factors
+        # c V and V^-1 b of each point alone, zero at dense points
+        self.poles, self._v = np.linalg.eig(a)
         self.dense = np.zeros(m, dtype=bool)
-        # modal factors c V and V^-1 b, zero at dense points
         self._cv = np.zeros((m, c.shape[1], n), dtype=complex)
         self._wb = np.zeros((m, n, b.shape[2]), dtype=complex)
-        if not n:
+        # eig returns real eigenvectors for a real spectrum, and the products
+        # below round differently on those: each point takes its vectors in
+        # the type (and layout) eig gives it alone.  In a stack of one type
+        # they come so, and stacked calls give each point the loop's factors.
+        real = (self.poles.imag == 0.0).all(axis=1)
+        one_type = real.all() or not real.any()
+        if not n or (one_type and (np.linalg.cond(self._v) <= cond_limit).all()):
+            self._cv[:], self._wb[:] = c @ self._v, np.linalg.solve(self._v, b)
             return
-        self.poles, v = np.linalg.eig(a)
         for j in range(m):
-            # eig returns real eigenvectors for a real spectrum, and the
-            # products below round differently on those: each point takes
-            # its vectors in the type, and the memory layout, that eig gives
-            # it alone, so it gets the factors it has on its own
-            vectors = v[j].real if (self.poles[j].imag == 0.0).all() else v[j]
-            if np.linalg.cond(vectors) <= EIG_COND_LIMIT:
+            vectors = self._v[j].real if real[j] else self._v[j]
+            if np.linalg.cond(vectors) <= cond_limit:
                 self._cv[j] = c[j] @ vectors
                 self._wb[j] = np.linalg.solve(vectors, b[j])
             else:
@@ -223,56 +236,92 @@ class FrequencyKernel:
         """The kernel of some points of the stack (an index or a mask),
         without factoring them again."""
         sub = object.__new__(FrequencyKernel)
-        for name in ("a", "b", "c", "d", "poles", "dense", "_cv", "_wb"):
+        for name in ("a", "b", "c", "d", "poles", "dense", "_v", "_cv", "_wb"):
             setattr(sub, name, getattr(self, name)[points])
         return sub
 
+    def _rows(self, omegas):
+        """Shared (F,) or per-point (M, F) frequencies as one row per point."""
+        omegas = np.asarray(omegas, dtype=float)
+        return np.broadcast_to(omegas, (self.a.shape[0], omegas.shape[-1]))
+
+    def _modal(self):
+        """Selector of the modal points: a slice when every point is modal,
+        so the selections copy nothing."""
+        return slice(None) if not self.dense.any() else ~self.dense
+
+    def _modal_diag(self, omegas, modal):
+        """``1 / (i w - lambda)`` of the modal points over shared (F,) or
+        per-point (M, F) frequencies: (., F, n)."""
+        w = omegas[modal] if omegas.ndim == 2 else omegas
+        return 1.0 / (1j * w[..., None] - self.poles[modal][:, None, :])
+
+    @cached_property
+    def _v_inv(self):
+        """``V^-1`` of the modal points, for the resolvent products."""
+        return np.linalg.inv(self._v[self._modal()])
+
     def response(self, omegas):
         """Responses at ``omegas``, shared (F,) or a row per point (M, F),
-        shape (M, F, n_y, n_u), and the mask (M, F) of samples that sit on a
-        pole (see frequency_gain); those hold NaN.
+        shape (M, F, n_y, n_u).
 
         Samples within NEAR_POLE_TOL of an eigenvalue go through
-        frequency_gain one at a time.
+        frequency_gain one at a time, which raises SingularMatrixError for a
+        sample on a pole.
         """
         a, b, c, d = self.a, self.b, self.c, self.d
-        omegas = np.asarray(omegas, dtype=float)
-        omegas = np.broadcast_to(omegas, (a.shape[0], omegas.shape[-1]))
-        on_pole = np.zeros(omegas.shape, dtype=bool)
+        omegas = self._rows(omegas)
         if a.shape[-1] == 0:
-            g = np.broadcast_to(d[:, None], omegas.shape + d.shape[1:])
-            return g.astype(complex), on_pole
+            return np.broadcast_to(d[:, None], omegas.shape + d.shape[1:]).astype(complex)
         dist = np.abs(1j * omegas[..., None] - self.poles[:, None, :]).min(axis=-1)
         near = dist <= NEAR_POLE_TOL * np.abs(self.poles).max(axis=-1)[:, None]
         g = np.empty(omegas.shape + d.shape[1:], dtype=complex)
-        # a slice when every point is modal, so the selections copy nothing
-        modal = slice(None) if not self.dense.any() else ~self.dense
+        modal = self._modal()
         # samples on a pole divide by zero here; the near-pole pass below
         # overwrites them
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / (1j * omegas[modal][..., None] - self.poles[modal][:, None, :])
             g[modal] = (
-                (self._cv[modal][:, None] * inv[..., None, :]) @ self._wb[modal][:, None]
-                + d[modal][:, None]
+                (self._cv[modal][:, None] * self._modal_diag(omegas, modal)[..., None, :])
+                @ self._wb[modal][:, None] + d[modal][:, None]
             )
         for j in np.flatnonzero(self.dense):
             far = ~near[j]
-            g[j, far] = _dense_response(a[j], b[j], c[j], d[j], omegas[j, far])
+            g[j, far] = c[j] @ _shifted_solve(a[j], omegas[j, far], b[j]) + d[j]
         for j, i in zip(*np.nonzero(near)):
-            try:
-                g[j, i] = frequency_gain(StateSpace(a[j], b[j], c[j], d[j]), omegas[j, i])
-            except SingularMatrixError:
-                g[j, i] = np.nan
-                on_pole[j, i] = True
-        return g, on_pole
+            g[j, i] = frequency_gain(StateSpace(a[j], b[j], c[j], d[j]), omegas[j, i])
+        return g
 
     def sigma(self, omegas):
-        """Largest singular value at each sample of ``response``, shape
-        (M, F); NaN on a pole."""
-        g, on_pole = self.response(omegas)
-        s = np.full(on_pole.shape, np.nan)
-        s[~on_pole] = batch_sigma(g[~on_pole])
-        return s
+        """Largest singular value at each sample of ``response``, shape (M, F)."""
+        return batch_sigma(self.response(omegas))
+
+    def resolvent_b(self, omegas):
+        """``X b`` at ``omegas``, shared (F,) or a row per point (M, F): shape
+        (M, F, n, n_u); modal points take ``V (d * V^-1 b)`` with ``d = 1 /
+        (i w - lambda)``."""
+        omegas, modal, dense = np.asarray(omegas, dtype=float), self._modal(), self.dense
+        wb = (self._v_inv @ self.b[modal])[:, None]
+        x = self._v[modal][:, None] @ (self._modal_diag(omegas, modal)[..., None] * wb)
+        if not dense.any():
+            return x
+        omegas, out = self._rows(omegas), np.empty(dense.shape + x.shape[1:], dtype=complex)
+        out[~dense], out[dense] = x, _shifted_solve(self.a[dense], omegas[dense], self.b[dense])
+        return out
+
+    def c_resolvent(self, omegas):
+        """``c X`` at ``omegas``, shared (F,) or a row per point (M, F): shape
+        (M, F, n_y, n); modal points take ``((c V) * d) V^-1``, and dense
+        points solve with the transposed shifted matrix."""
+        omegas, modal, dense = np.asarray(omegas, dtype=float), self._modal(), self.dense
+        cv = (self.c[modal] @ self._v[modal])[:, None]
+        x = (cv * self._modal_diag(omegas, modal)[:, :, None, :]) @ self._v_inv[:, None]
+        if not dense.any():
+            return x
+        omegas, out = self._rows(omegas), np.empty(dense.shape + x.shape[1:], dtype=complex)
+        a_t, c_t = (np.swapaxes(m[dense], -1, -2) for m in (self.a, self.c))
+        out[~dense] = x
+        out[dense] = np.swapaxes(_shifted_solve(a_t, omegas[dense], c_t), -1, -2)
+        return out
 
 
 def spectral_abscissa(sys):

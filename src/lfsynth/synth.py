@@ -27,11 +27,11 @@ score as infinite.  A certificate is two stacked level-set passes, one over
 the stable points' closed loops and one over their weighted controllers.
 The surrogate takes plant and weight responses from two eigen-factored
 FrequencyKernels stacked over the grid, one for the plants and one for the
-weights, and the controller responses from one eigendecomposition of each
-grid point's controller per evaluated block (_Resolvent), which the gradient
-reuses.  Each block takes one forward pass
-and one gradient pass, both stacked over the grid: every grid point's row
-holds the fixed frequency grid followed by that point's few needle samples.
+weights, and the controllers' resolvent products from a third one, built
+per evaluated block at a tighter condition limit, which the gradient
+reuses.  Each block takes one forward pass and one gradient pass, both
+stacked over the grid: every grid point's row holds the fixed frequency
+grid followed by that point's few needle samples.
 The singular pairs of vector channels come in closed form.  Iterates that
 destabilize any channel are scored with a large abscissa-proportional
 penalty instead of an infinite value, which keeps a useful descent signal
@@ -49,7 +49,6 @@ from .errors import (
     DimensionError,
     DomainError,
     IllPosedLFTError,
-    SingularMatrixError,
     StabilizationFailedError,
     UnstableError,
 )
@@ -293,9 +292,11 @@ def objective(problem, kb, rel_tol=1e-4):
 
 
 def _soft_max(values, tau):
-    """Log-sum-exp smoothing of ``max(values)`` at absolute width ``tau``."""
+    """Log-sum-exp smoothing of ``max(values)`` at absolute width ``tau``,
+    and its normalized weights, the value's gradient over ``values``."""
     m = float(values.max())
-    return m + tau * float(np.log(np.exp((values - m) / tau).sum()))
+    p = np.exp((values - m) / tau)
+    return m + tau * float(np.log(p.sum())), p / p.sum()
 
 
 def surrogate_grid(problem, n_base=160):
@@ -382,19 +383,6 @@ def _closed_loops(problem, kb, free=None):
     return _Loops(ctrl, closed, poles, abscissa)
 
 
-def _kernel_response(kernel, freqs):
-    """A kernel's response over ``freqs``, shared (F,) or a row per point
-    (M, F); raises SingularMatrixError when a sample sits on a pole of its
-    system."""
-    g, on_pole = kernel.response(freqs)
-    if on_pole.any():
-        omega = np.broadcast_to(freqs, on_pole.shape)[on_pole][0]
-        raise SingularMatrixError(
-            f"surrogate frequency {omega} rad/s coincides with a plant or weight pole"
-        )
-    return g
-
-
 def _top_singular_pairs(g):
     """Left and right singular vectors of the largest singular value of each
     response in a stack (..., p, q): shapes (..., p) and (..., q).
@@ -420,95 +408,35 @@ def _top_singular_pairs(g):
     return u[..., :, 0], vh[..., 0, :].conj()
 
 
-RESOLVENT_COND_LIMIT = 1e4  # eps * cond(V), the modal loss, stays near 1e-12
-
-
-class _Resolvent:
-    """Resolvent ``X(i w) = (i w I - a)^-1`` of controller state matrices
-    stacked over grid points (M, n_k, n_k), factored once for many
-    frequencies: shared ones (F,) or a row of its own per point (M, F).
-
-    Each ``a`` is diagonalized once, ``a = V diag(lambda) V^-1``, so that
-    ``X = V diag(1 / (i w - lambda)) V^-1`` (Laub 1981, as FrequencyKernel
-    does for plants and weights): ``X b = V (d * V^-1 b)`` and ``c X = ((c V)
-    * d) V^-1`` with ``d = 1 / (i w - lambda)``.  These lose about ``eps
-    cond(V)`` of relative accuracy, so when ``cond(V)`` exceeds
-    RESOLVENT_COND_LIMIT at any grid point (a defective or nearly defective
-    ``a``), both products come from dense solves with ``i w I - a`` instead,
-    which the controller's few states make cheap.
-    """
-
-    def __init__(self, a):
-        self.a = a
-        self._modal = None
-        if a.shape[-1]:
-            eigvals, v = np.linalg.eig(a)
-            if (np.linalg.cond(v) <= RESOLVENT_COND_LIMIT).all():
-                self._modal = (eigvals, v, np.linalg.inv(v))
-
-    @property
-    def dense(self):
-        """True when the products come from dense solves, not the eigenbasis."""
-        return self.a.shape[-1] > 0 and self._modal is None
-
-    def _shifted(self, freqs):
-        return 1j * freqs[..., None, None] * np.eye(self.a.shape[-1]) - self.a[:, None]
-
-    def _diag(self, freqs):
-        return 1.0 / (1j * freqs[..., None] - self._modal[0][:, None, :])
-
-    def right(self, freqs, b):
-        """``X b`` for ``b`` stacked over the grid (M, n_k, q): shape (M, F, n_k, q)."""
-        if self._modal is None:
-            shifted = self._shifted(freqs)
-            return np.linalg.solve(
-                shifted, np.broadcast_to(b[:, None], shifted.shape[:2] + b.shape[1:])
-            )
-        _, v, v_inv = self._modal
-        return v[:, None] @ (self._diag(freqs)[..., None] * (v_inv @ b)[:, None])
-
-    def left(self, freqs, c):
-        """``c X`` for ``c`` stacked over the grid (M, p, n_k): shape (M, F, p, n_k)."""
-        if self._modal is None:
-            shifted = self._shifted(freqs)
-            c_t = np.swapaxes(c, -1, -2)[:, None]
-            x_t = np.linalg.solve(
-                np.swapaxes(shifted, -1, -2),
-                np.broadcast_to(c_t, shifted.shape[:2] + c_t.shape[2:]),
-            )
-            return np.swapaxes(x_t, -1, -2)
-        _, v, v_inv = self._modal
-        return ((c @ v)[:, None] * self._diag(freqs)[:, :, None, :]) @ v_inv[:, None]
+# Condition limit of the controller kernel: eps * cond(V), the modal loss, stays near 1e-12
+RESOLVENT_COND_LIMIT = 1e4
 
 
 _GainPass = namedtuple(
     "_GainPass",
-    ["ctrl", "resolvent", "freqs", "blocks", "wk_resp", "xb", "kresp", "x", "closed",
-     "weighted"],
+    ["kernel", "freqs", "blocks", "wk_resp", "xb", "kresp", "x", "closed", "weighted"],
 )
 
 
-def _channel_gains(ctrl, resolvent, freqs, blocks, wk_resp):
+def _channel_gains(kernel, freqs, blocks, wk_resp):
     """Closed-loop and weighted-controller gains, shape (M, F) each, and the
     forward pass that produced them (the input of _gain_factors).
 
-    ``ctrl`` is the controller Realization stacked over M grid points,
-    ``resolvent`` their _Resolvent, ``freqs`` the frequencies, shared (F,)
-    or a row per point (M, F), and ``blocks`` and ``wk_resp`` are the points'
-    plant blocks and weight responses there, (M, F, ., .).
+    ``kernel`` is the FrequencyKernel of the controllers stacked over M grid
+    points, ``freqs`` the frequencies, shared (F,) or a row per point (M, F),
+    and ``blocks`` and ``wk_resp`` are the points' plant blocks and weight
+    responses there, (M, F, ., .).
     """
     p11, p12, p21, p22 = blocks
     # the controller response c (i w I - a)^-1 b + d, keeping its factors
-    xb = resolvent.right(freqs, ctrl.b)
-    kresp = ctrl.c[:, None] @ xb + ctrl.d[:, None]
+    xb = kernel.resolvent_b(freqs)
+    kresp = kernel.c[:, None] @ xb + kernel.d[:, None]
     loop = np.eye(p22.shape[-2]) - p22 @ kresp
     x = np.linalg.solve(loop, p21)
     closed = p11 + p12 @ (kresp @ x)
     weighted = wk_resp @ kresp
     gains = [batch_sigma(closed), batch_sigma(weighted)]
-    return gains, _GainPass(
-        ctrl, resolvent, freqs, blocks, wk_resp, xb, kresp, x, closed, weighted
-    )
+    return gains, _GainPass(kernel, freqs, blocks, wk_resp, xb, kresp, x, closed, weighted)
 
 
 def _gain_factors(fwd, factors):
@@ -523,10 +451,10 @@ def _gain_factors(fwd, factors):
     K)^-1 p21 v)`` on the closed loop and by ``Re(u^H W dK v)`` on the
     weighted controller.
     """
-    ctrl, resolvent, freqs, (_, p12, _, p22), wk_resp, xb, kresp, x, closed, weighted = fwd
+    kernel, freqs, (_, p12, _, p22), wk_resp, xb, kresp, x, closed, weighted = fwd
     l1, r1 = (f[:, None] for f in factors)  # broadcast over frequencies
-    n_k = ctrl.a.shape[-1]
-    left_k = resolvent.left(freqs, ctrl.c) @ l1[..., :n_k, :] + l1[..., n_k:, :]
+    n_k = kernel.a.shape[-1]
+    left_k = kernel.c_resolvent(freqs) @ l1[..., :n_k, :] + l1[..., n_k:, :]
     right_k = r1[..., :n_k] @ xb + r1[..., n_k:]
     # p12 (I - K p22)^-1, by a solve with the transposed loop
     out_loop = np.eye(p22.shape[-1]) - kresp @ p22
@@ -581,15 +509,9 @@ class _FastEvaluator:
         )
         self._set_grid(np.asarray(freqs, dtype=float))
 
-    def _responses(self, freqs):
-        """Plant and weight responses of every grid point, stacked over the
-        grid (M, F, ., .): over shared frequencies ``freqs`` (F,) or over
-        each point's own row of them (M, F)."""
-        return tuple(_kernel_response(k, freqs) for k in self._kernels)
-
     def _set_grid(self, freqs):
         self.freqs = np.unique(freqs[freqs >= 0.0])
-        self._grid_responses = self._responses(self.freqs)
+        self._grid_responses = tuple(k.response(self.freqs) for k in self._kernels)
         self._memo = None  # (block bytes, _EvalInfo, (forward pass, needle counts))
 
     def add_frequencies(self, omegas):
@@ -649,7 +571,7 @@ class _FastEvaluator:
         fixed grid has already sampled and solved there at every point, so
         the padding raises nothing new.  Without needles the rows are the
         fixed grid alone, whose responses are cached.  The controllers are
-        factored once into a _Resolvent, which the gradient reuses."""
+        factored once into a FrequencyKernel, which the gradient reuses."""
         try:
             loops = _closed_loops(self.problem, kb)
         except IllPosedLFTError:
@@ -672,7 +594,7 @@ class _FastEvaluator:
                     row[: n.size] = n
                 resp, wk_resp = (
                     np.concatenate(pair, axis=1)
-                    for pair in zip((resp, wk_resp), self._responses(extra))
+                    for pair in zip((resp, wk_resp), (k.response(extra) for k in self._kernels))
                 )
                 freqs = np.concatenate([np.broadcast_to(freqs, (m, freqs.size)), extra], 1)
             blocks = (
@@ -682,7 +604,7 @@ class _FastEvaluator:
                 resp[..., n_z:, n_w:],
             )
             gains, fwd = _channel_gains(
-                loops.ctrl, _Resolvent(loops.ctrl.a), freqs, blocks, wk_resp
+                FrequencyKernel(loops.ctrl, RESOLVENT_COND_LIMIT), freqs, blocks, wk_resp
             )
         except np.linalg.LinAlgError:
             return _EvalInfo(False, False, worst, None, None, None), ()
@@ -709,10 +631,8 @@ class _FastEvaluator:
             return self.gamma_big * (1.0 + info.max_abscissa), info, grad
         sig = info.sigmas
         tau = tau_rel * max(abs(info.grid_max), 1e-12)
-        value = _soft_max(sig, tau)
+        value, p = _soft_max(sig, tau)
         if gradient:
-            p = np.exp((sig - info.grid_max) / tau)
-            p /= p.sum()
             if abs(info.grid_max) > 1e-12:
                 # numpy's own sum, not a BLAS dot: OpenBLAS splits long dots
                 # over its threads, which changes their rounding
@@ -794,7 +714,7 @@ def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=N
 def _softened_abscissa(abscissa):
     """Soft-max of a block's per-point abscissas, the value stabilization
     minimizes."""
-    return _soft_max(abscissa, 1e-2 * (1.0 + abs(float(abscissa.max()))))
+    return _soft_max(abscissa, 1e-2 * (1.0 + abs(float(abscissa.max()))))[0]
 
 
 def _abscissa_gradient(problem, kb, theta, f0):

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from lfsynth import cli
 from lfsynth.cli import main, parse_config
-from lfsynth.errors import ConfigError
+from lfsynth.errors import ConfigError, SingularMatrixError
 from lfsynth.lft import load_controller
 from lfsynth.models import load_statespace, save_statespace
 from lfsynth.statespace import StateSpace
@@ -240,6 +241,41 @@ class TestEvalCommand:
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
         assert [r[2] for r in rows] == ["0", "0", "1"]
         assert rows[0][1] == rows[1][1] == "" and float(rows[2][1]) > 0.0
+
+    def test_numerical_failure_row_flagged(self, tmp_path, monkeypatch):
+        plants = write_custom_plants(tmp_path, [-1.0, -2.0])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "\n".join(
+                [
+                    "scenario = custom",
+                    "grid = 1.0, 2.0",
+                    f"custom.plants = {', '.join(plants)}",
+                    "n_k = 0",
+                    "n_delta = 1",
+                    "sweep.n_points = 3",
+                ]
+            )
+            + "\n"
+        )
+        # a zero controller leaves every loop stable; the middle norm raises
+        ctl = tmp_path / "k.txt"
+        ctl.write_text("0 1 1 1\n0 0\n0 0\n1 1\n1 1\n")
+        real, calls = cli.hinf_norm, []
+
+        def failing(sys, rel_tol):
+            calls.append(sys)
+            if len(calls) == 2:
+                raise SingularMatrixError("frequency 1 rad/s coincides with a system pole")
+            return real(sys, rel_tol)
+
+        monkeypatch.setattr(cli, "hinf_norm", failing)
+        out = tmp_path / "sweep.csv"
+        assert main(["eval", "--controller", str(ctl), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert len(calls) == 3 and [r[2] for r in rows] == ["1", "1", "1"]
+        assert rows[1][1] == "" and float(rows[0][1]) > 0.0 and float(rows[2][1]) > 0.0
 
 
 class TestBodeCommand:

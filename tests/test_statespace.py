@@ -95,11 +95,9 @@ def lightly_damped(rng, n_modes, zeta, n_u=2, n_y=2):
 
 def assert_kernel_matches(sys, omegas):
     kernel = FrequencyKernel(sys)
-    got, on_pole = kernel.response(omegas)
-    assert got.shape[:2] == on_pole.shape == (1, len(omegas))  # a stack of one
-    got, on_pole = got[0], on_pole[0]
-    assert not on_pole.any()
-    for w, g in zip(omegas, got):
+    got = kernel.response(omegas)
+    assert got.shape[:2] == (1, len(omegas))  # a stack of one
+    for w, g in zip(omegas, got[0]):
         expect = frequency_gain(sys, w)
         assert np.abs(g - expect).max() <= 1e-9 * np.abs(expect).max()
     return kernel
@@ -126,30 +124,29 @@ class TestFrequencyKernel:
         kernel = assert_kernel_matches(jordan, np.geomspace(1e-3, 1e3, 40))
         assert kernel.dense.all()
         # 1 / (s + 1)^3
-        got = kernel.response([0.0, 1.0])[0][0, :, 0, 0]
+        got = kernel.response([0.0, 1.0])[0, :, 0, 0]
         assert np.allclose(got, [1.0, 1.0 / (1.0 + 1j) ** 3], rtol=1e-12)
 
-    def test_sample_on_undamped_pole_is_flagged(self):
+    def test_sample_on_undamped_pole_raises(self):
         osc = StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
         kernel = FrequencyKernel(osc)
-        g, on_pole = kernel.response([0.5, 1.0, 2.0])
-        assert on_pole.tolist() == [[False, True, False]]
-        assert np.isnan(g[0, 1]).all() and np.isfinite(g[0, [0, 2]]).all()
-        sigma = kernel.sigma([0.5, 1.0, 2.0])[0]
-        assert np.isnan(sigma[1]) and sigma[0] == pytest.approx(1.0 / 0.75)
+        for method in (kernel.response, kernel.sigma):
+            with pytest.raises(SingularMatrixError, match="frequency 1.0 rad/s"):
+                method([0.5, 1.0, 2.0])
+        assert np.isfinite(kernel.response([0.5, 2.0])).all()
+        assert kernel.sigma([0.5, 2.0])[0, 0] == pytest.approx(1.0 / 0.75)
 
     def test_near_pole_sample_is_solved_densely(self):
         # The computed eigenvalues of this oscillator carry a 3e-4 relative
         # error in their 1e-13 real parts; the dense solve at resonance is exact.
         zeta = 1e-13
         osc = StateSpace([[0.0, 1.0], [-1.0, -2.0 * zeta]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
-        g, on_pole = FrequencyKernel(osc).response([1.0])
-        assert not on_pole.any()
+        g = FrequencyKernel(osc).response([1.0])
         assert abs(g[0, 0, 0, 0]) == pytest.approx(1.0 / (2.0 * zeta), rel=1e-12)
 
     def test_static(self):
-        g, on_pole = FrequencyKernel(static_gain([[2.0, 1.0]])).response([0.0, 5.0])
-        assert np.array_equal(g, np.array([[[[2.0, 1.0]]] * 2])) and not on_pole.any()
+        g = FrequencyKernel(static_gain([[2.0, 1.0]])).response([0.0, 5.0])
+        assert np.array_equal(g, np.array([[[[2.0, 1.0]]] * 2]))
 
 
 class TestStackedKernel:
@@ -176,20 +173,49 @@ class TestStackedKernel:
         rows = np.sort(rng.uniform(0.0, 10.0, (len(systems), 30)), axis=1)
         for row, sys in zip(rows, systems):
             row[:2] = np.abs(np.linalg.eigvals(sys.a).imag).max(initial=0.0), 1.0
-        g, on_pole = kernel.response(rows)
-        shared, shared_on_pole = kernel.response(rows[0])
-        assert on_pole.any() == (n > 0)
+        if n:  # the sample at 1.0 sits on the undamped point's pole
+            for freqs in (rows, rows[0]):
+                with pytest.raises(SingularMatrixError, match="frequency 1.0 rad/s"):
+                    kernel.response(freqs)
+            with pytest.raises(SingularMatrixError):
+                kernel.take([len(systems) - 1]).sigma(rows[-1])
+        rows[rows == 1.0] = 1.5  # off that pole
+        g = kernel.response(rows)
+        shared = kernel.response(rows[0])
         for j, sys in enumerate(systems):
-            one, one_on_pole = FrequencyKernel(sys).response(rows[j])
-            assert np.array_equal(g[j], one[0], equal_nan=True)
-            assert np.array_equal(on_pole[j], one_on_pole[0])
-            one, one_on_pole = FrequencyKernel(sys).response(rows[0])
-            assert np.array_equal(shared[j], one[0], equal_nan=True)
-            assert np.array_equal(shared_on_pole[j], one_on_pole[0])
+            assert np.array_equal(g[j], FrequencyKernel(sys).response(rows[j])[0])
+            assert np.array_equal(shared[j], FrequencyKernel(sys).response(rows[0])[0])
             taken = kernel.take([j]).sigma(rows[j])
-            assert np.array_equal(taken, FrequencyKernel(sys).sigma(rows[j]), equal_nan=True)
+            assert np.array_equal(taken, FrequencyKernel(sys).sigma(rows[j]))
         dense = [n > 1 and kind == "jordan" for kind in kinds] + [False] * (n > 0)
         assert kernel.dense.tolist() == dense
+
+
+class TestResolventProducts:
+    """``X b`` and ``c X``, ``X = (i w I - a)^-1``, against dense solves."""
+
+    def test_per_point_dense_choice(self, rng):
+        # a Jordan block, whose cond(V) exceeds the limit, among modal points
+        kinds = ("near-pole", "jordan", "real", "near-pole")
+        systems = [stack_point(rng, kind, 4, 2, 3) for kind in kinds]
+        kernel = FrequencyKernel(stacked(systems), cond_limit=1e4)
+        assert kernel.dense.tolist() == [False, True, False, False]
+        rows = np.sort(rng.uniform(0.0, 10.0, (len(systems), 12)), axis=1)
+        for freqs in (rows, rows[0]):
+            xb, cx = kernel.resolvent_b(freqs), kernel.c_resolvent(freqs)
+            assert xb.shape == (4, 12, 4, 2) and cx.shape == (4, 12, 3, 4)
+            for j, (sys, row) in enumerate(zip(systems, np.broadcast_to(freqs, rows.shape))):
+                shifted = 1j * row[:, None, None] * np.eye(4) - sys.a
+                ref_xb = np.linalg.solve(shifted, sys.b)
+                ref_cx = np.swapaxes(np.linalg.solve(np.swapaxes(shifted, 1, 2), sys.c.T), 1, 2)
+                for got, ref in ((xb[j], ref_xb), (cx[j], ref_cx)):
+                    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+                # a real spectrum takes complex eigenvectors in this stack,
+                # and real ones on its own
+                if kinds[j] == "near-pole":
+                    one = FrequencyKernel(sys, cond_limit=1e4)
+                    assert np.array_equal(xb[j], one.resolvent_b(row)[0])
+                    assert np.array_equal(cx[j], one.c_resolvent(row)[0])
 
 
 class TestSpectralAbscissa:

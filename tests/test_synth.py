@@ -460,16 +460,15 @@ def gradient_point(seed, structure, n_w, n_u, n_z, n_y, a_k=None, freeze_a_k=Tru
 
 
 def spy_resolvents(monkeypatch):
-    """List that receives the ``dense`` flag of every controller resolvent
-    the surrogate factors from now on."""
+    """List that receives, point by point, the ``dense`` flags of every
+    controller kernel the surrogate passes from now on."""
     dense = []
 
-    class Spy(synth._Resolvent):
-        def __init__(self, a):
-            super().__init__(a)
-            dense.append(self.dense)
+    def spy(kernel, *args, _real=synth._channel_gains):
+        dense.extend(kernel.dense.tolist())
+        return _real(kernel, *args)
 
-    monkeypatch.setattr(synth, "_Resolvent", Spy)
+    monkeypatch.setattr(synth, "_channel_gains", spy)
     return dense
 
 
@@ -487,7 +486,7 @@ class TestClosedFormGradient:
         "rational-mimo": (StructureOptions(1, 2, dependency="rational"), 2, 2, 3, 1),
         # a column performance channel takes the SVD-free singular pair
         "column-perf": (StructureOptions(2, 1, dependency="rational"), 1, 1, 2, 1),
-        # a defective controller state matrix takes the dense resolvent
+        # a defective controller state matrix takes dense resolvent solves
         "jordan": (StructureOptions(2, 0), 1, 1, 1, 1, [[-1.0, 1.0], [0.0, -1.0]]),
         # free, the difference steps split it into nearly defective matrices:
         # those above RESOLVENT_COND_LIMIT solve densely, the rest stay accurate
@@ -592,7 +591,7 @@ class TestModalResolvent:
         for kb in blocks:
             dense = spy_resolvents(monkeypatch)
             info = stacked.evaluate(kb, gradient=True)
-            assert info.stable and dense == [False]
+            assert info.stable and dense == [False] * prob.m
             # no eigenbasis is well conditioned enough: every pass solves densely
             monkeypatch.setattr(synth, "RESOLVENT_COND_LIMIT", 0.0)
             points = [
@@ -602,7 +601,7 @@ class TestModalResolvent:
                 for j in range(prob.m)
             ]
             monkeypatch.undo()
-            assert dense == [False] + [True] * prob.m
+            assert dense == [False] * prob.m + [True] * prob.m
             expect = [
                 np.concatenate([p.sigmas for p in points]),
                 np.concatenate([p.dsigmas[0] for p in points]),
@@ -619,15 +618,16 @@ class TestSinglePass:
 
     def assert_matches_points(self, monkeypatch, prob, kb, freqs):
         """Compare, and return each point's needle count."""
-        calls = {"_channel_gains": 0, "_gain_factors": 0, "_kernel_response": 0}
-        for name in calls:
-            def counting(*args, _name=name, _real=getattr(synth, name)):
+        owners = {"_channel_gains": synth, "_gain_factors": synth, "response": FrequencyKernel}
+        calls = dict.fromkeys(owners, 0)
+        for name, owner in owners.items():
+            def counting(*args, _name=name, _real=getattr(owner, name)):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(synth, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         ev = synth._FastEvaluator(prob, freqs)
-        calls["_kernel_response"] = 0  # the fixed grid's responses
+        calls["response"] = 0  # the fixed grid's responses
         info = ev.evaluate(kb, gradient=True)
         monkeypatch.undo()
         points = [
@@ -645,7 +645,7 @@ class TestSinglePass:
         assert calls == {
             "_channel_gains": 1,
             "_gain_factors": 1,
-            "_kernel_response": 2 if max(counts) else 0,
+            "response": 2 if max(counts) else 0,
         }
         return counts
 
@@ -757,12 +757,12 @@ class TestStackedKernels:
         prob, _ = bundled_problem(name)
         ev = synth._FastEvaluator(prob, surrogate_grid(prob, 160))
         rows = np.sort(np.random.default_rng(3).uniform(0.0, 50.0, (prob.m, 9)), axis=1)
-        per_row = ev._responses(rows)
+        per_row = [kernel.response(rows) for kernel in ev._kernels]
         for j, (plant, weight) in enumerate(zip(prob.plants, prob.wk_list)):
             for sys, grid, row in zip((plant.sys, weight), ev._grid_responses, per_row):
                 kernel = FrequencyKernel(sys)
-                assert np.array_equal(grid[j], kernel.response(ev.freqs)[0][0])
-                assert np.array_equal(row[j], kernel.response(rows[j])[0][0])
+                assert np.array_equal(grid[j], kernel.response(ev.freqs)[0])
+                assert np.array_equal(row[j], kernel.response(rows[j])[0])
 
 
 def integrator_plant():
@@ -1042,7 +1042,7 @@ def softened_abscissa(problem, kb):
             absc = synth._closed_loops(problem, kb.with_free_values(theta)).abscissa
         except IllPosedLFTError:
             return np.inf
-        return synth._soft_max(absc, 1e-2 * (1.0 + abs(float(absc.max()))))
+        return synth._soft_max(absc, 1e-2 * (1.0 + abs(float(absc.max()))))[0]
 
     return fun
 
