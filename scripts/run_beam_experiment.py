@@ -4,6 +4,8 @@ sweep both over the beam length, and emit the CSV data behind the comparison
 plots (worst-case gain versus length, magnitude curves).
 
 Usage: python scripts/run_beam_experiment.py --outdir results/beam [--quick]
+
+Exits with the worst code of its lfsynth commands (see worst).
 """
 
 import argparse
@@ -38,6 +40,12 @@ io.summary = {outdir}/summary_{tag}.txt
 """
 
 
+def worst(codes):
+    """The exit code to report for several commands: an error (1) outranks
+    every synthesis status, then 3 (stabilization failed) outranks 2."""
+    return max(codes, key=lambda code: (code == 1, code))
+
+
 def run(outdir, quick):
     os.makedirs(outdir, exist_ok=True)
     max_iter = 40 if quick else 200
@@ -48,9 +56,9 @@ def run(outdir, quick):
     with open(cfg_par, "w") as fh:
         fh.write(CONFIG.format(outdir=outdir, tag="parametric",
                                max_iter=max_iter, restarts=restarts))
-    code = cli_main(["synth", "--config", cfg_par])
-    if code == 3:
-        return code
+    codes = [cli_main(["synth", "--config", cfg_par])]
+    if codes[0] == 3:
+        return 3
 
     # Length-independent controller synthesized at the nominal length only
     # (single-point grid; the sweep still spans the full length range).
@@ -62,20 +70,20 @@ def run(outdir, quick):
             .replace("n_delta = 1", "n_delta = 0")
             .replace("grid = 10, 12.5, 15, 17.5, 20", "grid = 15")
         )
-    code = max(code, cli_main(["synth", "--config", cfg_nom]))
+    codes.append(cli_main(["synth", "--config", cfg_nom]))
 
     for tag, cfg in (("parametric", cfg_par), ("nominal", cfg_nom)):
-        cli_main(
+        codes.append(cli_main(
             ["eval", "--controller", f"{outdir}/controller_{tag}.txt",
              "--config", cfg, "--out", f"{outdir}/sweep_{tag}.csv"]
-        )
-        cli_main(
+        ))
+        codes.append(cli_main(
             ["bode", "--controller", f"{outdir}/controller_{tag}.txt",
              "--config", cfg, "--rho", "10,15,20",
              "--out", f"{outdir}/bode_{tag}.csv"]
-        )
+        ))
     print(f"wrote controller/trace/summary/sweep/bode files under {outdir}")
-    return code
+    return worst(codes)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ metric against the fixed measurement output) and magnitude curves at a few
 parameter values.
 
 Usage: python scripts/run_building_experiment.py --outdir results/building [--quick]
+
+Exits with the worst code of its lfsynth commands (see worst).
 """
 
 import argparse
@@ -43,6 +45,12 @@ io.summary = {outdir}/summary_{tag}.txt
 """
 
 
+def worst(codes):
+    """The exit code to report for several commands: an error (1) outranks
+    every synthesis status, then 3 (stabilization failed) outranks 2."""
+    return max(codes, key=lambda code: (code == 1, code))
+
+
 def run(outdir, quick):
     os.makedirs(outdir, exist_ok=True)
     n_modes = 4 if quick else 6
@@ -53,9 +61,9 @@ def run(outdir, quick):
     with open(cfg_par, "w") as fh:
         fh.write(CONFIG.format(outdir=outdir, tag="parametric", n_modes=n_modes,
                                max_iter=max_iter, restarts=restarts))
-    code = cli_main(["synth", "--config", cfg_par])
-    if code == 3:
-        return code
+    codes = [cli_main(["synth", "--config", cfg_par])]
+    if codes[0] == 3:
+        return 3
 
     # Parameter-independent controller synthesized at the unit performance
     # level only (single-point grid; the sweep still spans the full range).
@@ -67,20 +75,20 @@ def run(outdir, quick):
             .replace("n_delta = 3", "n_delta = 0")
             .replace("grid = 0.5, 0.75, 1.0, 1.25, 1.5", "grid = 1.0")
         )
-    code = max(code, cli_main(["synth", "--config", cfg_nom]))
+    codes.append(cli_main(["synth", "--config", cfg_nom]))
 
     for tag, cfg in (("parametric", cfg_par), ("nominal", cfg_nom)):
-        cli_main(
+        codes.append(cli_main(
             ["eval", "--controller", f"{outdir}/controller_{tag}.txt",
              "--config", cfg, "--out", f"{outdir}/h2_sweep_{tag}.csv"]
-        )
-        cli_main(
+        ))
+        codes.append(cli_main(
             ["bode", "--controller", f"{outdir}/controller_{tag}.txt",
              "--config", cfg, "--rho", "0.5,1.0,1.5",
              "--out", f"{outdir}/bode_{tag}.csv"]
-        )
+        ))
     print(f"wrote controller/trace/summary/sweep/bode files under {outdir}")
-    return code
+    return worst(codes)
 
 
 if __name__ == "__main__":

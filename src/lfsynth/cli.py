@@ -13,16 +13,18 @@ Commands
 * ``model gen --scenario beam --out plant.ss``: write a scenario plant in the
   state-space text format.
 
-Configs are flat ``key = value`` text; '#' starts a comment.  See README for
-the key reference.  All CSV output uses 17 significant digits, Unix newlines
-and is written to a temporary file then renamed, so failed runs never leave
-partial outputs.
+Every command exits 1 with one stderr line on a config error, an unreadable
+or malformed input or an output that cannot be written.
+
+Configs are flat ``key = value`` text; '#' starts a comment.  Each key is
+declared once, with its default, on its RunConfig field; see README for the
+key reference.  Files are read and number rows written through ``textio``,
+at 17 significant digits, so failed runs never leave partial outputs.
 """
 
 import argparse
 import sys
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .errors import (
     IllPosedLFTError,
     LfsynthError,
     NumericalError,
+    ParseError,
     StabilizationFailedError,
     UnstableError,
 )
@@ -55,49 +58,10 @@ from .synth import (
     init_from_nominal,
     optimize,
 )
-from .textio import write_lines
+from .textio import DataReader, format_row, write_lines
 
 SCENARIOS = ("beam", "building", "custom")
 METRICS = ("hinf", "h2")
-
-
-@dataclass
-class RunConfig:
-    """Parsed run configuration with defaults filled in."""
-
-    scenario: str = ""
-    grid: tuple = ()
-    n_k: int = 2
-    n_delta: int = 1
-    controller_class: str = "full-hinf"
-    dependency: str = "affine"
-    ak_shape: str = "full"
-    wk_kind: str = "first-order-lag"
-    wk_gain: float = 0.1
-    wk_corner: float = 100.0
-    wk_wm: float = 5.2
-    wk_alpha: float = 10.0
-    wk_m: float = 0.1
-    wk_rho_scaled: bool = False
-    opt_max_iter: int = 500
-    opt_restarts: int = 3
-    opt_seed: int = 0
-    opt_nominal_index: int = -1  # -1: middle of the grid
-    opt_refine_rounds: int = 2
-    sweep_rho_min: float = np.nan
-    sweep_rho_max: float = np.nan
-    sweep_n_points: int = 21
-    sweep_metric: str = "hinf"
-    beam_n_elements: int = 15
-    building_n_modes: int = 24
-    building_peak_omega: float = 5.2
-    building_seed: int = 0
-    custom_plants: tuple = ()
-    custom_n_u: int = 1
-    custom_n_y: int = 1
-    io_controller: str = "controller.txt"
-    io_trace: str = "trace.csv"
-    io_summary: str = "summary.txt"
 
 
 def _parse_bool(v):
@@ -117,64 +81,70 @@ def _parse_paths(v):
     return tuple(tok.strip() for tok in v.split(",") if tok.strip())
 
 
-# key -> (RunConfig attribute, converter)
-_KEYS = {
-    "scenario": ("scenario", str.strip),
-    "grid": ("grid", _parse_floats),
-    "n_k": ("n_k", int),
-    "n_delta": ("n_delta", int),
-    "class": ("controller_class", str.strip),
-    "dependency": ("dependency", str.strip),
-    "ak_shape": ("ak_shape", str.strip),
-    "wk.kind": ("wk_kind", str.strip),
-    "wk.gain": ("wk_gain", float),
-    "wk.corner": ("wk_corner", float),
-    "wk.wm": ("wk_wm", float),
-    "wk.alpha": ("wk_alpha", float),
-    "wk.m": ("wk_m", float),
-    "wk.rho_scaled": ("wk_rho_scaled", _parse_bool),
-    "opt.max_iter": ("opt_max_iter", int),
-    "opt.restarts": ("opt_restarts", int),
-    "opt.seed": ("opt_seed", int),
-    "opt.nominal_index": ("opt_nominal_index", int),
-    "opt.refine_rounds": ("opt_refine_rounds", int),
-    "sweep.rho_min": ("sweep_rho_min", float),
-    "sweep.rho_max": ("sweep_rho_max", float),
-    "sweep.n_points": ("sweep_n_points", int),
-    "sweep.metric": ("sweep_metric", str.strip),
-    "beam.n_elements": ("beam_n_elements", int),
-    "building.n_modes": ("building_n_modes", int),
-    "building.peak_omega": ("building_peak_omega", float),
-    "building.seed": ("building_seed", int),
-    "custom.plants": ("custom_plants", _parse_paths),
-    "custom.n_u": ("custom_n_u", int),
-    "custom.n_y": ("custom_n_y", int),
-    "io.controller": ("io_controller", str.strip),
-    "io.trace": ("io_trace", str.strip),
-    "io.summary": ("io_summary", str.strip),
-}
+def _key(key, default, parse=None):
+    """A RunConfig field set by config key ``key``; ``parse`` turns the value
+    text into the field's value, in place of the field's type."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
+@dataclass
+class RunConfig:
+    """Parsed run configuration; each field declares its key and default."""
+
+    scenario: str = _key("scenario", "")
+    grid: tuple = _key("grid", (), _parse_floats)
+    n_k: int = _key("n_k", 2)
+    n_delta: int = _key("n_delta", 1)
+    controller_class: str = _key("class", "full-hinf")
+    dependency: str = _key("dependency", "affine")
+    ak_shape: str = _key("ak_shape", "full")
+    wk_kind: str = _key("wk.kind", "first-order-lag")
+    wk_gain: float = _key("wk.gain", 0.1)
+    wk_corner: float = _key("wk.corner", 100.0)
+    wk_wm: float = _key("wk.wm", 5.2)
+    wk_alpha: float = _key("wk.alpha", 10.0)
+    wk_m: float = _key("wk.m", 0.1)
+    wk_rho_scaled: bool = _key("wk.rho_scaled", False, _parse_bool)
+    opt_max_iter: int = _key("opt.max_iter", 500)
+    opt_restarts: int = _key("opt.restarts", 3)
+    opt_seed: int = _key("opt.seed", 0)
+    opt_nominal_index: int = _key("opt.nominal_index", -1)  # -1: middle of the grid
+    opt_refine_rounds: int = _key("opt.refine_rounds", 2)
+    sweep_rho_min: float = _key("sweep.rho_min", np.nan)
+    sweep_rho_max: float = _key("sweep.rho_max", np.nan)
+    sweep_n_points: int = _key("sweep.n_points", 21)
+    sweep_metric: str = _key("sweep.metric", "hinf")
+    beam_n_elements: int = _key("beam.n_elements", 15)
+    building_n_modes: int = _key("building.n_modes", 24)
+    building_peak_omega: float = _key("building.peak_omega", 5.2)
+    building_seed: int = _key("building.seed", 0)
+    custom_plants: tuple = _key("custom.plants", (), _parse_paths)
+    custom_n_u: int = _key("custom.n_u", 1)
+    custom_n_y: int = _key("custom.n_y", 1)
+    io_controller: str = _key("io.controller", "controller.txt")
+    io_trace: str = _key("io.trace", "trace.csv")
+    io_summary: str = _key("io.summary", "summary.txt")
 
 
 def parse_config(path):
     """Parse a flat key=value config file into a validated RunConfig."""
-    cfg = RunConfig()
     try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        data = DataReader(path)
+    except ParseError as exc:
+        # DataReader raises from the open or decode error it met
+        raise ConfigError(f"cannot read config {path}: {exc.__cause__}") from exc.__cause__
+    by_key = {f.metadata["key"]: f for f in fields(RunConfig)}
+    cfg = RunConfig()
+    for lineno, line in data.lines:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in by_key:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, conv = _KEYS[key]
+        f = by_key[key]
         try:
-            setattr(cfg, attr, conv(value.strip()))
+            setattr(cfg, f.name, (f.metadata["parse"] or f.type)(value.strip()))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
 
@@ -299,15 +269,8 @@ def make_options(cfg):
     )
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else _fmt(v) for v in row))
-    write_lines(path, lines)
+    write_lines(path, [",".join(header)] + [format_row(row, ",") for row in rows])
 
 
 EXIT_BY_STATUS = {"converged": 0, "iteration-limit": 2, "stabilization-failed": 3}
@@ -333,13 +296,12 @@ def cmd_synth(config_path):
     )
     lines = [
         f"status: {result.status}",
-        f"gamma: {_fmt(result.gamma)}",
+        f"gamma: {format_row([result.gamma])}",
         f"free_params: {count_free_params(result.controller)}",
-        "grid: " + " ".join(_fmt(g) for g in problem.grid),
-        "per_point_norms: " + " ".join(_fmt(v) for v in result.per_point_norms),
-        "per_point_perf_norms: "
-        + " ".join(_fmt(v) for v in result.per_point_perf_norms),
-        "per_point_wk_norms: " + " ".join(_fmt(v) for v in result.per_point_wk_norms),
+        f"grid: {format_row(problem.grid)}",
+        f"per_point_norms: {format_row(result.per_point_norms)}",
+        f"per_point_perf_norms: {format_row(result.per_point_perf_norms)}",
+        f"per_point_wk_norms: {format_row(result.per_point_wk_norms)}",
     ]
     write_lines(cfg.io_summary, lines)
     print(f"synth: {result.status}, gamma = {result.gamma:.6g}")
@@ -466,7 +428,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except LfsynthError as exc:
+    except (LfsynthError, OSError) as exc:
+        # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

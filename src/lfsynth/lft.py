@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, IllPosedLFTError, ParseError
 from .matops import as_matrix
 from .statespace import Realization, StateSpace
-from .textio import DataReader, write_lines
+from .textio import DataReader, format_row, write_lines
 
 MASK_ZERO = 0
 MASK_FREE = 1
@@ -378,13 +378,10 @@ def eval_controller(kb, rho):
 # then the mask rows (0 = zero, 1 = free, 2 = frozen).
 
 def save_controller(kb, path):
-    rows, cols = kb.k.shape
     lines = ["# controller block: k matrix then mask (0=zero,1=free,2=frozen)"]
     lines.append(f"{kb.n_k} {kb.n_delta} {kb.n_u} {kb.n_y}")
-    for i in range(rows):
-        lines.append(" ".join(f"{v:.17g}" for v in kb.k[i]))
-    for i in range(rows):
-        lines.append(" ".join(str(int(v)) for v in kb.mask[i]))
+    lines += [format_row(row) for row in kb.k]
+    lines += [format_row(row) for row in kb.mask]
     write_lines(path, lines)
 
 

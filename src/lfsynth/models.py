@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .norms import hinf_norm
 from .statespace import PartitionedSystem, StateSpace, static_gain
-from .textio import DataReader, write_lines
+from .textio import DataReader, format_row, write_lines
 
 # ---------------------------------------------------------------------------
 # Clamped beam finite-element surrogate
@@ -301,16 +301,8 @@ def save_statespace(sys, path):
     """Write ``sys`` in the shared text format (17 significant digits)."""
     lines = ["# state-space: n n_u n_y, then rows of A, B, C, D"]
     lines.append(f"{sys.n} {sys.n_inputs} {sys.n_outputs}")
-
-    def block(m):
-        for row in m:
-            if row.size:
-                lines.append(" ".join(f"{v:.17g}" for v in row))
-
-    block(sys.a)
-    block(sys.b)
-    block(sys.c)
-    block(sys.d)
+    for m in (sys.a, sys.b, sys.c, sys.d):
+        lines += [format_row(row) for row in m if row.size]
     write_lines(path, lines)
 
 

@@ -710,6 +710,9 @@ def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=N
 # ---------------------------------------------------------------------------
 # Stabilization
 
+# Function evaluations that stabilize spends before it gives up
+STABILIZE_BUDGET = 4000
+
 
 def _softened_abscissa(abscissa):
     """Soft-max of a block's per-point abscissas, the value stabilization
@@ -750,7 +753,7 @@ def _abscissa_gradient(problem, kb, theta, f0):
         )
 
 
-def stabilize(problem, kb0, budget=4000, seed=0):
+def stabilize(problem, kb0, seed=0):
     """Drive the worst abscissa of the closed loops (see _closed_loops) over
     the grid below zero.
 
@@ -759,8 +762,8 @@ def stabilize(problem, kb0, budget=4000, seed=0):
     all 2n probe blocks): from a zero block the closed loop has a repeated
     pole, where eigenvalue sensitivities are undefined.  The block is
     returned unchanged when it is already stabilizing.  Raises
-    StabilizationFailedError once ``budget`` function evaluations (2n per
-    gradient) are spent without success.
+    StabilizationFailedError once STABILIZE_BUDGET function evaluations (2n
+    per gradient) are spent without success.
     """
     # The latest block's theta bytes and abscissas: the start is scored
     # right after its check, and a descent ends where it last scored.
@@ -806,9 +809,9 @@ def stabilize(problem, kb0, budget=4000, seed=0):
     rng = np.random.default_rng(seed)
     theta = theta0
     best_val = np.inf
-    while evals < budget:
+    while evals < STABILIZE_BUDGET:
         f0 = fun(theta)
-        remaining = max(1, (budget - evals) // max(2 * theta.size + 1, 1))
+        remaining = max(1, (STABILIZE_BUDGET - evals) // max(2 * theta.size + 1, 1))
         theta, fval, _, _ = _bfgs(
             fun, gradient, theta, f0, remaining, 1e-6, stop_value=-margin
         )

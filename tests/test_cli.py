@@ -1,13 +1,14 @@
 import gc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from lfsynth import cli
-from lfsynth.cli import main, parse_config
+from lfsynth.cli import RunConfig, main, parse_config
 from lfsynth.errors import ConfigError, SingularMatrixError
-from lfsynth.lft import load_controller
+from lfsynth.lft import load_controller, save_controller, zero_block
 from lfsynth.models import load_statespace, save_statespace
 from lfsynth.statespace import StateSpace
 
@@ -58,7 +59,60 @@ def toy_config(tmp_path):
     return cfg, tmp_path
 
 
+# every config key: (key, value text, RunConfig attribute, parsed value),
+# each value other than the attribute's default
+EVERY_KEY = [
+    ("scenario", "custom", "scenario", "custom"),
+    ("grid", "1, 2.5", "grid", (1.0, 2.5)),
+    ("n_k", "3", "n_k", 3),
+    ("n_delta", "0", "n_delta", 0),
+    ("class", "strictly-proper-h2", "controller_class", "strictly-proper-h2"),
+    ("dependency", "rational", "dependency", "rational"),
+    ("ak_shape", "tridiagonal", "ak_shape", "tridiagonal"),
+    ("wk.kind", "biquad-notch", "wk_kind", "biquad-notch"),
+    ("wk.gain", "0.5", "wk_gain", 0.5),
+    ("wk.corner", "20", "wk_corner", 20.0),
+    ("wk.wm", "3.5", "wk_wm", 3.5),
+    ("wk.alpha", "4", "wk_alpha", 4.0),
+    ("wk.m", "0.25", "wk_m", 0.25),
+    ("wk.rho_scaled", "Yes", "wk_rho_scaled", True),
+    ("opt.max_iter", "7", "opt_max_iter", 7),
+    ("opt.restarts", "2", "opt_restarts", 2),
+    ("opt.seed", "11", "opt_seed", 11),
+    ("opt.nominal_index", "1", "opt_nominal_index", 1),
+    ("opt.refine_rounds", "1", "opt_refine_rounds", 1),
+    ("sweep.rho_min", "0.5", "sweep_rho_min", 0.5),
+    ("sweep.rho_max", "3", "sweep_rho_max", 3.0),
+    ("sweep.n_points", "9", "sweep_n_points", 9),
+    ("sweep.metric", "h2", "sweep_metric", "h2"),
+    ("beam.n_elements", "4", "beam_n_elements", 4),
+    ("building.n_modes", "6", "building_n_modes", 6),
+    ("building.peak_omega", "2.5", "building_peak_omega", 2.5),
+    ("building.seed", "3", "building_seed", 3),
+    ("custom.plants", "a.ss, b.ss", "custom_plants", ("a.ss", "b.ss")),
+    ("custom.n_u", "2", "custom_n_u", 2),
+    ("custom.n_y", "3", "custom_n_y", 3),
+    ("io.controller", "k.txt", "io_controller", "k.txt"),
+    ("io.trace", "t.csv", "io_trace", "t.csv"),
+    ("io.summary", "s.txt", "io_summary", "s.txt"),
+]
+
+
 class TestConfigParsing:
+    def test_every_key_sets_its_field(self, tmp_path):
+        assert sorted(attr for _, _, attr, _ in EVERY_KEY) == sorted(
+            f.name for f in fields(RunConfig)
+        )
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"  {key} =  {text} \n" for key, text, _, _ in EVERY_KEY))
+        parsed, defaults = parse_config(str(cfg)), RunConfig()
+        for key, _, attr, expected in EVERY_KEY:
+            value = getattr(parsed, attr)
+            assert value == expected and value != getattr(defaults, attr), key
+            assert type(value) is type(expected), key
+            if isinstance(expected, tuple):
+                assert [type(v) for v in value] == [type(v) for v in expected], key
+
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scenario = beam\ngrid = 1\nnonsense = 3\n")
@@ -367,6 +421,25 @@ class TestScenarioSmoke:
                      str(cfg), "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert all(r.split(",")[2] in ("0", "1") for r in rows)
+
+
+class TestWriteFailure:
+    @pytest.mark.parametrize("command", ["eval", "model"])
+    def test_unwritable_output_exits_1(self, toy_config, capsys, command):
+        cfg, base = toy_config
+        out = base / "taken"
+        out.mkdir()
+        ctl = base / "k.txt"
+        save_controller(zero_block(0, 1, 1, 1), str(ctl))
+        argv = {
+            "eval": ["eval", "--controller", str(ctl), "--config", str(cfg)],
+            "model": ["model", "gen", "--scenario", "beam"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        # one line, no traceback, naming the output
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        assert not list(base.glob("*.tmp*")) and not list(out.iterdir())
 
 
 class TestModelGen:
