@@ -37,7 +37,14 @@ from .errors import (
     StabilizationFailedError,
     UnstableError,
 )
-from .lft import count_free_params, eval_controller, load_controller, lower_lft_ss, save_controller
+from .lft import (
+    closed_loop_matrices,
+    count_free_params,
+    eval_controller_matrices,
+    load_controller,
+    save_controller,
+    stack_plants,
+)
 from .models import (
     BeamSpec,
     WeightSpec,
@@ -49,8 +56,8 @@ from .models import (
     save_statespace,
     timoshenko_beam,
 )
-from .norms import _pole_grids, h2_norm, hinf_norm
-from .statespace import FrequencyKernel, PartitionedSystem, subsystem
+from .norms import _hinf_norms, _pole_grids, h2_norm
+from .statespace import FrequencyKernel, PartitionedSystem, Realization, StateSpace, subsystem
 from .synth import (
     OptimizeOptions,
     StructureOptions,
@@ -312,28 +319,85 @@ def _sweep_values(cfg):
     return np.linspace(cfg.sweep_rho_min, cfg.sweep_rho_max, cfg.sweep_n_points)
 
 
+def _stacks(plants):
+    """Indices of ``plants`` in groups that share their state order and
+    channel partitions, each of which stack_plants stacks."""
+    groups = {}
+    for i, p in enumerate(plants):
+        groups.setdefault((p.sys.n, p.input_partition, p.output_partition), []).append(i)
+    return [np.array(idx) for idx in groups.values()]
+
+
+def _close(kb, plants, rhos, idx):
+    """Closed loops (a Realization) of the points ``idx`` of a sweep, from one
+    stacked instantiation; an ill-posed loop raises IllPosedLFTError with
+    its position in ``idx`` as ``grid_index``."""
+    ctrl = eval_controller_matrices(kb, rhos[idx])
+    return closed_loop_matrices(stack_plants([plants[i] for i in idx]), ctrl)
+
+
+def _h2_value(sys):
+    """h2_norm of ``sys``, ``inf`` when it is unstable and NaN when the
+    Gramian is numerically out of reach."""
+    try:
+        return h2_norm(sys)
+    except UnstableError:
+        return np.inf
+    except NumericalError:
+        return np.nan
+
+
+def _sweep_metric(closed, metric):
+    """Metric values (M,) of stacked closed loops: ``inf`` where a loop is
+    unstable, NaN where its norm is numerically out of reach."""
+    m = closed.a.shape[0]
+    if metric == "h2":
+        return np.array([_h2_value(StateSpace(*(x[j] for x in closed))) for j in range(m)])
+    try:
+        return _hinf_norms(closed, 1e-6)[0]
+    except NumericalError:
+        if m == 1:
+            return np.array([np.nan])
+    # the stacked pass failed: certify each loop as a stack of one, so that
+    # only the loops whose own norm fails lose their value
+    return np.concatenate(
+        [_sweep_metric(Realization(*(x[j : j + 1] for x in closed)), metric) for j in range(m)]
+    )
+
+
 def cmd_eval(controller_path, config_path, out_path):
+    """Write the sweep CSV: one row ``rho, metric_value, closed_loop_stable``
+    per sweep value.
+
+    The whole sweep is instantiated, closed and certified in one stacked
+    pass (one per plant state order in the custom scenario).  A value whose
+    controller or feedback loop is ill posed leaves the stack, which is
+    closed again without it; it and an unstable loop get an empty value and
+    flag 0.  When the stacked norm fails numerically, each loop is certified
+    alone, and only a loop whose own norm fails gets an empty value, with
+    flag 1.
+    """
     cfg = parse_config(config_path)
     kb = load_controller(controller_path)
     scn = Scenario(cfg)
     metric = cfg.sweep_metric
-    rows = []
-    for rho in _sweep_values(cfg):
-        plant = scn.plant(rho) if metric == "hinf" else scn.measurement_plant(rho)
-        try:
-            closed = lower_lft_ss(plant, eval_controller(kb, rho))
-            value = (
-                hinf_norm(closed, 1e-6).value if metric == "hinf" else h2_norm(closed)
-            )
-        except (IllPosedLFTError, UnstableError):
-            rows.append((rho, None, 0))
-            continue
-        except NumericalError:
-            # stable but numerically untractable (poles hugging the axis):
-            # flag the row rather than aborting the sweep
-            rows.append((rho, None, 1))
-            continue
-        rows.append((rho, value, 1))
+    rhos = _sweep_values(cfg)
+    plant = scn.plant if metric == "hinf" else scn.measurement_plant
+    plants = [plant(rho) for rho in rhos]
+    values = np.full(rhos.size, np.inf)  # an ill-posed value keeps inf
+    for idx in _stacks(plants):
+        while idx.size:
+            try:
+                closed = _close(kb, plants, rhos, idx)
+            except IllPosedLFTError as exc:
+                idx = np.delete(idx, exc.grid_index)
+                continue
+            values[idx] = _sweep_metric(closed, metric)
+            break
+    rows = [
+        (rho, value if np.isfinite(value) else None, int(value != np.inf))
+        for rho, value in zip(rhos, values.tolist())
+    ]
     _write_csv(out_path, ("rho", "metric_value", "closed_loop_stable"), rows)
     return 0
 
@@ -348,12 +412,13 @@ def cmd_bode(controller_path, config_path, rho_list, out_path):
     omegas = (np.array([1.0]) if open_loop.is_static
               else _pole_grids(open_kernel.poles, 200)[0])
 
-    columns = [open_kernel.sigma(omegas)[0]]
-    header = ["omega", "open_loop"]
-    for rho in rho_list:
-        closed = lower_lft_ss(scn.measurement_plant(rho), eval_controller(kb, rho))
-        columns.append(FrequencyKernel(closed).sigma(omegas)[0])
-        header.append(f"rho_{rho:g}")
+    rhos = np.array(rho_list, dtype=float)
+    plants = [scn.measurement_plant(rho) for rho in rhos]
+    closed_sigma = np.empty((rhos.size, omegas.size))
+    for idx in _stacks(plants):
+        closed_sigma[idx] = FrequencyKernel(_close(kb, plants, rhos, idx)).sigma(omegas)
+    columns = [open_kernel.sigma(omegas)[0], *closed_sigma]
+    header = ["omega", "open_loop"] + [f"rho_{rho:g}" for rho in rho_list]
     rows = [
         tuple([w] + [col[i] for col in columns]) for i, w in enumerate(omegas)
     ]

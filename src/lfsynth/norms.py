@@ -31,6 +31,9 @@ IMAG_EIG_TOL = 1e-8
 # Level sets tried before the norm is declared numerically out of reach; each
 # one lifts the lower bound by at least a factor 1 + rel_tol.
 MAX_LEVEL_SETS = 100
+# Bytes of the largest complex (points, frequencies, states) temporary a
+# frequency scan builds; a longer scan runs in column blocks.
+SCAN_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,17 @@ def _padded(rows):
 
 def _best_samples(kernel, omegas):
     """Largest gain of each point of ``kernel`` over its row of ``omegas``
-    (M, F), and its frequency."""
-    sigma = kernel.sigma(omegas)
+    (M, F), and its frequency (the first one, on a tie).
+
+    The gains are sampled in blocks of columns, each small enough that no
+    complex (M, F_block, n) temporary of the response exceeds
+    SCAN_BLOCK_BYTES; every sample's gain is the one a single block gives.
+    """
+    m, n = kernel.a.shape[0], kernel.a.shape[-1]
+    width = max(1, SCAN_BLOCK_BYTES // (16 * m * n))
+    sigma = np.empty(omegas.shape)
+    for lo in range(0, omegas.shape[1], width):
+        sigma[:, lo : lo + width] = kernel.sigma(omegas[:, lo : lo + width])
     i = np.argmax(sigma, axis=1)
     rows = np.arange(i.size)
     return sigma[rows, i], omegas[rows, i]
@@ -92,13 +104,13 @@ def _hamiltonian(kernel, gamma):
     r_inv_dtc = np.linalg.solve(r, dt @ c)
     r_inv_bt = np.linalg.solve(r, bt)
     s_inv_c = np.linalg.solve(s, c)
-    a_hat = a - b @ r_inv_dtc
     n = a.shape[-1]
-    h = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
-    h[:, :n, :n] = a_hat
-    h[:, :n, n:] = -gamma * b @ r_inv_bt
-    h[:, n:, :n] = gamma * ct @ s_inv_c
-    h[:, n:, n:] = -np.swapaxes(a_hat, -1, -2)
+    h = np.empty(a.shape[:-2] + (2 * n, 2 * n))
+    a_hat = np.matmul(b, r_inv_dtc, out=h[:, :n, :n])
+    np.subtract(a, a_hat, out=a_hat)
+    np.matmul(-gamma * b, r_inv_bt, out=h[:, :n, n:])
+    np.matmul(gamma * ct, s_inv_c, out=h[:, n:, :n])
+    np.negative(np.swapaxes(a_hat, -1, -2), out=h[:, n:, n:])
     return h
 
 
@@ -121,7 +133,8 @@ def _hinf_norms(systems, rel_tol):
 
     Every point runs its own level-set iteration; each level builds and
     solves one Hamiltonian stack over the points whose bound it may still
-    lift.  Raises UnstableError when any point is unstable.
+    lift.  An unstable point (spectral abscissa >= 0) scores ``inf``, with
+    peak frequency NaN, and takes no part in the iteration.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol}")
@@ -134,10 +147,12 @@ def _hinf_norms(systems, rel_tol):
     values, peaks = d_gain.copy(), np.zeros(d_gain.size)
     if kernel.a.shape[-1] == 0:
         return values, peaks
-    if (kernel.poles.real >= 0.0).any():
-        raise UnstableError("H-infinity norm requires a stable system")
+    unstable = (kernel.poles.real >= 0.0).any(axis=1)
+    values[unstable], peaks[unstable] = np.inf, np.nan
     # zero b or c: the response is d at every frequency
-    points = np.flatnonzero(kernel.b.any(axis=(1, 2)) & kernel.c.any(axis=(1, 2)))
+    points = np.flatnonzero(
+        ~unstable & kernel.b.any(axis=(1, 2)) & kernel.c.any(axis=(1, 2))
+    )
     if not points.size:
         return values, peaks
     if points.size < d_gain.size:
@@ -185,6 +200,8 @@ def hinf_norm(sys, rel_tol=1e-6):
     iteration does not settle or a response sample is singular.
     """
     values, peaks = _hinf_norms(sys, rel_tol)
+    if values[0] == np.inf:
+        raise UnstableError("H-infinity norm requires a stable system")
     return NormResult(float(values[0]), float(peaks[0]))
 
 

@@ -648,7 +648,12 @@ class _FastEvaluator:
 
 
 def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=None):
-    """Minimize ``fun`` from theta0; accepts only strictly improving steps.
+    """Minimize ``fun`` from theta0 by BFGS steps with a halving line search.
+
+    A step is accepted when its value passes the Armijo test ``f(trial) <=
+    f + 1e-4 * alpha * slope``.  Once that slope term falls below half an
+    ulp of ``f``, a step that leaves the value unchanged passes it too, so
+    accepted steps never increase the value but need not decrease it.
 
     ``grad_fun(theta, value)`` gives the gradient at a point whose value is
     known.  ``on_accept(theta, value, step_norm)`` runs at every accepted
@@ -691,7 +696,8 @@ def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=N
             on_accept(theta_new, trial_f, float(np.linalg.norm(step)))
         y = grad_new - grad
         sy = float(step @ y)
-        if sy > 1e-12 * np.linalg.norm(step) * np.linalg.norm(y):
+        # sy**2 underflows to 0 for tiny steps that still pass the curvature test
+        if sy > 1e-12 * np.linalg.norm(step) * np.linalg.norm(y) and sy**2 != 0.0:
             hy = hess_inv @ y
             hess_inv = (
                 hess_inv

@@ -1,6 +1,7 @@
 import gc
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from lfsynth import cli
 from lfsynth.cli import RunConfig, main, parse_config
 from lfsynth.errors import ConfigError, SingularMatrixError
-from lfsynth.lft import load_controller, save_controller, zero_block
+from lfsynth.lft import eval_controller, load_controller, lower_lft_ss, save_controller, zero_block
 from lfsynth.models import load_statespace, save_statespace
-from lfsynth.statespace import StateSpace
+from lfsynth.norms import h2_norm, hinf_norm
+from lfsynth.statespace import FrequencyKernel, StateSpace
 
 
 def write_custom_plants(tmp_path, poles):
@@ -312,24 +314,144 @@ class TestEvalCommand:
             )
             + "\n"
         )
-        # a zero controller leaves every loop stable; the middle norm raises
+        # a zero controller leaves every loop stable; the stacked norm raises,
+        # and so does the middle loop's norm on its own
         ctl = tmp_path / "k.txt"
         ctl.write_text("0 1 1 1\n0 0\n0 0\n1 1\n1 1\n")
-        real, calls = cli.hinf_norm, []
+        real, sizes = cli._hinf_norms, []
 
-        def failing(sys, rel_tol):
-            calls.append(sys)
-            if len(calls) == 2:
+        def failing(closed, rel_tol):
+            sizes.append(closed.a.shape[0])
+            if len(sizes) in (1, 3):
                 raise SingularMatrixError("frequency 1 rad/s coincides with a system pole")
-            return real(sys, rel_tol)
+            return real(closed, rel_tol)
 
-        monkeypatch.setattr(cli, "hinf_norm", failing)
+        monkeypatch.setattr(cli, "_hinf_norms", failing)
         out = tmp_path / "sweep.csv"
         assert main(["eval", "--controller", str(ctl), "--config", str(cfg),
                      "--out", str(out)]) == 0
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-        assert len(calls) == 3 and [r[2] for r in rows] == ["1", "1", "1"]
+        assert sizes == [3, 1, 1, 1] and [r[2] for r in rows] == ["1", "1", "1"]
         assert rows[1][1] == "" and float(rows[0][1]) > 0.0 and float(rows[2][1]) > 0.0
+
+    @pytest.mark.parametrize("metric", ["hinf", "h2"])
+    def test_mixed_sweep_flags(self, tmp_path, monkeypatch, metric):
+        # x' = -x + w + u, z = y = x with u = d(rho) y, where the parameter
+        # loop gives d = rho / (1 - rho / 2): rho 0.5, ..., 4 in steps of 0.5
+        plants = write_custom_plants(tmp_path, [-1.0, -1.0])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "\n".join(
+                [
+                    "scenario = custom",
+                    "grid = 0.5, 4.0",
+                    f"custom.plants = {', '.join(plants)}",
+                    "n_k = 0",
+                    "n_delta = 1",
+                    "sweep.n_points = 8",
+                    f"sweep.metric = {metric}",
+                ]
+            )
+            + "\n"
+        )
+        ctl = tmp_path / "k.txt"
+        ctl.write_text("0 1 1 1\n0.5 1\n1 0\n1 1\n1 1\n")
+        # the loop at rho = 3 (pole -1 + d = -7) fails numerically
+        name = "_hinf_norms" if metric == "hinf" else "h2_norm"
+        real = getattr(cli, name)
+
+        def failing(closed, *args):
+            if (np.asarray(closed.a) == -7.0).any():
+                raise SingularMatrixError("frequency 7 rad/s coincides with a system pole")
+            return real(closed, *args)
+
+        monkeypatch.setattr(cli, name, failing)
+        out = tmp_path / "sweep.csv"
+        assert main(["eval", "--controller", str(ctl), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+        # stable, unstable (d = 2 and 6), ill posed (rho = 2), stable,
+        # numerically failing, stable
+        assert [r[2] for r in rows] == ["1", "0", "0", "0", "1", "1", "1", "1"]
+        empty = [i for i, r in enumerate(rows) if r[1] == ""]
+        assert empty == [1, 2, 3, 5]
+        # each value is that of the loop x' = (-1 + d) x + w, z = x: 1 / (1 - d)
+        # for both norms up to the H2 factor sqrt(1 / (2 (1 - d)))
+        for i in (0, 4, 6, 7):
+            rho = float(rows[i][0])
+            pole = -1.0 + rho / (1.0 - rho / 2.0)
+            expected = -1.0 / pole if metric == "hinf" else np.sqrt(-0.5 / pole)
+            assert float(rows[i][1]) == pytest.approx(expected, rel=1e-6)
+
+    def test_plants_of_two_state_orders(self, tmp_path):
+        # one stack per state order: a lag at rho = 1 and a resonance at 2
+        lag = StateSpace([[-1.0]], [[1.0, 1.0]], [[1.0], [1.0]], np.zeros((2, 2)))
+        osc = StateSpace([[0.0, 1.0], [-4.0, -0.4]], [[0.0, 0.0], [1.0, 1.0]],
+                         [[1.0, 0.0], [1.0, 0.0]], np.zeros((2, 2)))
+        paths = []
+        for name, sys in (("lag", lag), ("osc", osc)):
+            paths.append(str(tmp_path / f"{name}.ss"))
+            save_statespace(sys, paths[-1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"scenario = custom\ngrid = 1.0, 2.0\ncustom.plants = {', '.join(paths)}\n"
+            "n_k = 0\nn_delta = 1\nsweep.n_points = 3\n"
+        )
+        ctl = tmp_path / "k.txt"
+        ctl.write_text("0 1 1 1\n0 0.5\n0.5 -0.5\n1 1\n1 1\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["eval", "--controller", str(ctl), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        kb, scn = load_controller(str(ctl)), cli.Scenario(parse_config(str(cfg)))
+        expected = [hinf_norm(lower_lft_ss(scn.plant(rho), eval_controller(kb, rho)), 1e-6).value
+                    for rho in (1.0, 1.5, 2.0)]
+        assert [r[2] for r in rows] == ["1", "1", "1"]
+        assert np.array_equal([float(r[1]) for r in rows], expected)
+
+
+BUNDLED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+class TestStackedAgainstOnePoint:
+    """The stacked eval and bode passes against one closed loop at a time,
+    bit for bit (17 significant digits give every double back exactly)."""
+
+    @pytest.mark.parametrize("name", ["beam", "building"])
+    def test_sweep_rows(self, tmp_path, name):
+        cfg_path, ctl = str(BUNDLED / f"{name}.cfg"), str(BUNDLED / f"{name}_controller.txt")
+        out = tmp_path / "sweep.csv"
+        assert main(["eval", "--controller", ctl, "--config", cfg_path, "--out", str(out)]) == 0
+        cfg, kb = parse_config(cfg_path), load_controller(ctl)
+        scn = cli.Scenario(cfg)
+        rhos = np.linspace(cfg.sweep_rho_min, cfg.sweep_rho_max, cfg.sweep_n_points)
+        expected = []
+        for rho in rhos:
+            if cfg.sweep_metric == "hinf":
+                closed = lower_lft_ss(scn.plant(rho), eval_controller(kb, rho))
+                expected.append(hinf_norm(closed, 1e-6).value)
+            else:
+                closed = lower_lft_ss(scn.measurement_plant(rho), eval_controller(kb, rho))
+                expected.append(h2_norm(closed))
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert np.array_equal([float(r[0]) for r in rows], rhos)
+        assert np.array_equal([float(r[1]) for r in rows], expected)
+        assert all(r[2] == "1" for r in rows)
+
+    @pytest.mark.parametrize("name, levels", [("beam", "10,15,20"), ("building", "0.5,1,1.5")])
+    def test_bode_columns(self, tmp_path, name, levels):
+        cfg_path, ctl = str(BUNDLED / f"{name}.cfg"), str(BUNDLED / f"{name}_controller.txt")
+        out = tmp_path / "bode.csv"
+        assert main(["bode", "--controller", ctl, "--config", cfg_path, "--rho", levels,
+                     "--out", str(out)]) == 0
+        kb, scn = load_controller(ctl), cli.Scenario(parse_config(cfg_path))
+        table = np.array([[float(v) for v in r.split(",")]
+                          for r in out.read_text().splitlines()[1:]])
+        omegas = table[:, 0]
+        for j, rho in enumerate(float(v) for v in levels.split(",")):
+            closed = lower_lft_ss(scn.measurement_plant(rho), eval_controller(kb, rho))
+            assert np.array_equal(table[:, 2 + j], FrequencyKernel(closed).sigma(omegas)[0])
 
 
 class TestBodeCommand:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from lfsynth.cli import Scenario, parse_config
 from lfsynth.errors import DomainError, NumericalError, UnstableError
 from lfsynth.lft import eval_controller, load_controller, lower_lft_ss
+from lfsynth import norms
 from lfsynth.norms import _hinf_norms, default_frequency_grid, h2_norm, hinf_norm
 from lfsynth.statespace import (
+    FrequencyKernel,
     Realization,
     StateSpace,
     append_diag,
@@ -194,12 +196,49 @@ class TestStackedNorms:
         assert np.array_equal(values, [r.value for r in one])
         assert np.array_equal(peaks, [r.peak_omega for r in one])
 
-    def test_unstable_point_rejects_the_stack(self, rng):
+    def test_unstable_point_scores_inf(self, rng):
         unstable = StateSpace(np.diag([-1.0, -2.0, 0.1]), np.ones((3, 1)), np.ones((1, 3)), [[0.0]])
-        systems = [random_stable_ss(rng, 3), unstable]
+        stable = [random_stable_ss(rng, 3), random_stable_ss(rng, 3)]
+        systems = [stable[0], unstable, stable[1]]
         stack = Realization(*(np.stack([getattr(s, m) for s in systems]) for m in "abcd"))
+        values, peaks = _hinf_norms(stack, 1e-6)
+        assert values[1] == np.inf and np.isnan(peaks[1])
+        one = [hinf_norm(s, 1e-6) for s in stable]
+        assert np.array_equal(values[[0, 2]], [r.value for r in one])
+        assert np.array_equal(peaks[[0, 2]], [r.peak_omega for r in one])
         with pytest.raises(UnstableError):
-            _hinf_norms(stack, 1e-6)
+            hinf_norm(unstable)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        kinds=st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=5),
+        budget=st.sampled_from([1, 200, 3000]),
+    )
+    def test_scan_blocks_match_one_block(self, seed, n, kinds, budget):
+        # a budget of a few bytes scans one column at a time
+        rng = np.random.default_rng(seed)
+        systems = [stack_point(rng, kind, n, 2, 2) for kind in kinds]
+        stack = Realization(*(np.stack([getattr(s, m) for s in systems]) for m in "abcd"))
+        kernel = FrequencyKernel(stack)
+        grid = np.sort(rng.uniform(0.0, 10.0, (len(kinds), 50)), axis=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(norms, "SCAN_BLOCK_BYTES", 2**40)
+            whole = norms._best_samples(kernel, grid)
+            try:
+                one = _hinf_norms(stack, 1e-6)
+            except NumericalError:
+                one = None
+            mp.setattr(norms, "SCAN_BLOCK_BYTES", budget)
+            blocks = norms._best_samples(kernel, grid)
+            if one is None:
+                with pytest.raises(NumericalError):
+                    _hinf_norms(stack, 1e-6)
+                return
+            many = _hinf_norms(stack, 1e-6)
+        for x, y in zip(whole + one, blocks + many):
+            assert np.array_equal(x, y)
 
     def test_empty_stack(self):
         values, peaks = _hinf_norms(

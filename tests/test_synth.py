@@ -363,6 +363,20 @@ class TestBfgs:
         assert np.array_equal(theta, self.X0)
         assert len(calls) == 30
 
+    def test_underflowing_curvature_skips_the_update(self):
+        # with tol = 0 the steps shrink until s'y passes its curvature test
+        # while (s'y)^2 underflows to 0; that update is skipped, not divided by
+        fun, grad = self.quadratic(10.0)
+        steps = []
+        theta, fval, accepted, converged = synth._bfgs(
+            fun, grad, self.X0, fun(self.X0), 100, 0.0,
+            on_accept=lambda th, value, step: steps.append(step),
+        )
+        assert converged and accepted < 100
+        assert fval == fun(theta) == 10.0
+        # s'y is about |s|^2, and its square underflows once |s| < 1e-81
+        assert min(steps) < 1e-81
+
 
 class TestOptimize:
     def opts(self, **kw):
