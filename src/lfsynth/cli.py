@@ -38,9 +38,8 @@ from .errors import (
     UnstableError,
 )
 from .lft import (
-    closed_loop_matrices,
+    close_grid,
     count_free_params,
-    eval_controller_matrices,
     load_controller,
     save_controller,
     stack_plants,
@@ -233,10 +232,9 @@ class Scenario:
 
     def measurement_plant(self, rho):
         """Plant whose performance row is parameter-independent, for sweeps and
-        magnitude curves that compare attenuation across parameter values."""
-        if self.cfg.scenario == "building":
-            return lah_generalized_plant(self._base_building(), 1.0)
-        return self.plant(rho)
+        magnitude curves that compare attenuation across parameter values:
+        the building's plant at rho = 1, built once."""
+        return self.plant(1.0 if self.cfg.scenario == "building" else rho)
 
     def weight(self, rho):
         cfg = self.cfg
@@ -319,21 +317,16 @@ def _sweep_values(cfg):
     return np.linspace(cfg.sweep_rho_min, cfg.sweep_rho_max, cfg.sweep_n_points)
 
 
-def _stacks(plants):
-    """Indices of ``plants`` in groups that share their state order and
-    channel partitions, each of which stack_plants stacks."""
+def _closed_stacks(kb, plants, rhos):
+    """Indices of the sweep values ``rhos`` in groups whose ``plants`` share
+    their state order and channel partitions, and each group's loops from
+    one lft.close_grid pass (closed loops and well-posed mask)."""
     groups = {}
     for i, p in enumerate(plants):
         groups.setdefault((p.sys.n, p.input_partition, p.output_partition), []).append(i)
-    return [np.array(idx) for idx in groups.values()]
-
-
-def _close(kb, plants, rhos, idx):
-    """Closed loops (a Realization) of the points ``idx`` of a sweep, from one
-    stacked instantiation; an ill-posed loop raises IllPosedLFTError with
-    its position in ``idx`` as ``grid_index``."""
-    ctrl = eval_controller_matrices(kb, rhos[idx])
-    return closed_loop_matrices(stack_plants([plants[i] for i in idx]), ctrl)
+    for idx in map(np.array, groups.values()):
+        loops = close_grid(stack_plants([plants[i] for i in idx]), kb, rhos[idx])
+        yield idx, loops.closed, loops.well_posed
 
 
 def _h2_value(sys):
@@ -371,11 +364,11 @@ def cmd_eval(controller_path, config_path, out_path):
 
     The whole sweep is instantiated, closed and certified in one stacked
     pass (one per plant state order in the custom scenario).  A value whose
-    controller or feedback loop is ill posed leaves the stack, which is
-    closed again without it; it and an unstable loop get an empty value and
-    flag 0.  When the stacked norm fails numerically, each loop is certified
-    alone, and only a loop whose own norm fails gets an empty value, with
-    flag 1.
+    controller or feedback loop is ill posed, which the well-posed mask of
+    the pass marks, is not certified; it and an unstable loop get an empty
+    value and flag 0.  When the stacked norm fails numerically, each loop is
+    certified alone, and only a loop whose own norm fails gets an empty
+    value, with flag 1.
     """
     cfg = parse_config(config_path)
     kb = load_controller(controller_path)
@@ -385,15 +378,10 @@ def cmd_eval(controller_path, config_path, out_path):
     plant = scn.plant if metric == "hinf" else scn.measurement_plant
     plants = [plant(rho) for rho in rhos]
     values = np.full(rhos.size, np.inf)  # an ill-posed value keeps inf
-    for idx in _stacks(plants):
-        while idx.size:
-            try:
-                closed = _close(kb, plants, rhos, idx)
-            except IllPosedLFTError as exc:
-                idx = np.delete(idx, exc.grid_index)
-                continue
-            values[idx] = _sweep_metric(closed, metric)
-            break
+    for idx, closed, well_posed in _closed_stacks(kb, plants, rhos):
+        if not well_posed.all():
+            closed = Realization(*(x[well_posed] for x in closed))
+        values[idx[well_posed]] = _sweep_metric(closed, metric)
     rows = [
         (rho, value if np.isfinite(value) else None, int(value != np.inf))
         for rho, value in zip(rhos, values.tolist())
@@ -415,8 +403,11 @@ def cmd_bode(controller_path, config_path, rho_list, out_path):
     rhos = np.array(rho_list, dtype=float)
     plants = [scn.measurement_plant(rho) for rho in rhos]
     closed_sigma = np.empty((rhos.size, omegas.size))
-    for idx in _stacks(plants):
-        closed_sigma[idx] = FrequencyKernel(_close(kb, plants, rhos, idx)).sigma(omegas)
+    for idx, closed, well_posed in _closed_stacks(kb, plants, rhos):
+        if not well_posed.all():
+            rho = rhos[idx[np.argmin(well_posed)]]
+            raise IllPosedLFTError(f"ill-posed controller or feedback loop at rho = {rho:g}")
+        closed_sigma[idx] = FrequencyKernel(closed).sigma(omegas)
     columns = [open_kernel.sigma(omegas)[0], *closed_sigma]
     header = ["omega", "open_loop"] + [f"rho_{rho:g}" for rho in rho_list]
     rows = [

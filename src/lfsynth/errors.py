@@ -24,8 +24,9 @@ class SingularMatrixError(NumericalError):
 class IllPosedLFTError(SingularMatrixError):
     """A linear fractional interconnection has a singular algebraic loop.
 
-    ``grid_index`` identifies the offending parameter-grid point when the
-    error is raised during a multi-model evaluation, else it is None.
+    ``grid_index`` is the first ill-posed parameter-grid point when a
+    certificate (synth.objective) raises the error, else it is None; stacked
+    passes report ill-posed points in a mask instead of raising.
     """
 
     def __init__(self, message, grid_index=None):

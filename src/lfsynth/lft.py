@@ -13,10 +13,10 @@ controller dynamics; closing the second through ``rho * I`` instantiates the
 parameter dependence.  ``n_delta = 0`` collapses everything to a classical
 non-parametric controller.
 
-Instantiation and closing also take a whole parameter grid at once: a 1-D
-array of parameter values and a GridPlant (stack_plants) give every grid
-point's matrices stacked over a leading axis, bit for bit the ones that one
-point at a time gives.
+close_grid instantiates and closes a whole grid at once: every point's
+matrices stacked over a leading axis, bit for bit its one-point ones, and a
+mask of the points whose algebraic loops are well posed.  Only the
+one-point functions raise IllPosedLFTError.
 """
 
 from collections import namedtuple
@@ -153,24 +153,27 @@ def zero_block(n_k, n_delta, n_u, n_y, mask=None):
     return ControllerBlock(n_k, n_delta, n_u, n_y, np.zeros(shape), mask)
 
 
-def _check_loop(m, what):
-    """Raise IllPosedLFTError when the algebraic loop matrix ``m`` is ill
-    conditioned.  For a stack of loops (..., n, n) the error reports the
-    first ill-posed one, its index into the flattened stack, as
-    ``grid_index``, and ``what`` may be a function of that index."""
-    if m.shape[-1] == 0:
-        return
-    cond = np.linalg.cond(m)
-    bad = ~(cond <= LFT_COND_LIMIT)  # a NaN estimate is ill posed too
-    if not bad.any():
-        return
-    j = int(np.argmax(bad))
-    index = j if m.ndim >= 3 else None
-    raise IllPosedLFTError(
-        f"ill-posed {what(index) if callable(what) else what}: "
-        f"algebraic loop condition estimate {np.ravel(cond)[j]:.3e}",
-        grid_index=index,
-    )
+def _well_posed(loop):
+    """Well-posed mask (...) of the algebraic loop matrices (..., n, n),
+    whose condition estimates must stay within LFT_COND_LIMIT (a NaN
+    estimate is ill posed too), and the loops with the identity in place
+    of each ill-posed one, so that a stacked solve runs every other loop bit
+    for bit as it runs alone."""
+    if loop.shape[-1] == 0:
+        return np.ones(loop.shape[:-2], dtype=bool), loop
+    ok = np.linalg.cond(loop) <= LFT_COND_LIMIT
+    if not ok.all():
+        loop = np.where(ok[..., None, None], loop, np.eye(loop.shape[-1]))
+    return ok, loop
+
+
+def _require(ok, what):
+    """Raise IllPosedLFTError naming ``what`` when one point's loop is ill
+    posed (``ok`` False)."""
+    if not ok:
+        raise IllPosedLFTError(
+            f"ill-posed {what}: algebraic loop condition estimate above {LFT_COND_LIMIT:.0e}"
+        )
 
 
 def upper_lft_matrix(m, delta):
@@ -195,8 +198,8 @@ def upper_lft_matrix(m, delta):
     m22 = m[p1:, q1:]
     if p1 == 0:
         return m22.copy()
-    loop = np.eye(p1) - m11 @ delta
-    _check_loop(loop, "upper LFT")
+    ok, loop = _well_posed(np.eye(p1) - m11 @ delta)
+    _require(ok, "upper LFT")
     return m22 + m21 @ (delta @ np.linalg.solve(loop, m12))
 
 
@@ -225,11 +228,12 @@ def closed_loop_matrices(plant, k):
     ``plant`` is a PartitionedSystem with inputs [w; u] and outputs [z; y];
     ``k`` is the controller realization mapping y to u (a StateSpace or a
     Realization).  Returns the Realization of the closed transfer w -> z with
-    n_plant + n_k states.  A GridPlant with the controllers stacked over the
-    same grid axis closes every grid point at once, and controllers stacked
-    (B, M, ...) over blocks too, the plants broadcasting over the blocks; an
-    ill-posed feedback loop then raises IllPosedLFTError with the first such
-    point of the flattened stack as ``grid_index``.
+    n_plant + n_k states and the mask of the points whose feedback loop
+    ``I - dk d22`` is well posed (0-d for one point; see _well_posed).  A
+    GridPlant with the controllers stacked over the same grid axis closes
+    every grid point at once, and controllers stacked (B, M, ...) over blocks
+    too, the plants broadcasting over the blocks; the mask is then stacked
+    (M,) or (B, M), and an ill-posed point's matrices are not its own.
     """
     s = plant.sys
     if len(plant.input_partition) != 2 or len(plant.output_partition) != 2:
@@ -249,8 +253,7 @@ def closed_loop_matrices(plant, k):
     d21, d22 = d[..., n_z:, :n_w], d[..., n_z:, n_w:]
 
     # u = s_inv (dk c2 x + ck xk + dk d21 w) with s_inv = (I - dk d22)^-1
-    loop = np.eye(n_u) - dk @ d22
-    _check_loop(loop, "feedback interconnection")
+    ok, loop = _well_posed(np.eye(n_u) - dk @ d22)
     s_dk_c2 = np.linalg.solve(loop, dk @ c2)
     s_ck = np.linalg.solve(loop, ck)
     s_dk_d21 = np.linalg.solve(loop, dk @ d21)
@@ -264,23 +267,42 @@ def closed_loop_matrices(plant, k):
     bcl = np.concatenate([b1 + b2 @ s_dk_d21, bk @ (d21 + d22 @ s_dk_d21)], axis=-2)
     ccl = np.concatenate([c1 + d12 @ s_dk_c2, d12 @ s_ck], axis=-1)
     dcl = d11 + d12 @ s_dk_d21
-    return Realization(acl, bcl, ccl, dcl)
+    return Realization(acl, bcl, ccl, dcl), ok
 
 
 def lower_lft_ss(plant, k):
-    """Closed-loop StateSpace w -> z of a partitioned plant with controller ``k``."""
-    return StateSpace(*closed_loop_matrices(plant, k))
+    """Closed-loop StateSpace w -> z of a partitioned plant with controller
+    ``k``; raises IllPosedLFTError when the feedback loop is ill posed."""
+    closed, ok = closed_loop_matrices(plant, k)
+    _require(ok, "feedback interconnection")
+    return StateSpace(*closed)
 
 
 def eval_controller_matrices(kb, rho):
-    """Realization (a, b, c, d) of the controller instantiated at ``rho``.
+    """Realization (a, b, c, d) of the controller instantiated at one
+    parameter value ``rho`` (see instantiate_stack); raises IllPosedLFTError
+    when its parameter loop is ill posed."""
+    ctrl, ok = instantiate_stack(kb, kb.k, rho)
+    _require(ok, f"parametric controller at rho = {float(rho)}")
+    return ctrl
 
-    A 1-D array of parameter values gives the realizations stacked over a
-    leading axis, and an ill-posed parameter loop then raises
-    IllPosedLFTError with the first such value's index as ``grid_index``.
-    See instantiate_stack, which this calls with the block's own values.
+
+GridLoops = namedtuple("GridLoops", ["ctrl", "closed", "well_posed"])
+
+
+def close_grid(plant, kb, rho, k=None):
+    """Controllers of ``kb`` instantiated at every value of the 1-D ``rho``
+    and closed against the GridPlant ``plant`` (one plant per value): the
+    controllers and closed loops (Realizations) stacked (M, ...), and the
+    mask (M,) of the points whose parameter and feedback loops are both well
+    posed.  With ``k``, value matrices stacked (B, rows, cols) with kb's
+    sizes, each of those blocks is closed instead, all stacked (B, M, ...).
+    A well-posed point's matrices are bit for bit its one-point ones; an
+    ill-posed point's are not its own.
     """
-    return instantiate_stack(kb, kb.k, rho)
+    ctrl, instantiated = instantiate_stack(kb, kb.k if k is None else k, rho)
+    closed, closed_ok = closed_loop_matrices(plant, ctrl)
+    return GridLoops(ctrl, closed, instantiated & closed_ok)
 
 
 def instantiate_stack(kb, k, rho):
@@ -296,9 +318,9 @@ def instantiate_stack(kb, k, rho):
         c = c_y + d_yw delta m c_z     d = d_yu + d_yw delta m d_zu
 
     with ``delta = rho I`` and ``m = (I - d_zw delta)^-1``.  Every block and
-    value gets bit for bit the matrices that it gets alone.  An ill-posed
-    parameter loop raises IllPosedLFTError with the first such (block,
-    value), flattened, as ``grid_index``.
+    value gets bit for bit the matrices that it gets alone.  Returns the
+    Realization and the mask of the (block, value) points whose parameter
+    loop is well posed, stacked as the matrices (see _well_posed).
     """
     rho = np.asarray(rho, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -318,21 +340,16 @@ def instantiate_stack(kb, k, rho):
     if nd == 0:
         return Realization(*(
             np.broadcast_to(m, lead + m.shape[-2:]).copy() for m in (a_k, b_u, c_y, d_yu)
-        ))
+        )), np.ones(lead, dtype=bool)
     scale = rho[..., None, None]
-    loop = np.eye(nd) - scale * d_zw
-    _check_loop(
-        loop,
-        lambda j: "parametric controller at rho = "
-        f"{float(rho.flat[0 if j is None else j % rho.size])}",
-    )
+    ok, loop = _well_posed(np.eye(nd) - scale * d_zw)
     m_cz = scale * np.linalg.solve(loop, c_z)
     m_dzu = scale * np.linalg.solve(loop, d_zu)
     a = a_k + b_w @ m_cz
     b = b_u + b_w @ m_dzu
     c = c_y + d_yw @ m_cz
     d = d_yu + d_yw @ m_dzu
-    return Realization(a, b, c, d)
+    return Realization(a, b, c, d), ok
 
 
 def instantiation_factors(kb, rho):

@@ -31,9 +31,6 @@ IMAG_EIG_TOL = 1e-8
 # Level sets tried before the norm is declared numerically out of reach; each
 # one lifts the lower bound by at least a factor 1 + rel_tol.
 MAX_LEVEL_SETS = 100
-# Bytes of the largest complex (points, frequencies, states) temporary a
-# frequency scan builds; a longer scan runs in column blocks.
-SCAN_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -73,17 +70,8 @@ def _padded(rows):
 
 def _best_samples(kernel, omegas):
     """Largest gain of each point of ``kernel`` over its row of ``omegas``
-    (M, F), and its frequency (the first one, on a tie).
-
-    The gains are sampled in blocks of columns, each small enough that no
-    complex (M, F_block, n) temporary of the response exceeds
-    SCAN_BLOCK_BYTES; every sample's gain is the one a single block gives.
-    """
-    m, n = kernel.a.shape[0], kernel.a.shape[-1]
-    width = max(1, SCAN_BLOCK_BYTES // (16 * m * n))
-    sigma = np.empty(omegas.shape)
-    for lo in range(0, omegas.shape[1], width):
-        sigma[:, lo : lo + width] = kernel.sigma(omegas[:, lo : lo + width])
+    (M, F), and its frequency (the first one, on a tie)."""
+    sigma = kernel.sigma(omegas)
     i = np.argmax(sigma, axis=1)
     rows = np.arange(i.size)
     return sigma[rows, i], omegas[rows, i]

@@ -32,6 +32,9 @@ NEAR_POLE_TOL = 1e-8
 # FrequencyKernel's default limit on the condition number of a point's
 # eigenvector matrix, past which it solves densely instead of in the eigenbasis.
 EIG_COND_LIMIT = 1e8
+# Bytes of the largest complex (points, frequencies, states) temporary that
+# FrequencyKernel.sigma builds; a longer scan runs in column blocks.
+SCAN_BLOCK_BYTES = 2**19
 
 
 Realization = namedtuple("Realization", ["a", "b", "c", "d"])
@@ -292,8 +295,16 @@ class FrequencyKernel:
         return g
 
     def sigma(self, omegas):
-        """Largest singular value at each sample of ``response``, shape (M, F)."""
-        return batch_sigma(self.response(omegas))
+        """Largest singular value at each sample of ``response``, shape (M, F),
+        sampled in column blocks so that no complex (M, F_block, n) temporary
+        exceeds SCAN_BLOCK_BYTES; each gain is the one a single block gives."""
+        omegas = np.asarray(omegas, dtype=float)
+        m, n = self.a.shape[0], self.a.shape[-1]
+        width = max(1, SCAN_BLOCK_BYTES // (16 * max(m * n, 1)))
+        out = np.empty((m, omegas.shape[-1]))
+        for lo in range(0, omegas.shape[-1], width):
+            out[:, lo : lo + width] = batch_sigma(self.response(omegas[..., lo : lo + width]))
+        return out
 
     def resolvent_b(self, omegas):
         """``X b`` at ``omegas``, shared (F,) or a row per point (M, F): shape

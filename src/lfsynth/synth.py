@@ -20,11 +20,12 @@ order, and so do the weights, so their matrices are stacked once and lft
 broadcasts the instantiation and the closing algebra over the grid axis (and
 over a leading axis of blocks, for stabilization's probes).  A
 grid point is stable when its closed loop and its controller are (the
-weights must be stable, so this covers both channels); an ill-posed
-parameter or feedback loop raises IllPosedLFTError with the first such grid
-index, which certification passes on and the surrogate and stabilization
-score as infinite.  A certificate is two stacked level-set passes, one over
-the stable points' closed loops and one over their weighted controllers.
+weights must be stable, so this covers both channels).  A point whose
+parameter or feedback loop is ill posed, which lft's mask marks, makes
+certification raise IllPosedLFTError with that grid index and the surrogate
+and stabilization score the block as infinite.  A certificate is two stacked
+level-set passes, one over the stable points' closed loops and one over
+their weighted controllers.
 The surrogate takes plant and weight responses from two eigen-factored
 FrequencyKernels stacked over the grid, one for the plants and one for the
 weights, and the controllers' resolvent products from a third one, built
@@ -56,10 +57,11 @@ from .lft import (
     MASK_FREE,
     MASK_ZERO,
     ControllerBlock,
-    closed_loop_matrices,
+    close_grid,
     count_free_params,
-    instantiate_stack,
+    eval_controller,
     instantiation_factors,
+    lower_lft_ss,
     stack_plants,
     zero_block,
 )
@@ -253,9 +255,17 @@ def _certify(problem, kb, rel_tol, gamma_big):
 
     One stacked level-set pass (norms._hinf_norms) certifies the closed
     loops of every stable point and a second one their weighted
-    controllers, which series_matrices builds over the grid axis.
+    controllers, which series_matrices builds over the grid axis.  The
+    first ill-posed grid point raises IllPosedLFTError as ``grid_index``.
     """
     loops = _closed_loops(problem, kb)
+    if not loops.well_posed.all():
+        j = int(np.argmin(loops.well_posed))
+        try:  # the one-point functions raise, naming the loop
+            lower_lft_ss(problem.plants[j], eval_controller(kb, problem.grid[j]))
+        except IllPosedLFTError as exc:
+            exc.grid_index = j
+            raise
     stable = loops.abscissa < 0.0
     closed, ctrl, weight = (
         Realization(*(m[stable] for m in r))
@@ -281,7 +291,8 @@ def objective(problem, kb, rel_tol=1e-4):
     Returns (value, per_point, stable).  When every channel is stable, the
     value is the max over grid points of the larger of the closed-loop and
     weighted-controller norms.  Unstable channels are scored with the finite
-    penalty ``1e6 * (1 + abscissa)`` instead of infinity.
+    penalty ``1e6 * (1 + abscissa)`` instead of infinity.  An ill-posed grid
+    point raises IllPosedLFTError (see _certify).
     """
     cert = _certify(problem, kb, rel_tol, 1e6)
     return ObjectiveEval(cert.gamma, cert.per_point, cert.stable)
@@ -334,53 +345,33 @@ def surrogate_grid(problem, n_base=160):
     return np.unique(freqs)
 
 
-_Loops = namedtuple("_Loops", ["ctrl", "closed", "poles", "abscissa"])
+_Loops = namedtuple("_Loops", ["ctrl", "closed", "poles", "abscissa", "well_posed"])
 
 
 def _closed_loops(problem, kb, free=None):
     """Instantiated controllers and closed loops (Realizations), closed-loop
-    poles (M, n) and abscissas (M,) of the whole grid, from one pass over
-    the stacked grid and stacked as it is.
+    poles (M, n), abscissas (M,) and well-posed mask (M,) of the whole grid,
+    from one lft.close_grid pass over the stacked grid and stacked as it is.
 
     With ``free``, B sets of free values stacked (B, n_free), the same pass
     closes each of those blocks (kb with its free entries replaced) at every
-    point, and everything comes stacked (B, M, ...); a single block is a
-    stack of one.  The abscissa is the largest real part over a point's
-    closed-loop and controller poles (-inf when there are none).  The
-    weights are stable, so it decides the stability of both channels.
-    Raises IllPosedLFTError at the first (block, point) whose parameter loop
-    or, failing that, feedback loop is ill posed, flattened as
-    ``grid_index``; within that block no earlier point's feedback loop is
-    ill posed, so for one block it is the first ill-posed grid index.
+    point, and everything comes stacked (B, M, ...).  The abscissa is the
+    largest real part over a point's closed-loop and controller poles (-inf
+    when there are none).  The weights are stable, so it decides the
+    stability of both channels.  A point whose parameter or feedback loop is
+    ill posed is False in ``well_posed``; its loops are not its own, and its
+    abscissa is inf, so it is never stable.
     """
-    if free is None:
-        k = kb.k[None]
-    else:
+    k = None
+    if free is not None:
         k = np.repeat(kb.k[None], len(free), axis=0)
         k[:, kb.mask == MASK_FREE] = free
-    m = problem.m
-    try:
-        ctrl = instantiate_stack(kb, k, problem.grid)
-    except IllPosedLFTError as exc:
-        b, j = divmod(exc.grid_index, m)
-        if j:  # an earlier point of that block may fail the feedback loop first
-            try:
-                closed_loop_matrices(
-                    stack_plants(problem.plants[:j]),
-                    instantiate_stack(kb, k[b], problem.grid[:j]),
-                )
-            except IllPosedLFTError as first:
-                first.grid_index += b * m
-                raise
-        raise
-    closed = closed_loop_matrices(problem.stacked, ctrl)
+    ctrl, closed, well_posed = close_grid(problem.stacked, kb, problem.grid, k)
     poles = np.linalg.eigvals(closed.a)
     reals = np.concatenate([poles.real, np.linalg.eigvals(ctrl.a).real], axis=-1)
-    abscissa = reals.max(axis=-1) if reals.shape[-1] else np.full(k.shape[:1] + (m,), -np.inf)
-    if free is None:  # a stack of one, in the shapes of one block
-        ctrl, closed = (Realization(*(x[0] for x in r)) for r in (ctrl, closed))
-        poles, abscissa = poles[0], abscissa[0]
-    return _Loops(ctrl, closed, poles, abscissa)
+    abscissa = reals.max(axis=-1) if reals.shape[-1] else np.full(well_posed.shape, -np.inf)
+    abscissa[~well_posed] = np.inf
+    return _Loops(ctrl, closed, poles, abscissa, well_posed)
 
 
 def _top_singular_pairs(g):
@@ -572,9 +563,8 @@ class _FastEvaluator:
         the padding raises nothing new.  Without needles the rows are the
         fixed grid alone, whose responses are cached.  The controllers are
         factored once into a FrequencyKernel, which the gradient reuses."""
-        try:
-            loops = _closed_loops(self.problem, kb)
-        except IllPosedLFTError:
+        loops = _closed_loops(self.problem, kb)
+        if not loops.well_posed.all():
             return _EvalInfo(False, False, np.inf, None, None, None), ()
         worst = float(loops.abscissa.max())
         if worst >= 0.0:
@@ -722,8 +712,9 @@ STABILIZE_BUDGET = 4000
 
 def _softened_abscissa(abscissa):
     """Soft-max of a block's per-point abscissas, the value stabilization
-    minimizes."""
-    return _soft_max(abscissa, 1e-2 * (1.0 + abs(float(abscissa.max()))))[0]
+    minimizes: infinite when a point is ill posed (abscissa inf)."""
+    worst = float(abscissa.max())
+    return np.inf if worst == np.inf else _soft_max(abscissa, 1e-2 * (1.0 + abs(worst)))[0]
 
 
 def _abscissa_gradient(problem, kb, theta, f0):
@@ -731,26 +722,17 @@ def _abscissa_gradient(problem, kb, theta, f0):
     ``kb`` at ``theta``, whose value is ``f0``.
 
     Entry i steps by ``h = 1e-6 (1 + |theta_i|)`` either way.  All 2n probe
-    blocks are closed in one stacked _closed_loops pass; an ill-posed probe
-    scores infinite and leaves the pass, which reruns on the others.  Where
-    one side is infinite the difference is one-sided from ``f0``, and where
-    both are it is zero.
+    blocks are closed in one stacked _closed_loops pass, in which an
+    ill-posed probe scores infinite.  Where one side is infinite the
+    difference is one-sided from ``f0``, and where both are it is zero.
     """
     n = theta.size
     h = 1e-6 * (1.0 + np.abs(theta))
     probes = np.repeat(theta[None], 2 * n, axis=0)  # up, down, up, down, ...
     probes[0::2][np.diag_indices(n)] += h
     probes[1::2][np.diag_indices(n)] -= h
-    values = np.full(2 * n, np.inf)
-    left = np.arange(2 * n)
-    while left.size:
-        try:
-            absc = _closed_loops(problem, kb, probes[left]).abscissa
-        except IllPosedLFTError as exc:
-            left = np.delete(left, exc.grid_index // problem.m)
-            continue
-        values[left] = [_softened_abscissa(v) for v in absc]
-        break
+    absc = _closed_loops(problem, kb, probes).abscissa
+    values = np.array([_softened_abscissa(v) for v in absc])
     fp, fm = values[0::2], values[1::2]
     up, dn = np.isfinite(fp), np.isfinite(fm)
     with np.errstate(invalid="ignore"):  # inf - inf where a side is ill posed
@@ -776,24 +758,19 @@ def stabilize(problem, kb0, seed=0):
     latest = [None, None]
 
     def abscissas(theta):
-        # per-grid-point abscissas, or None when the block is ill posed
+        # per-grid-point abscissas, inf where a point is ill posed
         key = theta.tobytes()
         if latest[0] != key:
-            try:
-                absc = _closed_loops(problem, kb0.with_free_values(theta)).abscissa
-            except IllPosedLFTError:
-                absc = None
-            latest[:] = key, absc
+            latest[:] = key, _closed_loops(problem, kb0.with_free_values(theta)).abscissa
         return latest[1]
 
     theta0 = kb0.free_values()
     ab = abscissas(theta0)
-    if ab is not None and ab.max() < 0.0:
+    if ab.max() < 0.0:
         return kb0
     if theta0.size == 0:
         raise StabilizationFailedError(
-            "no free entries to stabilize with (worst abscissa "
-            f"{np.inf if ab is None else ab.max():.3e})"
+            f"no free entries to stabilize with (worst abscissa {ab.max():.3e})"
         )
 
     evals = 0
@@ -801,8 +778,7 @@ def stabilize(problem, kb0, seed=0):
     def fun(theta):
         nonlocal evals
         evals += 1
-        v = abscissas(theta)
-        return np.inf if v is None else _softened_abscissa(v)
+        return _softened_abscissa(abscissas(theta))
 
     def gradient(theta, f0):
         nonlocal evals
@@ -822,8 +798,7 @@ def stabilize(problem, kb0, seed=0):
             fun, gradient, theta, f0, remaining, 1e-6, stop_value=-margin
         )
         best_val = min(best_val, fval)
-        true_absc = abscissas(theta)
-        if true_absc is not None and true_absc.max() < 0.0:
+        if abscissas(theta).max() < 0.0:
             return kb0.with_free_values(theta)
         scale = max(float(np.abs(theta).max()), 1.0)
         theta = theta + rng.normal(0.0, 0.3 * scale, theta.size)
@@ -842,7 +817,7 @@ class OptimizeOptions:
     restarts: int = 3
     seed: int = 0
     refine_rounds: int = 2
-    certify_rel_tol: float = 1e-6
+    certify_rel_tol = 1e-6  # of optimize's certificates; a constant, not a field
 
     def __post_init__(self):
         if self.max_iter < 1 or self.restarts < 1:

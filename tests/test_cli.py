@@ -366,9 +366,19 @@ class TestEvalCommand:
             return real(closed, *args)
 
         monkeypatch.setattr(cli, name, failing)
+        # the sweep's one plant-order stack is closed once, ill-posed value
+        # and all
+        closes, real_close = [], cli.close_grid
+
+        def close(plant, kb, rho, *args):
+            closes.append(len(rho))
+            return real_close(plant, kb, rho, *args)
+
+        monkeypatch.setattr(cli, "close_grid", close)
         out = tmp_path / "sweep.csv"
         assert main(["eval", "--controller", str(ctl), "--config", str(cfg),
                      "--out", str(out)]) == 0
+        assert closes == [8]
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
         assert [float(r[0]) for r in rows] == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
         # stable, unstable (d = 2 and 6), ill posed (rho = 2), stable,
@@ -469,6 +479,28 @@ class TestBodeCommand:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0].split(",")
         assert header == ["omega", "open_loop", "rho_1", "rho_2"]
+
+    @pytest.mark.parametrize("loop", ["parameter", "feedback"])
+    def test_ill_posed_rho_exits_1(self, toy_config, capsys, loop):
+        cfg, base = toy_config
+        ctl = base / "k.txt"
+        # d_zw = 0.5 makes the parameter loop singular at rho = 2; in the
+        # feedback case the grid plant at rho = 2, which rho = 2 and 2.5 use,
+        # gets the feedthrough d22 = 1, closed by the controller d = 1
+        if loop == "parameter":
+            ctl.write_text("0 1 1 1\n0.5 0\n0 0\n1 1\n1 1\n")
+        else:
+            plant = base / "plant1.ss"
+            save_statespace(StateSpace([[-2.0]], [[1.0, 1.0]], [[1.0], [1.0]],
+                                       [[0.0, 0.0], [0.0, 1.0]]), str(plant))
+            ctl.write_text("0 1 1 1\n0 0\n0 1\n1 1\n1 1\n")
+        out = base / "bode.csv"
+        code = main(["bode", "--controller", str(ctl), "--config", str(cfg),
+                     "--rho", "1.5,2,2.5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "rho = 2" in err[0]
+        assert not out.exists()
 
     def test_bad_rho_exits_1(self, toy_config, capsys):
         cfg, base = toy_config

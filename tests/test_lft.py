@@ -9,6 +9,7 @@ from lfsynth.lft import (
     MASK_FROZEN,
     MASK_ZERO,
     ControllerBlock,
+    close_grid,
     closed_loop_matrices,
     count_free_params,
     eval_controller,
@@ -172,15 +173,16 @@ class TestStackedGrid:
         for _ in range(3):
             plants = [random_partitioned(rng, 3, 2, 2, 1, 2) for _ in self.RHOS]
             kb = random_block(rng, n_k, n_delta, 2, 2, well_posed_for=self.RHOS)
-            ctrl = eval_controller_matrices(kb, self.RHOS)
-            closed = closed_loop_matrices(stack_plants(plants), ctrl)
+            ctrl, closed, well_posed = close_grid(stack_plants(plants), kb, self.RHOS)
+            assert well_posed.shape == (len(self.RHOS),) and well_posed.all()
             assert ctrl.a.shape == (len(self.RHOS), n_k, n_k)
             assert closed.a.shape == (len(self.RHOS), 3 + n_k, 3 + n_k)
             for j, (rho, plant) in enumerate(zip(self.RHOS, plants)):
                 one = eval_controller(kb, rho)
                 for m in "abcd":
                     assert same_bits(getattr(ctrl, m)[j], getattr(one, m))
-                one_closed = closed_loop_matrices(plant, one)
+                one_closed, ok = closed_loop_matrices(plant, one)
+                assert ok
                 for m in "abcd":
                     assert same_bits(getattr(closed, m)[j], getattr(one_closed, m))
 
@@ -195,18 +197,18 @@ class TestStackedGrid:
                 one_l1, one_r1 = instantiation_factors(kb, rho)
                 assert same_bits(l1[j], one_l1) and same_bits(r1[j], one_r1)
 
-    def test_ill_posed_parameter_loop_reports_first_index(self):
+    def test_ill_posed_parameter_loop_is_masked(self):
         k = np.zeros((2, 2))
         k[0, 0] = 0.5  # d_zw: loop singular at rho = 2
         kb = ControllerBlock(0, 1, 1, 1, k, np.ones((2, 2), dtype=np.int8))
-        with pytest.raises(IllPosedLFTError, match=r"at rho = 2\.0") as err:
-            eval_controller_matrices(kb, (1.0, 2.0, 2.0))
-        assert err.value.grid_index == 1
-        with pytest.raises(IllPosedLFTError) as err:
+        _, well_posed = instantiate_stack(kb, kb.k, (1.0, 2.0, 2.0))
+        assert well_posed.tolist() == [True, False, False]
+        with pytest.raises(IllPosedLFTError, match=r"parametric controller at rho = 2\.0") as err:
             eval_controller_matrices(kb, 2.0)
         assert err.value.grid_index is None
+        eval_controller_matrices(kb, 1.0)
 
-    def test_ill_posed_feedback_loop_reports_first_index(self):
+    def test_ill_posed_feedback_loop_is_masked(self):
         def plant(d22):
             sys = StateSpace(
                 [[-1.0]], [[1.0, 1.0]], [[1.0], [1.0]], [[0.0, 0.0], [0.0, d22]]
@@ -214,13 +216,17 @@ class TestStackedGrid:
             return PartitionedSystem(sys, (1, 1), (1, 1))
 
         kb = ControllerBlock(0, 0, 1, 1, [[1.0]], [[1]])
-        grid = (0.0, 1.0, 2.0)
+        plants = [plant(0.0), plant(1.0), plant(1.0)]
+        _, closed_ok = closed_loop_matrices(
+            stack_plants(plants), instantiate_stack(kb, kb.k, (0.0, 1.0, 2.0))[0]
+        )
+        assert closed_ok.tolist() == [True, False, False]
+        assert close_grid(stack_plants(plants), kb, (0.0, 1.0, 2.0)).well_posed.tolist() == [
+            True, False, False
+        ]
         with pytest.raises(IllPosedLFTError, match="feedback") as err:
-            closed_loop_matrices(
-                stack_plants([plant(0.0), plant(1.0), plant(1.0)]),
-                eval_controller_matrices(kb, grid),
-            )
-        assert err.value.grid_index == 1
+            lower_lft_ss(plants[1], eval_controller(kb, 1.0))
+        assert err.value.grid_index is None
 
     @pytest.mark.parametrize("n_k, n_delta", [(2, 0), (3, 2), (0, 1)])
     def test_stacked_blocks_match_per_block_bit_for_bit(self, rng, n_k, n_delta):
@@ -231,24 +237,60 @@ class TestStackedGrid:
             random_block(rng, n_k, n_delta, 2, 2, well_posed_for=self.RHOS) for _ in range(4)
         ]
         ks = np.stack([kb.k for kb in blocks])
-        ctrl = instantiate_stack(blocks[0], ks, self.RHOS)
-        closed = closed_loop_matrices(plants, ctrl)
+        ctrl, closed, well_posed = close_grid(plants, blocks[0], self.RHOS, ks)
         assert ctrl.a.shape == (4, len(self.RHOS), n_k, n_k)
         assert closed.a.shape == (4, len(self.RHOS), 3 + n_k, 3 + n_k)
+        assert well_posed.shape == (4, len(self.RHOS)) and well_posed.all()
         for b, kb in enumerate(blocks):
-            one = eval_controller_matrices(kb, self.RHOS)
-            one_closed = closed_loop_matrices(plants, one)
+            one_ctrl, one_closed, _ = close_grid(plants, kb, self.RHOS)
             for m in "abcd":
-                assert same_bits(getattr(ctrl, m)[b], getattr(one, m))
+                assert same_bits(getattr(ctrl, m)[b], getattr(one_ctrl, m))
                 assert same_bits(getattr(closed, m)[b], getattr(one_closed, m))
 
-    def test_stacked_ill_posed_parameter_loop_reports_flat_index(self):
-        kb = ControllerBlock(0, 1, 1, 1, np.zeros((2, 2)), np.ones((2, 2), dtype=np.int8))
-        ks = np.zeros((3, 2, 2))
-        ks[2, 0, 0] = 0.5  # the third block's loop is singular at rho = 2
-        with pytest.raises(IllPosedLFTError, match=r"at rho = 2\.0") as err:
-            instantiate_stack(kb, ks, (1.0, 2.0))
-        assert err.value.grid_index == 2 * 2 + 1
+    def test_stacked_blocks_mask_ill_posed_points(self, rng):
+        """Blocks stacked over a grid whose points fail the parameter loop,
+        the feedback loop or neither: the mask flags exactly the failing
+        points, each well-posed point's matrices are bit for bit its own, and
+        the one-point functions raise for each ill-posed one."""
+        rhos = (0.5, 1.0, 2.0, 4.0)
+        # d22 = 1 at rho = 1: u = y closes a singular feedback loop
+        plants = []
+        for d22 in (0.2, 1.0, -0.3, 0.4):
+            p = random_partitioned(rng, 3, 1, 1, 1, 1)
+            d = np.array(p.sys.d)
+            d[1, 1] = d22
+            plants.append(PartitionedSystem(StateSpace(p.sys.a, p.sys.b, p.sys.c, d),
+                                            (1, 1), (1, 1)))
+        ks = 0.3 * rng.normal(size=(3, 4, 4))  # n_k = 2, n_delta = 1
+        ks[:, 2, 2] = 0.0  # d_zw
+        ks[0, 2, 2] = 0.5  # block 0's parameter loop is singular at rho = 2
+        ks[1, 2, 3] = ks[1, 3, 2] = 0.0  # block 1: d = d_yu at every rho
+        ks[1, 3, 3] = 1.0  # so d d22 = 1 at rho = 1
+        ks[2, 2, 2] = 0.25  # block 2: singular at rho = 4, and d_yu = 1 ...
+        ks[2, 2, 3] = ks[2, 3, 2] = 0.0
+        ks[2, 3, 3] = 1.0  # ... fails the feedback loop at rho = 1 too
+        kb = ControllerBlock(2, 1, 1, 1, ks[0], np.ones((4, 4), dtype=np.int8))
+        grid = stack_plants(plants)
+        ctrl, closed, well_posed = close_grid(grid, kb, rhos, ks)
+        assert well_posed.tolist() == [
+            [True, True, False, True],
+            [True, False, True, True],
+            [True, False, True, False],
+        ]
+        for b in range(3):
+            block = kb.with_k(ks[b])
+            for j, (rho, plant) in enumerate(zip(rhos, plants)):
+                if not well_posed[b, j]:
+                    parametric = rho * ks[b, 2, 2] == 1.0
+                    with pytest.raises(IllPosedLFTError,
+                                       match="parametric" if parametric else "feedback"):
+                        lower_lft_ss(plant, eval_controller(block, rho))
+                    continue
+                one = eval_controller_matrices(block, rho)
+                one_closed = lower_lft_ss(plant, one)
+                for m in "abcd":
+                    assert same_bits(getattr(ctrl, m)[b, j], getattr(one, m))
+                    assert same_bits(getattr(closed, m)[b, j], getattr(one_closed, m))
 
     def test_stack_rejects_mixed_state_orders(self, rng):
         plants = [random_partitioned(rng, n, 1, 1, 1, 1) for n in (2, 3)]

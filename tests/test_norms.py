@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lfsynth.cli import Scenario, parse_config
 from lfsynth.errors import DomainError, NumericalError, UnstableError
 from lfsynth.lft import eval_controller, load_controller, lower_lft_ss
-from lfsynth import norms
+from lfsynth import norms, statespace
 from lfsynth.norms import _hinf_norms, default_frequency_grid, h2_norm, hinf_norm
 from lfsynth.statespace import (
     FrequencyKernel,
@@ -224,13 +224,13 @@ class TestStackedNorms:
         kernel = FrequencyKernel(stack)
         grid = np.sort(rng.uniform(0.0, 10.0, (len(kinds), 50)), axis=1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(norms, "SCAN_BLOCK_BYTES", 2**40)
+            mp.setattr(statespace, "SCAN_BLOCK_BYTES", 2**40)
             whole = norms._best_samples(kernel, grid)
             try:
                 one = _hinf_norms(stack, 1e-6)
             except NumericalError:
                 one = None
-            mp.setattr(norms, "SCAN_BLOCK_BYTES", budget)
+            mp.setattr(statespace, "SCAN_BLOCK_BYTES", budget)
             blocks = norms._best_samples(kernel, grid)
             if one is None:
                 with pytest.raises(NumericalError):

@@ -1106,14 +1106,18 @@ class TestClosedLoops:
         value, info, grad = ev.penalized(kb, 0.01, gradient=True)
         assert value == np.inf and not info.well_posed
         assert np.array_equal(grad, np.zeros(grad.size))
+        loops = synth._closed_loops(prob, kb)
+        assert loops.well_posed.tolist() == [True] * (prob.m - 1) + [False]
+        assert loops.abscissa[-1] == np.inf
         with pytest.raises(IllPosedLFTError) as err:
             synth._certify(prob, kb, 1e-6, 1e6)
         assert err.value.grid_index == prob.m - 1
         assert objective(prob, stabilize(prob, kb)).stable
 
     def test_first_ill_posed_point_is_reported(self):
-        """Point 0 fails the feedback loop and point 1 the parameter loop;
-        the error names point 0, as a point-by-point pass would."""
+        """Point 0 fails the feedback loop and point 1 the parameter loop:
+        the mask flags both, and the certificate's error names point 0, as a
+        point-by-point pass would."""
 
         def plant(d22):
             return PartitionedSystem(
@@ -1130,29 +1134,30 @@ class TestClosedLoops:
         # d_zw = 0.5: parameter loop singular at rho = 2; d_yu = 1 closes
         # u = y against d22 = 1 at rho = 1
         kb = ControllerBlock(0, 1, 1, 1, [[0.5, 0.0], [0.0, 1.0]], build_mask(st, 1, 1))
-        for check in (lambda: synth._closed_loops(prob, kb),
-                      lambda: synth._certify(prob, kb, 1e-6, 1e6)):
-            with pytest.raises(IllPosedLFTError, match="feedback") as err:
-                check()
-            assert err.value.grid_index == 0
+        assert synth._closed_loops(prob, kb).well_posed.tolist() == [False, False]
+        with pytest.raises(IllPosedLFTError, match="feedback") as err:
+            synth._certify(prob, kb, 1e-6, 1e6)
+        assert err.value.grid_index == 0
         # without the feedback failure the parameter loop at point 1 is named
         prob = SynthesisProblem(
             (plant(0.0), plant(0.0)), (1.0, 2.0), static_gain([[0.0]]), st
         )
-        with pytest.raises(IllPosedLFTError, match="parametric") as err:
-            synth._closed_loops(prob, kb)
+        assert synth._closed_loops(prob, kb).well_posed.tolist() == [True, False]
+        with pytest.raises(IllPosedLFTError, match=r"parametric controller at rho = 2\.0") as err:
+            objective(prob, kb)
         assert err.value.grid_index == 1
 
 
 def softened_abscissa(problem, kb):
     """Stabilization's value over the free entries of ``kb``, one
-    _closed_loops pass per block: infinite where the block is ill posed."""
+    _closed_loops pass per block: infinite where the mask flags a point of
+    the block ill posed."""
 
     def fun(theta):
-        try:
-            absc = synth._closed_loops(problem, kb.with_free_values(theta)).abscissa
-        except IllPosedLFTError:
+        loops = synth._closed_loops(problem, kb.with_free_values(theta))
+        if not loops.well_posed.all():
             return np.inf
+        absc = loops.abscissa
         return synth._soft_max(absc, 1e-2 * (1.0 + abs(float(absc.max()))))[0]
 
     return fun
@@ -1188,6 +1193,27 @@ def ill_posed_probe_block():
     return prob, kb, 5  # row 1, column 1 of an all-free 4 x 4 block
 
 
+def spy_passes(monkeypatch):
+    """Record every _closed_loops pass, as the free-value stack's shape or,
+    for one block, the block's bytes, and each gradient's passes."""
+    passes, gradients = [], []
+    real_loops, real_gradient = synth._closed_loops, synth._abscissa_gradient
+
+    def spy(problem, block, free=None):
+        passes.append(block.k.tobytes() if free is None else free.shape)
+        return real_loops(problem, block, free)
+
+    def gradient(*args):
+        before = len(passes)
+        g = real_gradient(*args)
+        gradients.append(passes[before:])
+        return g
+
+    monkeypatch.setattr(synth, "_closed_loops", spy)
+    monkeypatch.setattr(synth, "_abscissa_gradient", gradient)
+    return passes, gradients
+
+
 class TestStabilizationGradient:
     """Stabilization's gradient, one stacked pass over all probe blocks,
     against central differences one probe block at a time."""
@@ -1216,8 +1242,11 @@ class TestStabilizationGradient:
         assert kb.n_delta > 0 and absc.max() > 0.0 and np.unique(absc).size == prob.m
         self.assert_matches_oracle(prob, kb)
 
-    def test_ill_posed_probe(self):
+    def test_ill_posed_probe(self, monkeypatch):
+        """An ill-posed probe scores infinite within the gradient's one
+        stacked pass."""
         prob, kb, i = ill_posed_probe_block()
+        _, gradients = spy_passes(monkeypatch)
         theta = kb.free_values()
         fun = softened_abscissa(prob, kb)
         up, dn = theta.copy(), theta.copy()
@@ -1226,28 +1255,13 @@ class TestStabilizationGradient:
         assert fun(up) == np.inf and np.isfinite(fun(dn)) and np.isfinite(fun(theta))
         grad = self.assert_matches_oracle(prob, kb)
         assert np.isfinite(grad).all()
+        assert gradients == [[(2 * theta.size, theta.size)]]
 
     def test_one_stacked_pass_per_gradient(self, monkeypatch):
         """Each gradient is one stacked pass over its 2n probe blocks, and
         no single block is closed twice in a row."""
         prob, kb = nominal_zero_block("building")
-        passes = []  # free-value stack shape, or the block's bytes for one block
-        real_loops, real_gradient = synth._closed_loops, synth._abscissa_gradient
-
-        def spy(problem, block, free=None):
-            passes.append(block.k.tobytes() if free is None else free.shape)
-            return real_loops(problem, block, free)
-
-        gradients = []
-
-        def gradient(*args):
-            before = len(passes)
-            g = real_gradient(*args)
-            gradients.append(passes[before:])
-            return g
-
-        monkeypatch.setattr(synth, "_closed_loops", spy)
-        monkeypatch.setattr(synth, "_abscissa_gradient", gradient)
+        passes, gradients = spy_passes(monkeypatch)
         stabilize(prob, kb)
         n = kb.free_values().size
         assert gradients and all(g == [(2 * n, n)] for g in gradients)
