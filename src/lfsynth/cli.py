@@ -158,16 +158,18 @@ def parse_config(path):
         raise ConfigError(f"{path}: key 'scenario' must be one of {SCENARIOS}")
     if not cfg.grid:
         raise ConfigError(f"{path}: key 'grid' is required and must be nonempty")
+    if not np.isfinite(cfg.grid).all():
+        raise ConfigError(f"{path}: key 'grid' must hold finite values")
     if cfg.sweep_metric not in METRICS:
         raise ConfigError(f"{path}: key 'sweep.metric' must be one of {METRICS}")
     if np.isnan(cfg.sweep_rho_min):
         cfg.sweep_rho_min = min(cfg.grid)
     if np.isnan(cfg.sweep_rho_max):
         cfg.sweep_rho_max = max(cfg.grid)
-    if cfg.sweep_rho_min > min(cfg.grid) or cfg.sweep_rho_max < max(cfg.grid):
+    lo, hi = cfg.sweep_rho_min, cfg.sweep_rho_max
+    if not (-np.inf < lo <= min(cfg.grid) and max(cfg.grid) <= hi < np.inf):
         raise ConfigError(
-            f"{path}: sweep bounds [{cfg.sweep_rho_min}, {cfg.sweep_rho_max}] "
-            "must cover the grid range"
+            f"{path}: sweep bounds [{lo}, {hi}] must be finite and cover the grid range"
         )
     if cfg.sweep_n_points < 1:
         raise ConfigError(f"{path}: key 'sweep.n_points' must be positive")
@@ -478,6 +480,8 @@ def main(argv=None):
                 rhos = [float(tok) for tok in args.rho.split(",") if tok.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --rho value: {exc}") from None
+            if not rhos or not np.isfinite(rhos).all():
+                raise ConfigError(f"--rho must list finite values, got {args.rho!r}")
             return cmd_bode(args.controller, args.config, rhos, args.out)
         if args.command == "model":
             return cmd_model_gen(args.scenario, args.out, args.config, args.rho)

@@ -33,11 +33,10 @@ per evaluated block at a tighter condition limit, which the gradient
 reuses.  Each block takes one forward pass and one gradient pass, both
 stacked over the grid: every grid point's row holds the fixed frequency
 grid followed by that point's few needle samples.
-The singular pairs of vector channels come in closed form.  Iterates that
-destabilize any channel are scored with a large abscissa-proportional
-penalty instead of an infinite value, which keeps a useful descent signal
-near the stability boundary; accepted iterates are always strictly
-stabilizing.
+The singular pairs of vector channels come in closed form.  A block that
+is ill posed or unstable at some grid point, or whose surrogate solve fails,
+scores infinite, so the line search rejects it, as in nonsmooth H-infinity
+synthesis: accepted iterates are always strictly stabilizing.
 """
 
 import time
@@ -249,9 +248,9 @@ _Cert = namedtuple(
 )
 
 
-def _certify(problem, kb, rel_tol, gamma_big):
-    """Certified channel norms of every grid point, or the abscissa penalty
-    ``gamma_big * (1 + abscissa)`` of an unstable one.
+def _certify(problem, kb, rel_tol):
+    """Certified channel norms of every grid point, or the finite penalty
+    ``1e6 * (1 + abscissa)`` of an unstable one, which objective documents.
 
     One stacked level-set pass (norms._hinf_norms) certifies the closed
     loops of every stable point and a second one their weighted
@@ -273,7 +272,7 @@ def _certify(problem, kb, rel_tol, gamma_big):
     )
     perf_stable, peaks_p = _hinf_norms(closed, rel_tol)
     wk_stable, peaks_w = _hinf_norms(series_matrices(ctrl, weight), rel_tol)
-    per_point = gamma_big * (1.0 + loops.abscissa)
+    per_point = 1e6 * (1.0 + loops.abscissa)
     per_point[stable] = np.maximum(perf_stable, wk_stable)
     perf, wk = np.full(problem.m, np.nan), np.full(problem.m, np.nan)
     perf[stable], wk[stable] = perf_stable, wk_stable
@@ -294,7 +293,7 @@ def objective(problem, kb, rel_tol=1e-4):
     penalty ``1e6 * (1 + abscissa)`` instead of infinity.  An ill-posed grid
     point raises IllPosedLFTError (see _certify).
     """
-    cert = _certify(problem, kb, rel_tol, 1e6)
+    cert = _certify(problem, kb, rel_tol)
     return ObjectiveEval(cert.gamma, cert.per_point, cert.stable)
 
 
@@ -479,7 +478,7 @@ def _in_gain_order(rows, n_grid, counts):
 
 _EvalInfo = namedtuple(
     "_EvalInfo",
-    ["well_posed", "stable", "max_abscissa", "sigmas", "grid_max", "dsigmas"],
+    ["stable", "max_abscissa", "sigmas", "grid_max", "dsigmas"],
 )
 
 
@@ -492,9 +491,8 @@ class _FastEvaluator:
     a pole of a plant or weight raises SingularMatrixError.
     """
 
-    def __init__(self, problem, freqs, gamma_big=1e6):
+    def __init__(self, problem, freqs):
         self.problem = problem
-        self.gamma_big = gamma_big
         self._kernels = (
             FrequencyKernel(problem.stacked.sys), FrequencyKernel(problem.weights)
         )
@@ -547,7 +545,7 @@ class _FastEvaluator:
         try:
             factors = _gain_factors(fwd, instantiation_factors(kb, self.problem.grid))
         except np.linalg.LinAlgError:
-            return _EvalInfo(False, False, info.max_abscissa, None, None, None)
+            return _EvalInfo(False, info.max_abscissa, None, None, None)
         dsigmas = tuple(_in_gain_order(f, self.freqs.size, counts) for f in factors)
         info = info._replace(dsigmas=dsigmas)
         self._memo = (key, info, passes)
@@ -564,11 +562,9 @@ class _FastEvaluator:
         fixed grid alone, whose responses are cached.  The controllers are
         factored once into a FrequencyKernel, which the gradient reuses."""
         loops = _closed_loops(self.problem, kb)
-        if not loops.well_posed.all():
-            return _EvalInfo(False, False, np.inf, None, None, None), ()
-        worst = float(loops.abscissa.max())
+        worst = float(loops.abscissa.max())  # inf at an ill-posed point
         if worst >= 0.0:
-            return _EvalInfo(True, False, worst, None, None, None), ()
+            return _EvalInfo(False, worst, None, None, None), ()
         needles = []
         for poles in loops.poles:
             damped = np.abs(poles.real) <= 0.05 * np.abs(poles)
@@ -597,28 +593,26 @@ class _FastEvaluator:
                 FrequencyKernel(loops.ctrl, RESOLVENT_COND_LIMIT), freqs, blocks, wk_resp
             )
         except np.linalg.LinAlgError:
-            return _EvalInfo(False, False, worst, None, None, None), ()
+            return _EvalInfo(False, worst, None, None, None), ()
         v = _in_gain_order(gains, self.freqs.size, counts)
-        return _EvalInfo(True, True, worst, v, float(v.max()), None), (fwd, counts)
+        return _EvalInfo(True, worst, v, float(v.max()), None), (fwd, counts)
 
     def penalized(self, kb, tau_rel, gradient=False):
-        """Soft-max of the gains at relative width ``tau_rel``, or the
-        abscissa penalty of an unstable block; returns (value, info, grad).
+        """Soft-max of the gains at relative width ``tau_rel``, or inf at an
+        infeasible block; returns (value, info, grad).
 
         With ``gradient``, ``grad`` is the value's gradient over the free
         entries of ``kb``.  The width ``tau = tau_rel grid_max`` moves with
         the largest gain, so the gradient is ``sum_i p_i grad sigma_i +
         tau_rel (value - p . sigma) / tau grad sigma_max`` with the soft-max
-        weights ``p``.  It is zero at unstable or ill-posed blocks, which ends
-        a descent there; the descent starts from a stabilizing block and
-        accepts no step to an unstable one.
+        weights ``p``.  A block is infeasible when a point is ill posed or
+        unstable or its forward or gradient pass fails to solve; there the
+        gradient is zero.  No descent starts or accepts a step there.
         """
         info = self.evaluate(kb, gradient)
         grad = np.zeros(count_free_params(kb)) if gradient else None
-        if not info.well_posed:
-            return np.inf, info, grad
         if not info.stable:
-            return self.gamma_big * (1.0 + info.max_abscissa), info, grad
+            return np.inf, info, grad
         sig = info.sigmas
         tau = tau_rel * max(abs(info.grid_max), 1e-12)
         value, p = _soft_max(sig, tau)
@@ -902,9 +896,7 @@ def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
             converged = conv
         if rnd == opts.refine_rounds and not later_starts:
             break  # no descent uses a richer grid
-        cert = _certify(
-            problem, kb_template.with_free_values(theta), 1e-4, evaluator.gamma_big
-        )
+        cert = _certify(problem, kb_template.with_free_values(theta), 1e-4)
         info = evaluator.evaluate(kb_template.with_free_values(theta))
         grid_max = info.grid_max if info.stable else np.inf
         if not cert.stable or cert.gamma <= grid_max * 1.02:
@@ -913,12 +905,7 @@ def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
             break
         if iters_left <= 0:
             break
-    final = _certify(
-        problem,
-        kb_template.with_free_values(theta),
-        opts.certify_rel_tol,
-        evaluator.gamma_big,
-    )
+    final = _certify(problem, kb_template.with_free_values(theta), opts.certify_rel_tol)
     return theta, final, trace, converged
 
 
@@ -968,9 +955,8 @@ def optimize(problem, kb_init, options=None):
     every accepted iterate strictly stabilizing, and returns the best
     certified candidate; the initial block itself competes, so the reported
     objective never exceeds the initial one.  The initial block is certified
-    once, at ``certify_rel_tol``; that certificate also sets the penalty
-    scale of unstable iterates.  Each descent adds the certificates that
-    _descend makes.
+    once, at ``certify_rel_tol``, and each descent adds the certificates
+    that _descend makes.
     """
     opts = options or OptimizeOptions()
     expected = (
@@ -995,13 +981,10 @@ def optimize(problem, kb_init, options=None):
     except StabilizationFailedError:
         return failed(kb_init)
 
-    init_cert = _certify(problem, kb0, opts.certify_rel_tol, 1e6)
-    # Unstable iterates score gamma_big * (1 + abscissa), which no line
-    # search accepts; gamma_big only has to dwarf the stable values.
-    gamma_big = 1e6 * max(init_cert.gamma if init_cert.stable else 1.0, 1.0)
+    init_cert = _certify(problem, kb0, opts.certify_rel_tol)
     theta_init = kb0.free_values()
 
-    evaluator = _FastEvaluator(problem, surrogate_grid(problem), gamma_big)
+    evaluator = _FastEvaluator(problem, surrogate_grid(problem))
 
     candidates = []
     init_trace = (

@@ -14,6 +14,9 @@ from lfsynth.models import load_statespace, save_statespace
 from lfsynth.norms import h2_norm, hinf_norm
 from lfsynth.statespace import FrequencyKernel, StateSpace
 
+# the committed benchmark problems and their controllers
+BUNDLED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
 
 def write_custom_plants(tmp_path, poles):
     """Tiny custom-scenario generalized plants: x' = p x + w + u, z = y = x."""
@@ -165,6 +168,22 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         # an escaping exception would fail the call itself, so no traceback
         assert err.startswith("config error: cannot read config") and str(cfg) in err
+
+    # appended to the bundled building config, whose last line for a key wins;
+    # a NaN grid value escapes the grid-range check, infinite bounds reach lft
+    @pytest.mark.parametrize("line", [
+        "grid = 0.5, 0.75, 1.0, 1.25, nan", "sweep.rho_max = inf", "sweep.rho_min = -inf",
+    ])
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text((BUNDLED / "building.cfg").read_text() + line + "\n")
+        out = tmp_path / "sweep.csv"
+        code = main(["eval", "--controller", str(BUNDLED / "building_controller.txt"),
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not out.exists()
 
     def test_config_file_is_closed(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
@@ -421,9 +440,6 @@ class TestEvalCommand:
         assert np.array_equal([float(r[1]) for r in rows], expected)
 
 
-BUNDLED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
-
-
 class TestStackedAgainstOnePoint:
     """The stacked eval and bode passes against one closed loop at a time,
     bit for bit (17 significant digits give every double back exactly)."""
@@ -511,6 +527,17 @@ class TestBodeCommand:
                      "--rho", "0.5,abc", "--out", str(out)])
         assert code == 1
         assert "--rho" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho", ["nan", "inf", "", ","])
+    def test_empty_or_non_finite_rho_exits_1(self, tmp_path, capsys, rho):
+        out = tmp_path / "bode.csv"
+        code = main(["bode", "--controller", str(BUNDLED / "building_controller.txt"),
+                     "--config", str(BUNDLED / "building.cfg"), "--rho", rho,
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "--rho" in err[0]
         assert not out.exists()
 
 

@@ -377,6 +377,35 @@ class TestBfgs:
         # s'y is about |s|^2, and its square underflows once |s| < 1e-81
         assert min(steps) < 1e-81
 
+    def test_infeasible_trials_are_rejected(self):
+        # fun is inf outside a ball around the minimum, as the surrogate is at
+        # an infeasible block: the line search halves every step that leaves
+        # the ball, bit for bit as if those trials scored a huge finite value
+        fun, grad = self.quadratic()
+        radius = 1.8  # |X0| = sqrt(3); the first full step lands at |x| > 15
+
+        def run(outside):
+            trials, accepted = [], []
+
+            def bounded(x):
+                trials.append(x.copy())
+                return fun(x) if np.linalg.norm(x) <= radius else outside
+
+            out = synth._bfgs(
+                bounded, grad, self.X0, fun(self.X0), 100, 1e-9,
+                on_accept=lambda th, value, step: accepted.append(th.copy()),
+            )
+            return out, trials, accepted
+
+        (theta, fval, accepted, converged), trials, points = run(np.inf)
+        assert any(np.linalg.norm(x) > radius for x in trials)
+        assert points and all(np.linalg.norm(x) <= radius for x in points)
+        assert np.array_equal(points[-1], theta) and fval == fun(theta) < fun(self.X0)
+        (theta_f, fval_f, accepted_f, converged_f), trials_f, points_f = run(1e300)
+        assert np.array_equal(theta, theta_f)
+        assert (fval, accepted, converged) == (fval_f, accepted_f, converged_f)
+        assert np.array_equal(trials, trials_f) and np.array_equal(points, points_f)
+
 
 class TestOptimize:
     def opts(self, **kw):
@@ -556,7 +585,7 @@ def gradient_point(seed, structure, n_w, n_u, n_z, n_y, a_k=None, freeze_a_k=Tru
     unit = evaluator(1.0)
     if not unit.evaluate(kb).stable:
         return None
-    cert = synth._certify(unit.problem, kb, 1e-6, 1e6)
+    cert = synth._certify(unit.problem, kb, 1e-6)
     ev = evaluator(0.9 * max(cert.perf) / max(cert.wk))
     theta = kb.free_values()
     count = ev.evaluate(kb).sigmas.size
@@ -786,7 +815,7 @@ class TestSinglePass:
             assert (max(counts) > 0) == (name == "beam")
 
 
-def certify_per_point(problem, kb, rel_tol, gamma_big):
+def certify_per_point(problem, kb, rel_tol):
     """synth._certify one grid point at a time: two hinf_norm calls per
     stable point (the oracle of the stacked certificate)."""
     loops = synth._closed_loops(problem, kb)
@@ -794,7 +823,7 @@ def certify_per_point(problem, kb, rel_tol, gamma_big):
     for j, weight in enumerate(problem.wk_list):
         abscissa = float(loops.abscissa[j])
         if abscissa >= 0.0:
-            per_point.append(gamma_big * (1.0 + abscissa))
+            per_point.append(1e6 * (1.0 + abscissa))
             perf.append(np.nan)
             wk.append(np.nan)
             continue
@@ -828,8 +857,8 @@ class TestStackedCertificate:
         ]
         stable = []
         for kb, rel_tol in zip(blocks, (1e-6, 1e-4, 1e-6, 1e-6)):
-            got = synth._certify(prob, kb, rel_tol, 1e6)
-            ref = certify_per_point(prob, kb, rel_tol, 1e6)
+            got = synth._certify(prob, kb, rel_tol)
+            ref = certify_per_point(prob, kb, rel_tol)
             for field in got._fields:
                 assert np.array_equal(
                     getattr(got, field), getattr(ref, field), equal_nan=True
@@ -853,8 +882,8 @@ class TestStackedCertificate:
              [-0.5, 0.0, 0.0, 0.0],
              [0.0, 0.3, 0.0, -1.0]]
         kb = ControllerBlock(2, 1, 1, 1, k, build_mask(st, 1, 1))
-        got = synth._certify(prob, kb, 1e-6, 1e6)
-        ref = certify_per_point(prob, kb, 1e-6, 1e6)
+        got = synth._certify(prob, kb, 1e-6)
+        ref = certify_per_point(prob, kb, 1e-6)
         assert got == ref
         assert got.wk == (1.0, 1.0) and got.peaks[1] == 1e3 * (1.0 + np.sqrt(0.5))
 
@@ -1028,9 +1057,9 @@ class TestWorkCounts:
         certs, passes = [], []
         real_certify, real_forward = synth._certify, synth._FastEvaluator._forward
 
-        def certify(problem, block, rel_tol, gamma_big):
+        def certify(problem, block, rel_tol):
             certs.append(rel_tol)
-            return real_certify(problem, block, rel_tol, gamma_big)
+            return real_certify(problem, block, rel_tol)
 
         def forward(evaluator, block):
             passes.append(block.k.tobytes())
@@ -1052,9 +1081,9 @@ class TestWorkCounts:
         certs = []
         real_certify = synth._certify
 
-        def certify(problem, block, rel_tol, gamma_big):
+        def certify(problem, block, rel_tol):
             certs.append(rel_tol)
-            return real_certify(problem, block, rel_tol, gamma_big)
+            return real_certify(problem, block, rel_tol)
 
         monkeypatch.setattr(synth, "_certify", certify)
         opts = OptimizeOptions(max_iter=10, restarts=1, refine_rounds=0)
@@ -1074,9 +1103,12 @@ class TestClosedLoops:
         kb = ControllerBlock(1, 0, 1, 1, [[0.5, 1.0], [-3.0, 0.0]], build_mask(st, 1, 1))
         ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
         value, info, _ = ev.penalized(kb, 0.01)
-        cert = synth._certify(prob, kb, 1e-6, 1e6)
+        cert = synth._certify(prob, kb, 1e-6)
         assert not info.stable and not cert.stable
-        assert value == cert.gamma == 1e6 * (1.0 + 0.5)
+        # the descent rejects the block outright; the certificate keeps
+        # objective's documented finite penalty
+        assert value == np.inf
+        assert cert.gamma == objective(prob, kb).value == 1e6 * (1.0 + 0.5)
         loops = synth._closed_loops(prob, kb)
         assert loops.poles[0].real.max() == pytest.approx(-0.25)
         assert loops.abscissa[0] == info.max_abscissa == cert.max_abscissa == 0.5
@@ -1104,13 +1136,13 @@ class TestClosedLoops:
         kb = ControllerBlock(0, st.n_delta, 1, 1, k, build_mask(st, 1, 1))
         ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
         value, info, grad = ev.penalized(kb, 0.01, gradient=True)
-        assert value == np.inf and not info.well_posed
+        assert value == np.inf and not info.stable
         assert np.array_equal(grad, np.zeros(grad.size))
         loops = synth._closed_loops(prob, kb)
         assert loops.well_posed.tolist() == [True] * (prob.m - 1) + [False]
         assert loops.abscissa[-1] == np.inf
         with pytest.raises(IllPosedLFTError) as err:
-            synth._certify(prob, kb, 1e-6, 1e6)
+            synth._certify(prob, kb, 1e-6)
         assert err.value.grid_index == prob.m - 1
         assert objective(prob, stabilize(prob, kb)).stable
 
@@ -1136,7 +1168,7 @@ class TestClosedLoops:
         kb = ControllerBlock(0, 1, 1, 1, [[0.5, 0.0], [0.0, 1.0]], build_mask(st, 1, 1))
         assert synth._closed_loops(prob, kb).well_posed.tolist() == [False, False]
         with pytest.raises(IllPosedLFTError, match="feedback") as err:
-            synth._certify(prob, kb, 1e-6, 1e6)
+            synth._certify(prob, kb, 1e-6)
         assert err.value.grid_index == 0
         # without the feedback failure the parameter loop at point 1 is named
         prob = SynthesisProblem(
