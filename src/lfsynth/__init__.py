@@ -27,7 +27,6 @@ from .lft import (
     load_controller,
     lower_lft_ss,
     save_controller,
-    upper_lft_matrix,
     zero_block,
 )
 from .norms import NormResult, default_frequency_grid, h2_norm, hinf_norm

@@ -5,7 +5,7 @@ Commands
 --------
 * ``synth --config cfg``: run the synthesis, write the controller file, the
   iteration trace CSV and a text summary.  Exit code 0 on convergence, 2 on
-  iteration limit, 3 when stabilization failed.
+  iteration limit, 3 when stabilization failed (and no file is written).
 * ``eval --controller k.txt --config cfg --out sweep.csv``: sweep the frozen
   parameter and report a norm metric per point.
 * ``bode --controller k.txt --config cfg --rho 0.5,1.0 --out bode.csv``:
@@ -116,8 +116,8 @@ class RunConfig:
     opt_seed: int = _key("opt.seed", 0)
     opt_nominal_index: int = _key("opt.nominal_index", -1)  # -1: middle of the grid
     opt_refine_rounds: int = _key("opt.refine_rounds", 2)
-    sweep_rho_min: float = _key("sweep.rho_min", np.nan)
-    sweep_rho_max: float = _key("sweep.rho_max", np.nan)
+    sweep_rho_min: float = _key("sweep.rho_min", None)  # None: the grid's range
+    sweep_rho_max: float = _key("sweep.rho_max", None)
     sweep_n_points: int = _key("sweep.n_points", 21)
     sweep_metric: str = _key("sweep.metric", "hinf")
     beam_n_elements: int = _key("beam.n_elements", 15)
@@ -162,9 +162,9 @@ def parse_config(path):
         raise ConfigError(f"{path}: key 'grid' must hold finite values")
     if cfg.sweep_metric not in METRICS:
         raise ConfigError(f"{path}: key 'sweep.metric' must be one of {METRICS}")
-    if np.isnan(cfg.sweep_rho_min):
+    if cfg.sweep_rho_min is None:
         cfg.sweep_rho_min = min(cfg.grid)
-    if np.isnan(cfg.sweep_rho_max):
+    if cfg.sweep_rho_max is None:
         cfg.sweep_rho_max = max(cfg.grid)
     lo, hi = cfg.sweep_rho_min, cfg.sweep_rho_max
     if not (-np.inf < lo <= min(cfg.grid) and max(cfg.grid) <= hi < np.inf):
@@ -280,7 +280,7 @@ def _write_csv(path, header, rows):
     write_lines(path, [",".join(header)] + [format_row(row, ",") for row in rows])
 
 
-EXIT_BY_STATUS = {"converged": 0, "iteration-limit": 2, "stabilization-failed": 3}
+EXIT_BY_STATUS = {"converged": 0, "iteration-limit": 2}
 
 
 def cmd_synth(config_path):
@@ -289,10 +289,10 @@ def cmd_synth(config_path):
     opts = make_options(cfg)
     try:
         kb0 = init_from_nominal(problem, cfg.opt_nominal_index, opts)
+        result = optimize(problem, kb0, opts)
     except StabilizationFailedError as exc:
         print(f"synth: {exc}", file=sys.stderr)
         return 3
-    result = optimize(problem, kb0, opts)
 
     save_controller(result.controller, cfg.io_controller)
     _write_csv(

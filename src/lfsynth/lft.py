@@ -176,33 +176,6 @@ def _require(ok, what):
         )
 
 
-def upper_lft_matrix(m, delta):
-    """Close the leading block of ``m`` with ``delta``.
-
-    With ``m`` split as [[m11, m12], [m21, m22]] where ``m11`` matches
-    ``delta.T`` in shape, returns ``m22 + m21 delta (I - m11 delta)^-1 m12``.
-    """
-    m = np.asarray(m)
-    delta = np.asarray(delta)
-    if delta.size == 0:
-        q1 = p1 = 0
-    else:
-        q1, p1 = delta.shape
-    if p1 > m.shape[0] or q1 > m.shape[1]:
-        raise DimensionError(
-            f"delta of shape {delta.shape} does not fit a matrix of shape {m.shape}"
-        )
-    m11 = m[:p1, :q1]
-    m12 = m[:p1, q1:]
-    m21 = m[p1:, :q1]
-    m22 = m[p1:, q1:]
-    if p1 == 0:
-        return m22.copy()
-    ok, loop = _well_posed(np.eye(p1) - m11 @ delta)
-    _require(ok, "upper LFT")
-    return m22 + m21 @ (delta @ np.linalg.solve(loop, m12))
-
-
 GridPlant = namedtuple("GridPlant", ["sys", "input_partition", "output_partition"])
 GridPlant.__doc__ = """Partitioned plants of one grid, their matrices stacked
 over a leading axis in ``sys`` (a Realization); see stack_plants."""

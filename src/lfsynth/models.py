@@ -141,23 +141,6 @@ def timoshenko_beam(spec):
     return StateSpace(a, b, c, np.zeros((1, 1)))
 
 
-def beam_natural_frequencies(spec, count=None):
-    """Undamped natural frequencies (rad/s), ascending."""
-    mg, _, kg, _, _ = beam_matrices(spec)
-    lam = np.linalg.eigvals(np.linalg.solve(mg, kg))
-    freqs = np.sort(np.sqrt(np.abs(lam.real)))
-    return freqs if count is None else freqs[:count]
-
-
-def static_tip_compliance(spec):
-    """Closed-form tip deflection per unit tip force of the shear-deformable
-    cantilever: bending plus shear contribution."""
-    e, g = spec.elastic_modulus, spec.shear_modulus
-    return spec.length**3 / (3.0 * e * spec.second_moment) + spec.length / (
-        spec.shear_factor * g * spec.area
-    )
-
-
 def beam_generalized_plant(beam):
     """Partitioned plant [w; u] -> [z; y] with both inputs through the force
     path and z = y = tip deflection.  No feedthrough on any channel."""

@@ -24,8 +24,8 @@ weights must be stable, so this covers both channels).  A point whose
 parameter or feedback loop is ill posed, which lft's mask marks, makes
 certification raise IllPosedLFTError with that grid index and the surrogate
 and stabilization score the block as infinite.  A certificate is two stacked
-level-set passes, one over the stable points' closed loops and one over
-their weighted controllers.
+level-set passes over the whole grid, one over the closed loops and one over
+the weighted controllers; an unstable point scores infinite there too.
 The surrogate takes plant and weight responses from two eigen-factored
 FrequencyKernels stacked over the grid, one for the plants and one for the
 weights, and the controllers' resolvent products from a third one, built
@@ -236,26 +236,26 @@ class SynthesisResult:
     per_point_perf_norms: tuple
     per_point_wk_norms: tuple
     trace: tuple
-    status: str  # converged | iteration-limit | stabilization-failed
+    status: str  # converged | iteration-limit
 
 
 # ---------------------------------------------------------------------------
 # Certified evaluation
 
 
-_Cert = namedtuple(
-    "_Cert", ["gamma", "per_point", "perf", "wk", "peaks", "stable", "max_abscissa"]
-)
+_Cert = namedtuple("_Cert", ["gamma", "per_point", "perf", "wk", "peaks", "max_abscissa"])
 
 
 def _certify(problem, kb, rel_tol):
-    """Certified channel norms of every grid point, or the finite penalty
-    ``1e6 * (1 + abscissa)`` of an unstable one, which objective documents.
+    """Certified channel norms of every grid point, ``inf`` at an unstable one.
 
     One stacked level-set pass (norms._hinf_norms) certifies the closed
-    loops of every stable point and a second one their weighted
-    controllers, which series_matrices builds over the grid axis.  The
-    first ill-posed grid point raises IllPosedLFTError as ``grid_index``.
+    loops of the whole grid and a second one their weighted controllers,
+    which series_matrices builds over the grid axis.  A point that
+    _closed_loops calls unstable scores ``inf``; its channels keep what
+    _hinf_norms gives them (``inf`` for an unstable channel, with a NaN
+    peak).  The first ill-posed grid point raises IllPosedLFTError as
+    ``grid_index``.
     """
     loops = _closed_loops(problem, kb)
     if not loops.well_posed.all():
@@ -265,36 +265,26 @@ def _certify(problem, kb, rel_tol):
         except IllPosedLFTError as exc:
             exc.grid_index = j
             raise
-    stable = loops.abscissa < 0.0
-    closed, ctrl, weight = (
-        Realization(*(m[stable] for m in r))
-        for r in (loops.closed, loops.ctrl, problem.weights)
-    )
-    perf_stable, peaks_p = _hinf_norms(closed, rel_tol)
-    wk_stable, peaks_w = _hinf_norms(series_matrices(ctrl, weight), rel_tol)
-    per_point = 1e6 * (1.0 + loops.abscissa)
-    per_point[stable] = np.maximum(perf_stable, wk_stable)
-    perf, wk = np.full(problem.m, np.nan), np.full(problem.m, np.nan)
-    perf[stable], wk[stable] = perf_stable, wk_stable
-    worst = float(loops.abscissa.max())
+    perf, peaks_p = _hinf_norms(loops.closed, rel_tol)
+    wk, peaks_w = _hinf_norms(series_matrices(loops.ctrl, problem.weights), rel_tol)
+    per_point = np.where(loops.abscissa < 0.0, np.maximum(perf, wk), np.inf)
     return _Cert(
         float(per_point.max()), tuple(per_point.tolist()), tuple(perf.tolist()),
         tuple(wk.tolist()), tuple(np.column_stack([peaks_p, peaks_w]).ravel().tolist()),
-        worst < 0.0, worst,
+        float(loops.abscissa.max()),
     )
 
 
 def objective(problem, kb, rel_tol=1e-4):
     """Certified synthesis objective at one controller block.
 
-    Returns (value, per_point, stable).  When every channel is stable, the
-    value is the max over grid points of the larger of the closed-loop and
-    weighted-controller norms.  Unstable channels are scored with the finite
-    penalty ``1e6 * (1 + abscissa)`` instead of infinity.  An ill-posed grid
-    point raises IllPosedLFTError (see _certify).
+    Returns (value, per_point, stable).  The value is the max over grid
+    points of the larger of the closed-loop and weighted-controller norms,
+    ``inf`` when a channel is unstable, as in nonsmooth H-infinity synthesis.
+    An ill-posed grid point raises IllPosedLFTError (see _certify).
     """
     cert = _certify(problem, kb, rel_tol)
-    return ObjectiveEval(cert.gamma, cert.per_point, cert.stable)
+    return ObjectiveEval(cert.gamma, cert.per_point, cert.max_abscissa < 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +889,7 @@ def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
         cert = _certify(problem, kb_template.with_free_values(theta), 1e-4)
         info = evaluator.evaluate(kb_template.with_free_values(theta))
         grid_max = info.grid_max if info.stable else np.inf
-        if not cert.stable or cert.gamma <= grid_max * 1.02:
+        if cert.gamma <= grid_max * 1.02:
             break
         if not evaluator.add_frequencies(cert.peaks):
             break
@@ -916,6 +906,7 @@ def init_from_nominal(problem, nominal_index, options=None):
     with the parameter channel removed, then embeds the result: the nominal
     a_k, b_u, c_y, d_yu blocks are copied and every parameter-coupled block is
     zero, so the initial parametric controller is constant in the parameter.
+    Raises StabilizationFailedError when the nominal loop cannot be stabilized.
     """
     if not 0 <= nominal_index < problem.m:
         raise DomainError(f"nominal index {nominal_index} outside grid")
@@ -931,10 +922,6 @@ def init_from_nominal(problem, nominal_index, options=None):
         build_mask(reduced_structure, problem.n_u, problem.n_y),
     )
     result = optimize(reduced, kb0, options)
-    if result.status == "stabilization-failed":
-        raise StabilizationFailedError(
-            f"nominal synthesis at grid index {nominal_index} failed to stabilize"
-        )
     nk, nd = problem.structure.n_k, problem.structure.n_delta
     mask = build_mask(problem.structure, problem.n_u, problem.n_y)
     kb = zero_block(nk, nd, problem.n_u, problem.n_y, mask)
@@ -950,7 +937,8 @@ def init_from_nominal(problem, nominal_index, options=None):
 def optimize(problem, kb_init, options=None):
     """Minimize the worst-case objective over the free entries of ``kb_init``.
 
-    The initial block is stabilized first when needed.  Runs ``restarts``
+    The initial block is stabilized first when needed; stabilize's
+    StabilizationFailedError propagates when it cannot be.  Runs ``restarts``
     descent passes (the nominal start plus randomly perturbed copies), keeps
     every accepted iterate strictly stabilizing, and returns the best
     certified candidate; the initial block itself competes, so the reported
@@ -968,19 +956,7 @@ def optimize(problem, kb_init, options=None):
             f"controller block shape {kb_init.k.shape} does not match problem {expected}"
         )
     t_start = time.perf_counter()
-
-    def failed(kb):
-        m = problem.m
-        return SynthesisResult(
-            kb, np.inf, (np.inf,) * m, (np.inf,) * m, (np.inf,) * m, (),
-            "stabilization-failed",
-        )
-
-    try:
-        kb0 = stabilize(problem, kb_init, seed=opts.seed)
-    except StabilizationFailedError:
-        return failed(kb_init)
-
+    kb0 = stabilize(problem, kb_init, seed=opts.seed)
     init_cert = _certify(problem, kb0, opts.certify_rel_tol)
     theta_init = kb0.free_values()
 
@@ -1011,8 +987,6 @@ def optimize(problem, kb_init, options=None):
                 evaluator, kb0, kb_start.free_values(), opts, t_start,
                 later_starts=i + 1 < len(starts),
             )
-            if not cert.stable:
-                continue
             candidates.append(
                 (cert.gamma, float(np.linalg.norm(theta)), theta, cert, tuple(trace),
                  conv)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lfsynth import ControllerBlock, PartitionedSystem, StateSpace
+from lfsynth.errors import DimensionError
+from lfsynth.lft import _require, _well_posed
 from lfsynth.statespace import static_gain
 
 
@@ -73,6 +75,34 @@ def random_block(rng, n_k, n_delta, n_u, n_y, scale=0.5, well_posed_for=None):
             k[n_k : n_k + n_delta, n_k : n_k + n_delta] *= 0.8 / (rho_max * dzw_norm)
             kb = kb.with_k(k)
     return kb
+
+
+def upper_lft_matrix(m, delta):
+    """Close the leading block of ``m`` with ``delta``: the matrix upper LFT,
+    the independent oracle of the controller instantiation.
+
+    With ``m`` split as [[m11, m12], [m21, m22]] where ``m11`` matches
+    ``delta.T`` in shape, returns ``m22 + m21 delta (I - m11 delta)^-1 m12``.
+    """
+    m = np.asarray(m)
+    delta = np.asarray(delta)
+    if delta.size == 0:
+        q1 = p1 = 0
+    else:
+        q1, p1 = delta.shape
+    if p1 > m.shape[0] or q1 > m.shape[1]:
+        raise DimensionError(
+            f"delta of shape {delta.shape} does not fit a matrix of shape {m.shape}"
+        )
+    m11 = m[:p1, :q1]
+    m12 = m[:p1, q1:]
+    m21 = m[p1:, :q1]
+    m22 = m[p1:, q1:]
+    if p1 == 0:
+        return m22.copy()
+    ok, loop = _well_posed(np.eye(p1) - m11 @ delta)
+    _require(ok, "upper LFT")
+    return m22 + m21 @ (delta @ np.linalg.solve(loop, m12))
 
 
 @pytest.fixture

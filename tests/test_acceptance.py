@@ -22,7 +22,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import lfsynth as lf
-from lfsynth.lft import eval_controller, lower_lft_ss, upper_lft_matrix
+from lfsynth.lft import eval_controller, lower_lft_ss
 from lfsynth.models import (
     BeamSpec,
     WeightSpec,
@@ -43,7 +43,7 @@ from lfsynth.synth import (
     optimize,
 )
 
-from conftest import random_block, random_stable_ss
+from conftest import random_block, random_stable_ss, upper_lft_matrix
 
 
 def report(num, name, ok, detail=""):

@@ -170,9 +170,11 @@ class TestConfigParsing:
         assert err.startswith("config error: cannot read config") and str(cfg) in err
 
     # appended to the bundled building config, whose last line for a key wins;
-    # a NaN grid value escapes the grid-range check, infinite bounds reach lft
+    # a NaN grid value escapes the grid-range check, infinite bounds reach lft,
+    # and a NaN bound is a value, not the unset default
     @pytest.mark.parametrize("line", [
         "grid = 0.5, 0.75, 1.0, 1.25, nan", "sweep.rho_max = inf", "sweep.rho_min = -inf",
+        "sweep.rho_min = nan", "sweep.rho_max = nan",
     ])
     def test_non_finite_value_exits_1(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -217,6 +219,31 @@ class TestSynthCommand:
         assert trace[0] == "iter,objective,max_abscissa,step_norm,wall_ms"
         objs = [float(row.split(",")[1]) for row in trace[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+
+
+    def test_stabilization_failure_writes_no_files(self, tmp_path, capsys):
+        # the nominal plant is stable, but the second one has a pole at +1
+        # that u does not reach: the full grid cannot be stabilized
+        stable = write_custom_plants(tmp_path, [-1.0])[0]
+        unreachable = tmp_path / "unreachable.ss"
+        save_statespace(
+            StateSpace([[1.0]], [[1.0, 0.0]], [[1.0], [1.0]], np.zeros((2, 2))),
+            str(unreachable),
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "scenario = custom\ngrid = 1.0, 2.0\n"
+            f"custom.plants = {stable}, {unreachable}\n"
+            "n_k = 0\nn_delta = 0\nopt.nominal_index = 0\nwk.kind = static\n"
+            f"io.controller = {tmp_path}/controller.txt\n"
+            f"io.trace = {tmp_path}/trace.csv\n"
+            f"io.summary = {tmp_path}/summary.txt\n"
+        )
+        assert main(["synth", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("synth: ")
+        for name in ("controller.txt", "trace.csv", "summary.txt"):
+            assert not (tmp_path / name).exists(), name
 
 
 class TestEvalCommand:

@@ -20,12 +20,11 @@ from lfsynth.lft import (
     lower_lft_ss,
     save_controller,
     stack_plants,
-    upper_lft_matrix,
     zero_block,
 )
 from lfsynth.statespace import PartitionedSystem, StateSpace, frequency_gain, static_gain
 
-from conftest import random_block, random_partitioned, random_stable_ss
+from conftest import random_block, random_partitioned, random_stable_ss, upper_lft_matrix
 
 
 def lower_lft_matrix(m, k, n_u, n_y):

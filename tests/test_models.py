@@ -7,19 +7,34 @@ from lfsynth.models import (
     WeightSpec,
     beam_generalized_plant,
     beam_matrices,
-    beam_natural_frequencies,
     building_surrogate,
     lah_generalized_plant,
     load_statespace,
     make_weight,
     save_statespace,
-    static_tip_compliance,
     timoshenko_beam,
 )
 from lfsynth.norms import hinf_norm
 from lfsynth.statespace import frequency_gain, spectral_abscissa, subsystem
 
 from conftest import random_stable_ss
+
+
+def beam_natural_frequencies(spec, count=None):
+    """Undamped natural frequencies (rad/s), ascending."""
+    mg, _, kg, _, _ = beam_matrices(spec)
+    lam = np.linalg.eigvals(np.linalg.solve(mg, kg))
+    freqs = np.sort(np.sqrt(np.abs(lam.real)))
+    return freqs if count is None else freqs[:count]
+
+
+def static_tip_compliance(spec):
+    """Closed-form tip deflection per unit tip force of the shear-deformable
+    cantilever: bending plus shear contribution."""
+    e, g = spec.elastic_modulus, spec.shear_modulus
+    return spec.length**3 / (3.0 * e * spec.second_moment) + spec.length / (
+        spec.shear_factor * g * spec.area
+    )
 
 
 class TestBeam:

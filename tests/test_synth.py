@@ -212,14 +212,13 @@ class TestObjective:
         expected = hinf_norm(subsystem(p, 0, 0), 1e-6).value
         assert objective(prob, kb, 1e-6).value == pytest.approx(expected, rel=1e-5)
 
-    def test_unstable_penalty_finite(self):
+    def test_unstable_scores_inf(self):
         st = StructureOptions(0, 0)
         prob = single_problem(st, plant=scalar_plant(pole=0.5))
         kb = zero_block(0, 0, 1, 1, build_mask(st, 1, 1))
         ev = objective(prob, kb)
         assert not ev.stable
-        assert np.isfinite(ev.value)
-        assert ev.value >= 1e6
+        assert ev.value == np.inf and ev.per_point == (np.inf,)
 
     def test_ill_posed_carries_grid_index(self):
         st = StructureOptions(0, 1, dependency="rational")
@@ -412,6 +411,14 @@ class TestOptimize:
         base = dict(max_iter=80, restarts=2, seed=0, refine_rounds=1)
         base.update(kw)
         return OptimizeOptions(**base)
+
+    def test_unstabilizable_block_raises(self):
+        # no free entries on an unstable plant: nothing to synthesize
+        st = StructureOptions(0, 0)
+        prob = single_problem(st, plant=scalar_plant(pole=1.0))
+        kb = zero_block(0, 0, 1, 1, np.zeros((1, 1), dtype=np.int8))
+        with pytest.raises(StabilizationFailedError, match="no free entries"):
+            optimize(prob, kb, self.opts())
 
     def test_flat_objective_returns_init(self):
         # no free parameters at all: optimizer returns the init, converged
@@ -662,7 +669,7 @@ class TestClosedFormGradient:
         ev = synth._FastEvaluator(prob, surrogate_grid(prob, 20))
         kb = zero_block(0, 0, 1, 1, build_mask(st, 1, 1))
         value, info, grad = ev.penalized(kb, 0.01, gradient=True)
-        assert not info.stable and value >= 1e6
+        assert not info.stable and value == np.inf
         assert np.array_equal(grad, np.zeros(1))
 
 
@@ -815,29 +822,33 @@ class TestSinglePass:
             assert (max(counts) > 0) == (name == "beam")
 
 
+def hinf_or_inf(sys, rel_tol):
+    """hinf_norm's value and peak frequency, ``(inf, nan)`` for an unstable
+    system."""
+    try:
+        res = hinf_norm(sys, rel_tol)
+    except UnstableError:
+        return np.inf, np.nan
+    return res.value, res.peak_omega
+
+
 def certify_per_point(problem, kb, rel_tol):
     """synth._certify one grid point at a time: two hinf_norm calls per
-    stable point (the oracle of the stacked certificate)."""
+    point, ``inf`` at an unstable one (the oracle of the stacked
+    certificate)."""
     loops = synth._closed_loops(problem, kb)
     per_point, perf, wk, peaks = [], [], [], []
     for j, weight in enumerate(problem.wk_list):
-        abscissa = float(loops.abscissa[j])
-        if abscissa >= 0.0:
-            per_point.append(1e6 * (1.0 + abscissa))
-            perf.append(np.nan)
-            wk.append(np.nan)
-            continue
         ctrl, closed = (StateSpace(*(m[j] for m in r)) for r in loops[:2])
-        res_p = hinf_norm(closed, rel_tol)
-        res_w = hinf_norm(series(ctrl, weight), rel_tol)
-        per_point.append(max(res_p.value, res_w.value))
-        perf.append(res_p.value)
-        wk.append(res_w.value)
-        peaks.extend((res_p.peak_omega, res_w.peak_omega))
-    worst = float(loops.abscissa.max())
+        value_p, peak_p = hinf_or_inf(closed, rel_tol)
+        value_w, peak_w = hinf_or_inf(series(ctrl, weight), rel_tol)
+        per_point.append(max(value_p, value_w) if loops.abscissa[j] < 0.0 else np.inf)
+        perf.append(value_p)
+        wk.append(value_w)
+        peaks.extend((peak_p, peak_w))
     return synth._Cert(
         max(per_point), tuple(per_point), tuple(perf), tuple(wk), tuple(peaks),
-        worst < 0.0, worst,
+        float(loops.abscissa.max()),
     )
 
 
@@ -863,7 +874,7 @@ class TestStackedCertificate:
                 assert np.array_equal(
                     getattr(got, field), getattr(ref, field), equal_nan=True
                 ), field
-            stable.append(np.isfinite(got.perf).sum())
+            stable.append(np.isfinite(got.per_point).sum())
         assert stable[:3] == [prob.m] * 3 and 0 < stable[3] < prob.m
 
 
@@ -1104,11 +1115,11 @@ class TestClosedLoops:
         ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
         value, info, _ = ev.penalized(kb, 0.01)
         cert = synth._certify(prob, kb, 1e-6)
-        assert not info.stable and not cert.stable
-        # the descent rejects the block outright; the certificate keeps
-        # objective's documented finite penalty
-        assert value == np.inf
-        assert cert.gamma == objective(prob, kb).value == 1e6 * (1.0 + 0.5)
+        assert not info.stable and not objective(prob, kb).stable
+        # the descent and the certificate both score the block infinite; the
+        # stable closed loop keeps its norm, the unstable controller's is inf
+        assert value == cert.gamma == objective(prob, kb).value == np.inf
+        assert np.isfinite(cert.perf[0]) and cert.wk[0] == np.inf
         loops = synth._closed_loops(prob, kb)
         assert loops.poles[0].real.max() == pytest.approx(-0.25)
         assert loops.abscissa[0] == info.max_abscissa == cert.max_abscissa == 0.5
