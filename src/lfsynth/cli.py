@@ -205,9 +205,15 @@ class Scenario:
 
     def plant(self, rho):
         """Generalized plant used during synthesis at parameter value rho."""
+        cfg = self.cfg
         key = float(rho)
+        if cfg.scenario == "custom":
+            # Custom plants exist only at the grid values; sweeps between
+            # them evaluate the controller against the nearest grid plant,
+            # cached under that grid value.
+            idx = int(np.argmin([abs(g - key) for g in cfg.grid]))
+            key = cfg.grid[idx]
         if key not in self._plants:
-            cfg = self.cfg
             if cfg.scenario == "beam":
                 beam = timoshenko_beam(
                     BeamSpec(length=key, n_elements=cfg.beam_n_elements)
@@ -216,9 +222,6 @@ class Scenario:
             elif cfg.scenario == "building":
                 self._plants[key] = lah_generalized_plant(self._base_building(), key)
             else:
-                # Custom plants exist only at the grid values; sweeps between
-                # them evaluate the controller against the nearest grid plant.
-                idx = int(np.argmin([abs(g - key) for g in cfg.grid]))
                 sys = load_statespace(cfg.custom_plants[idx])
                 n_w = sys.n_inputs - cfg.custom_n_u
                 n_z = sys.n_outputs - cfg.custom_n_y

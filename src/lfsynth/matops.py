@@ -109,8 +109,8 @@ def solve_lyapunov(a, q):
         raise DimensionError(
             f"q has size {q.shape[0]}, expected {a.shape[0]}"
         )
-    asym = np.abs(q - q.T).max() if q.size else 0.0
-    if asym > 1e-12 * max(1.0, np.abs(q).max()):
+    asym = np.abs(q - q.T).max(initial=0.0)
+    if asym > 1e-12 * max(1.0, np.abs(q).max(initial=0.0)):
         raise DomainError(f"q is asymmetric (max deviation {asym:.3e})")
     if a.shape[0] == 0:
         return np.zeros((0, 0))

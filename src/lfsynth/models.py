@@ -170,8 +170,8 @@ def building_surrogate(n_modes, peak_omega=5.2, seed=0):
     is bounded the way it is for a real flexible structure.  The output row is
     scaled so the peak gain is 1 to the accuracy of the norm solver.
     """
-    if n_modes < 2:
-        raise DomainError("n_modes must be at least 2")
+    if n_modes < 2 or seed < 0:
+        raise DomainError("n_modes must be at least 2 and seed nonnegative")
     rng = np.random.default_rng(seed)
     omegas = np.empty(n_modes)
     zetas = np.empty(n_modes)

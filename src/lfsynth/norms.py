@@ -133,11 +133,9 @@ def _hinf_norms(systems, rel_tol):
     else:
         d_gain = np.zeros(d.shape[0])
     values, peaks = d_gain.copy(), np.zeros(d_gain.size)
-    if kernel.a.shape[-1] == 0:
-        return values, peaks
     unstable = (kernel.poles.real >= 0.0).any(axis=1)
     values[unstable], peaks[unstable] = np.inf, np.nan
-    # zero b or c: the response is d at every frequency
+    # zero b or c (a static system too): the response is d at every frequency
     points = np.flatnonzero(
         ~unstable & kernel.b.any(axis=(1, 2)) & kernel.c.any(axis=(1, 2))
     )
@@ -203,8 +201,6 @@ def h2_norm(sys):
     """
     if max_singular_value(sys.d) > 1e-12:
         raise DomainError("H2 norm undefined for systems with feedthrough")
-    if sys.is_static:
-        return 0.0
     # solve_lyapunov raises UnstableError for a state matrix that is not Hurwitz
     p = solve_lyapunov(sys.a, sys.b @ sys.b.T)
     value = float(np.trace(sys.c @ p @ sys.c.T))

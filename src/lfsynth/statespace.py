@@ -159,8 +159,6 @@ def frequency_gain(sys, omega):
     """
     if not np.isfinite(omega) or omega < 0.0:
         raise DomainError(f"omega must be finite and nonnegative, got {omega}")
-    if sys.is_static:
-        return sys.d.astype(complex)
     m = 1j * omega * np.eye(sys.n) - sys.a
     try:
         g = sys.c @ np.linalg.solve(m, sys.b) + sys.d
@@ -220,20 +218,19 @@ class FrequencyKernel:
         self._wb = np.zeros((m, n, b.shape[2]), dtype=complex)
         # eig returns real eigenvectors for a real spectrum, and the products
         # below round differently on those: each point takes its vectors in
-        # the type (and layout) eig gives it alone.  In a stack of one type
-        # they come so, and stacked calls give each point the loop's factors.
+        # the type eig gives it alone, so the real-spectrum and the complex-
+        # spectrum points are factored apart, each group in stacked calls,
+        # which give each point the factors it gets alone.
         real = (self.poles.imag == 0.0).all(axis=1)
-        one_type = real.all() or not real.any()
-        if not n or (one_type and (np.linalg.cond(self._v) <= cond_limit).all()):
-            self._cv[:], self._wb[:] = c @ self._v, np.linalg.solve(self._v, b)
-            return
-        for j in range(m):
-            vectors = self._v[j].real if real[j] else self._v[j]
-            if np.linalg.cond(vectors) <= cond_limit:
-                self._cv[j] = c[j] @ vectors
-                self._wb[j] = np.linalg.solve(vectors, b[j])
-            else:
-                self.dense[j] = True
+        for group, vectors in ((real, self._v.real), (~real, self._v)):
+            if not (n and group.any()):
+                continue  # nothing to factor, and cond is undefined on empty matrices
+            vectors = vectors[group]
+            modal = np.linalg.cond(vectors) <= cond_limit
+            self.dense[group] = ~modal
+            points = np.flatnonzero(group)[modal]
+            self._cv[points] = c[points] @ vectors[modal]
+            self._wb[points] = np.linalg.solve(vectors[modal], b[points])
 
     def take(self, points):
         """The kernel of some points of the stack (an index or a mask),
@@ -274,10 +271,8 @@ class FrequencyKernel:
         """
         a, b, c, d = self.a, self.b, self.c, self.d
         omegas = self._rows(omegas)
-        if a.shape[-1] == 0:
-            return np.broadcast_to(d[:, None], omegas.shape + d.shape[1:]).astype(complex)
-        dist = np.abs(1j * omegas[..., None] - self.poles[:, None, :]).min(axis=-1)
-        near = dist <= NEAR_POLE_TOL * np.abs(self.poles).max(axis=-1)[:, None]
+        dist = np.abs(1j * omegas[..., None] - self.poles[:, None, :]).min(axis=-1, initial=np.inf)
+        near = dist <= NEAR_POLE_TOL * np.abs(self.poles).max(axis=-1, initial=0.0)[:, None]
         g = np.empty(omegas.shape + d.shape[1:], dtype=complex)
         modal = self._modal()
         # samples on a pole divide by zero here; the near-pole pass below

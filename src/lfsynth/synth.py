@@ -33,7 +33,7 @@ per evaluated block at a tighter condition limit, which the gradient
 reuses.  Each block takes one forward pass and one gradient pass, both
 stacked over the grid: every grid point's row holds the fixed frequency
 grid followed by that point's few needle samples.
-The singular pairs of vector channels come in closed form.  A block that
+A 1x1 channel's singular pair comes in closed form.  A block that
 is ill posed or unstable at some grid point, or whose surrogate solve fails,
 scores infinite, so the line search rejects it, as in nonsmooth H-infinity
 synthesis: accepted iterates are always strictly stabilizing.
@@ -302,15 +302,11 @@ def _soft_max(values, tau):
 def surrogate_grid(problem, n_base=160):
     """Frequency grid for the optimizer: log-spaced base plus clusters around
     every lightly damped resonance of the plants and weights."""
-    systems = [p.sys for p in problem.plants] + [
-        w for w in problem.wk_list if not w.is_static
-    ]
+    systems = [p.sys for p in problem.plants] + list(problem.wk_list)
     lo, hi = np.inf, 0.0
     extra = []
     offsets = np.array([-6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0])
     for sys in systems:
-        if sys.n == 0:
-            continue
         eig = np.linalg.eigvals(sys.a)
         mags = np.abs(eig)
         mags = mags[mags > 0.0]
@@ -358,7 +354,7 @@ def _closed_loops(problem, kb, free=None):
     ctrl, closed, well_posed = close_grid(problem.stacked, kb, problem.grid, k)
     poles = np.linalg.eigvals(closed.a)
     reals = np.concatenate([poles.real, np.linalg.eigvals(ctrl.a).real], axis=-1)
-    abscissa = reals.max(axis=-1) if reals.shape[-1] else np.full(well_posed.shape, -np.inf)
+    abscissa = reals.max(axis=-1, initial=-np.inf)
     abscissa[~well_posed] = np.inf
     return _Loops(ctrl, closed, poles, abscissa, well_posed)
 
@@ -367,23 +363,13 @@ def _top_singular_pairs(g):
     """Left and right singular vectors of the largest singular value of each
     response in a stack (..., p, q): shapes (..., p) and (..., q).
 
-    A vector channel needs no SVD: a column ``g`` (q = 1) has ``u = g / |g|``
-    and ``v = 1``, a row (p = 1) has ``u = 1`` and ``v = g^H / |g|``, and a
-    zero response takes the first unit vector in place of ``g / |g|``.  A
-    1x1 channel divides by ``abs(g)``, the gain batch_sigma reports for it.
+    A 1x1 channel, as batch_sigma does, needs no SVD: ``u = g / abs(g)``
+    (1 for a zero response) and ``v = 1``.  Every other shape takes the SVD.
     """
-    p, q = g.shape[-2:]
-    if p == 1 or q == 1:
-        vec = g[..., :, 0] if q == 1 else g[..., 0, :].conj()
-        if vec.shape[-1] == 1:
-            norm = np.abs(vec)
-        else:
-            norm = np.linalg.norm(vec, axis=-1, keepdims=True)
-        unit = np.zeros_like(vec)
-        unit[..., 0] = 1.0
-        vec = np.divide(vec, norm, out=unit, where=norm > 0.0)
-        one = np.ones(g.shape[:-2] + (1,), dtype=vec.dtype)
-        return (vec, one) if q == 1 else (one, vec)
+    if g.shape[-2:] == (1, 1):
+        norm = np.abs(g[..., 0])
+        u = np.divide(g[..., 0], norm, out=np.ones_like(g[..., 0]), where=norm > 0.0)
+        return u, np.ones_like(u)
     u, _, vh = np.linalg.svd(g)
     return u[..., :, 0], vh[..., 0, :].conj()
 
@@ -806,6 +792,8 @@ class OptimizeOptions:
     def __post_init__(self):
         if self.max_iter < 1 or self.restarts < 1:
             raise DomainError("max_iter and restarts must be at least 1")
+        if self.seed < 0 or self.refine_rounds < 0:
+            raise DomainError("seed and refine_rounds must be nonnegative")
 
 
 _TAU_SCHEDULE = (0.05, 0.01, 2e-3)

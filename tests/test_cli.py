@@ -187,6 +187,26 @@ class TestConfigParsing:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not out.exists()
 
+    # appended to the bundled building config: a negative seed would reach
+    # numpy's generator, which raises ValueError, and no refinement round
+    # would run no descent and report the stabilized start converged
+    @pytest.mark.parametrize("command, line", [
+        ("synth", "opt.seed = -1"), ("eval", "building.seed = -1"),
+        ("synth", "opt.refine_rounds = -1"),
+    ])
+    def test_negative_seed_or_rounds_exits_1(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        io = "".join(f"io.{name} = {tmp_path / name}.txt\n" for name in ("controller", "trace", "summary"))
+        cfg.write_text((BUNDLED / "building.cfg").read_text() + line + "\n" + io)
+        out = tmp_path / "sweep.csv"
+        argv = {"synth": ["synth", "--config", str(cfg)],
+                "eval": ["eval", "--controller", str(BUNDLED / "building_controller.txt"),
+                         "--config", str(cfg), "--out", str(out)]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "nonnegative" in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
     def test_config_file_is_closed(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = beam\ngrid = 10, 15, 20\n")
@@ -465,6 +485,32 @@ class TestEvalCommand:
                     for rho in (1.0, 1.5, 2.0)]
         assert [r[2] for r in rows] == ["1", "1", "1"]
         assert np.array_equal([float(r[1]) for r in rows], expected)
+
+
+    def test_custom_plant_read_once_per_file(self, toy_config, monkeypatch):
+        cfg, base = toy_config
+        cfg.write_text(cfg.read_text().replace("sweep.n_points = 5", "sweep.n_points = 21"))
+        ctl = base / "k.txt"
+        ctl.write_text("0 1 1 1\n0 0.5\n0.5 -0.5\n1 1\n1 1\n")
+        reads = []
+
+        def counting(path, _real=cli.load_statespace):
+            reads.append(path)
+            return _real(path)
+
+        monkeypatch.setattr(cli, "load_statespace", counting)
+        out = base / "sweep.csv"
+        assert main(["eval", "--controller", str(ctl), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        plants = parse_config(str(cfg)).custom_plants
+        assert sorted(reads) == sorted(plants)
+        # each value's row is the norm against its nearest grid plant
+        kb, rows = load_controller(str(ctl)), out.read_text().splitlines()[1:]
+        for rho, row in zip(np.linspace(1.0, 2.0, 21), rows):
+            plant = cli.Scenario(parse_config(str(cfg))).plant(1.0 if rho <= 1.5 else 2.0)
+            closed = lower_lft_ss(plant, eval_controller(kb, rho))
+            _, value, stable = row.split(",")
+            assert float(value) == hinf_norm(closed, 1e-6).value and stable == "1"
 
 
 class TestStackedAgainstOnePoint:

@@ -371,6 +371,10 @@ class TestH2Norm:
         assert h2_norm(s) == 0.0
         assert hinf_norm(s).value == 0.0
 
+    def test_static_system(self):
+        # no states: the Gramian is empty, and so is the trace
+        assert h2_norm(static_gain(np.zeros((2, 3)))) == 0.0
+
     def test_unit_energy_family(self):
         # b = sqrt(2 a), c = 1: gramian p = b^2 / (2 a) = 1, norm 1
         a = 2.0

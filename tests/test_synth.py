@@ -1,5 +1,6 @@
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -514,6 +515,21 @@ class TestOptimize:
         assert r1.gamma == r2.gamma
         assert np.array_equal(r1.controller.k, r2.controller.k)
 
+    def test_static_weight(self):
+        # a static weight adds no surrogate frequency, and its channel's
+        # certified norm is the weight's gain times the controller's
+        grid = (1.0, 2.0)
+        prob = SynthesisProblem(
+            tuple(oscillator_plant(r) for r in grid), grid,
+            static_gain([[0.05]]), StructureOptions(1, 1, dependency="affine"),
+        )
+        plants_only = SimpleNamespace(plants=prob.plants, wk_list=())
+        assert np.array_equal(surrogate_grid(prob), surrogate_grid(plants_only))
+        res = optimize(prob, init_from_nominal(prob, 0, self.opts()), self.opts(max_iter=30))
+        for rho, wk in zip(grid, res.per_point_wk_norms):
+            ctrl = hinf_norm(eval_controller(res.controller, rho), 1e-6).value
+            assert wk == pytest.approx(0.05 * ctrl, rel=1e-5)
+
     def test_init_from_nominal_structure(self):
         grid = (1.0, 2.0, 3.0)
         st = StructureOptions(2, 1, dependency="rational")
@@ -631,7 +647,8 @@ class TestClosedFormGradient:
             2, 2, 2, 2,
         ),
         "rational-mimo": (StructureOptions(1, 2, dependency="rational"), 2, 2, 3, 1),
-        # a column performance channel takes the SVD-free singular pair
+        # a column performance channel takes the SVD's singular pair, as the
+        # row channel of "no-parameter" does: only a 1x1 one has a closed form
         "column-perf": (StructureOptions(2, 1, dependency="rational"), 1, 1, 2, 1),
         # a defective controller state matrix takes dense resolvent solves
         "jordan": (StructureOptions(2, 0), 1, 1, 1, 1, [[-1.0, 1.0], [0.0, -1.0]]),
@@ -674,7 +691,7 @@ class TestClosedFormGradient:
 
 
 class TestTopSingularPairs:
-    """The closed-form pairs of vector channels against the SVD."""
+    """The singular pairs of every channel shape against the SVD."""
 
     SHAPES = pytest.mark.parametrize(
         "shape", [(3, 1), (1, 4), (1, 1), (2, 3)], ids=["column", "row", "scalar", "matrix"]
@@ -704,6 +721,20 @@ class TestTopSingularPairs:
             one_u, one_v = synth._top_singular_pairs(g[j])
             assert np.array_equal(u[j], one_u) and np.array_equal(v[j], one_v)
             assert np.array_equal(sigma[j], batch_sigma(g[j]))
+
+    @SHAPES
+    def test_only_scalars_skip_the_svd(self, rng, shape):
+        g = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
+        g[2] = 0.0
+        u, v = synth._top_singular_pairs(g)
+        if shape == (1, 1):
+            rest = np.arange(6) != 2
+            assert np.array_equal(u[rest], g[rest, 0] / np.abs(g[rest, 0]))
+            assert u[2] == 1.0 and np.array_equal(v, np.ones((6, 1)))
+        else:
+            svd_u, _, svd_vh = np.linalg.svd(g)
+            assert np.array_equal(u, svd_u[:, :, 0])
+            assert np.array_equal(v, svd_vh[:, 0, :].conj())
 
 
 def bundled_problem(name):
@@ -1334,6 +1365,12 @@ class TestCampaigns:
             OptimizeOptions(max_iter=0)
         with pytest.raises(DomainError):
             OptimizeOptions(restarts=0)
+        with pytest.raises(DomainError, match="nonnegative"):
+            OptimizeOptions(seed=-1)
+        # no rounds would run no descent phase and report the start converged
+        with pytest.raises(DomainError, match="nonnegative"):
+            OptimizeOptions(refine_rounds=-1)
+        assert OptimizeOptions(seed=0, refine_rounds=0).refine_rounds == 0
 
 
 class TestSurrogateGrid:
