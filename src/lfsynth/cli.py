@@ -35,7 +35,6 @@ from .errors import (
     NumericalError,
     ParseError,
     StabilizationFailedError,
-    UnstableError,
 )
 from .lft import (
     close_grid,
@@ -55,8 +54,8 @@ from .models import (
     save_statespace,
     timoshenko_beam,
 )
-from .norms import _hinf_norms, _pole_grids, h2_norm
-from .statespace import FrequencyKernel, PartitionedSystem, Realization, StateSpace, subsystem
+from .norms import _h2_norms, _hinf_norms, _pole_grids
+from .statespace import FrequencyKernel, PartitionedSystem, Realization, subsystem
 from .synth import (
     OptimizeOptions,
     StructureOptions,
@@ -334,29 +333,16 @@ def _closed_stacks(kb, plants, rhos):
         yield idx, loops.closed, loops.well_posed
 
 
-def _h2_value(sys):
-    """h2_norm of ``sys``, ``inf`` when it is unstable and NaN when the
-    Gramian is numerically out of reach."""
-    try:
-        return h2_norm(sys)
-    except UnstableError:
-        return np.inf
-    except NumericalError:
-        return np.nan
-
-
 def _sweep_metric(closed, metric):
     """Metric values (M,) of stacked closed loops: ``inf`` where a loop is
     unstable, NaN where its norm is numerically out of reach."""
     m = closed.a.shape[0]
-    if metric == "h2":
-        return np.array([_h2_value(StateSpace(*(x[j] for x in closed))) for j in range(m)])
     try:
-        return _hinf_norms(closed, 1e-6)[0]
+        return _h2_norms(closed) if metric == "h2" else _hinf_norms(closed, 1e-6)[0]
     except NumericalError:
         if m == 1:
             return np.array([np.nan])
-    # the stacked pass failed: certify each loop as a stack of one, so that
+    # the stacked pass failed: evaluate each loop as a stack of one, so that
     # only the loops whose own norm fails lose their value
     return np.concatenate(
         [_sweep_metric(Realization(*(x[j : j + 1] for x in closed)), metric) for j in range(m)]
@@ -367,13 +353,13 @@ def cmd_eval(controller_path, config_path, out_path):
     """Write the sweep CSV: one row ``rho, metric_value, closed_loop_stable``
     per sweep value.
 
-    The whole sweep is instantiated, closed and certified in one stacked
-    pass (one per plant state order in the custom scenario).  A value whose
-    controller or feedback loop is ill posed, which the well-posed mask of
-    the pass marks, is not certified; it and an unstable loop get an empty
-    value and flag 0.  When the stacked norm fails numerically, each loop is
-    certified alone, and only a loop whose own norm fails gets an empty
-    value, with flag 1.
+    The whole sweep is instantiated, closed and evaluated in one stacked
+    pass (one per plant state order in the custom scenario), for either
+    metric.  A value whose controller or feedback loop is ill posed, which
+    the well-posed mask of the pass marks, is not evaluated; it and an
+    unstable loop get an empty value and flag 0.  When the stacked norm
+    fails numerically, each loop is evaluated alone, and only a loop whose
+    own norm fails gets an empty value, with flag 1.
     """
     cfg = parse_config(config_path)
     kb = load_controller(controller_path)

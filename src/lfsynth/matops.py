@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels used by the state-space and synthesis layers.
 
-All routines operate on plain 2-D ``numpy`` arrays of real floats and are pure
-functions of their inputs, so they are safe to call concurrently.  They need
-numpy alone: the Lyapunov solve is a matrix sign iteration of inverses and
-products.
+All routines operate on plain 2-D ``numpy`` arrays of real floats, and the
+Lyapunov solve on a stack of them too; they are pure functions of their
+inputs, so they are safe to call concurrently.  They need numpy alone: the
+Lyapunov solve is a matrix sign iteration of inverses and products.
 """
 
 import numpy as np
@@ -89,60 +89,100 @@ def solve_linear(a, b):
     return np.linalg.solve(a, b)
 
 
-def solve_lyapunov(a, q):
-    """Solve ``a @ p + p @ a.T + q = 0`` for symmetric ``p``.
+def _frobenius(m):
+    """Frobenius norms (M,) of a stack (M, k, l), each reduced as
+    np.linalg.norm reduces one matrix alone."""
+    rows = m.reshape(m.shape[0], -1)
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
-    ``a`` must be Hurwitz and ``q`` symmetric.  The scaled Newton iteration
-    for the matrix sign function (Roberts 1980) runs on
-    ``[[a, q], [0, -a.T]]``, whose sign is ``[[-I, 2 p], [0, I]]``; it needs
-    only the inverse of the top-left block and products with it.  The result
-    is explicitly symmetrized.  Raises UnstableError when ``a`` is not
-    Hurwitz, SingularMatrixError when an iterate is numerically singular
-    (the inverses, and so ``p``, would carry no correct digits) and
-    NumericalError when the iteration does not converge.
+
+def solve_lyapunov(a, q):
+    """Solve ``a @ p + p @ a.T + q = 0`` for symmetric ``p``, for one
+    equation (n, n) or for M of them stacked over a leading axis (M, n, n).
+
+    ``q`` must be symmetric.  The scaled Newton iteration for the matrix sign
+    function (Roberts 1980) runs on ``[[a, q], [0, -a.T]]``, whose sign is
+    ``[[-I, 2 p], [0, I]]``; it needs only the inverse of the top-left block
+    and products with it.  While the relative step is large, each point
+    scales its iterate by ``mu = 1 / sqrt(max|x| min|x|)`` over the
+    iterate's eigenvalues x (Kenney and Laub 1992), which the iteration maps
+    from those of the Hurwitz check as the scalars ``(mu x + 1 / (mu x)) /
+    2``.  The points iterate side by side, and each leaves the stack at the
+    iteration where it would stop alone, so its ``p`` is bit for bit the one
+    it gets alone.  The result is explicitly symmetrized.
+
+    In a stack, a point whose ``a`` is not Hurwitz gets a ``p`` of ``inf``
+    and takes no part in the iteration; one equation (n, n) raises
+    UnstableError instead.  Raises SingularMatrixError when an iterate is
+    numerically singular (the inverses, and so ``p``, would carry no
+    correct digits) and NumericalError when the iteration of a point does
+    not converge.
     """
-    a = as_matrix(a, "a")
-    q = as_matrix(q, "q")
-    _require_square(a, "a")
-    _require_square(q, "q")
-    if q.shape[0] != a.shape[0]:
+    a, q = np.asarray(a, dtype=float), np.asarray(q, dtype=float)
+    single = a.ndim < 3
+    if single:
+        a, q = np.atleast_2d(a)[None], np.atleast_2d(q)[None]
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or q.shape != a.shape:
         raise DimensionError(
-            f"q has size {q.shape[0]}, expected {a.shape[0]}"
+            f"a and q must be square and of one shape, got {a.shape} and {q.shape}"
         )
-    asym = np.abs(q - q.T).max(initial=0.0)
-    if asym > 1e-12 * max(1.0, np.abs(q).max(initial=0.0)):
-        raise DomainError(f"q is asymmetric (max deviation {asym:.3e})")
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
-    alpha = np.max(eigenvalues(a).real)
-    if alpha >= 0.0:
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+        raise DomainError("a and q must have finite entries")
+    asym = np.abs(q - np.swapaxes(q, 1, 2)).max(axis=(1, 2), initial=0.0)
+    if (asym > 1e-12 * np.maximum(1.0, np.abs(q).max(axis=(1, 2), initial=0.0))).any():
+        raise DomainError(f"q is asymmetric (max deviation {asym.max():.3e})")
+    p = np.full(a.shape, np.inf)
+    if a.shape[1] == 0:
+        return p[0] if single else p
+    try:
+        x = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+    hurwitz = (x.real < 0.0).all(axis=1)
+    if single and not hurwitz[0]:
         raise UnstableError(
-            f"state matrix is not Hurwitz (spectral abscissa {alpha:.3e})"
+            f"state matrix is not Hurwitz (spectral abscissa {x.real.max():.3e})"
         )
-    scale = True
+    points = np.flatnonzero(hurwitz)
+    a, q, x = a[points], q[points], x[points]
+    scale = np.ones(points.size, dtype=bool)
     for _ in range(SIGN_MAX_ITER):
+        if not points.size:
+            break
         try:
             a_inv = np.linalg.inv(a)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"state matrix is singular: {exc}") from exc
-        mu = 1.0
-        if scale:
-            # mu balances the norms of mu a and its inverse
-            norm_a, norm_inv = np.linalg.norm(a), np.linalg.norm(a_inv)
-            if not norm_a * norm_inv <= COND_SINGULAR:
+        mu = np.ones(points.size)
+        if scale.any():
+            cond = np.where(scale, _frobenius(a) * _frobenius(a_inv), 0.0)
+            if not (cond <= COND_SINGULAR).all():
                 raise SingularMatrixError(
                     "state matrix is numerically singular "
-                    f"(condition estimate {norm_a * norm_inv:.3e})"
+                    f"(condition estimate {cond.max():.3e})"
                 )
-            mu = np.sqrt(norm_inv / norm_a)
-        a_next = (0.5 * mu) * a + (0.5 / mu) * a_inv
-        q = (0.5 * mu) * q + (0.5 / mu) * (a_inv @ q @ a_inv.T)
-        step = np.linalg.norm(a_next - a) / np.linalg.norm(a_next)
+            modulus = np.abs(x[scale])
+            mu[scale] = 1.0 / np.sqrt(modulus.max(axis=1) * modulus.min(axis=1))
+        mu_x = mu[:, None] * x
+        x = 0.5 * (mu_x + 1.0 / mu_x)
+        half_mu, half_inv = (0.5 * mu)[:, None, None], (0.5 / mu)[:, None, None]
+        # mu a + a_inv / mu and its image of q, halved; the spent operands
+        # take the products in place, which spares stack-sized temporaries
+        q_next = a_inv @ q @ np.swapaxes(a_inv, 1, 2)
+        q *= half_mu
+        q += np.multiply(q_next, half_inv, out=q_next)
+        a_next = half_mu * a
+        a_next += np.multiply(a_inv, half_inv, out=a_inv)
+        step = _frobenius(a_next - a) / _frobenius(a_next)
         a = a_next
-        if step <= SIGN_TOL:
-            p = 0.5 * q
-            return 0.5 * (p + p.T)
+        done = step <= SIGN_TOL
+        if done.any():
+            half_q = 0.5 * q[done]
+            p[points[done]] = 0.5 * (half_q + np.swapaxes(half_q, 1, 2))
+            points, a, q, x, step = (v[~done] for v in (points, a, q, x, step))
         scale = step > SIGN_SCALE_TOL
-    raise NumericalError(
-        f"sign iteration failed to converge (relative step {step:.3e})"
-    )
+    if points.size:
+        raise NumericalError(
+            f"sign iteration failed to converge (relative step {step.max():.3e})"
+        )
+    return p[0] if single else p

@@ -172,6 +172,9 @@ def building_surrogate(n_modes, peak_omega=5.2, seed=0):
     """
     if n_modes < 2 or seed < 0:
         raise DomainError("n_modes must be at least 2 and seed nonnegative")
+    if not peak_omega > 0.0:
+        # a mode at a nonpositive frequency has no positive damping term
+        raise DomainError(f"peak_omega must be positive, got {peak_omega}")
     rng = np.random.default_rng(seed)
     omegas = np.empty(n_modes)
     zetas = np.empty(n_modes)

@@ -11,11 +11,18 @@ bound to a larger attained gain or shows the level is out of reach.  The
 returned value is therefore a gain the system attains, and the true norm lies
 within a relative ``rel_tol`` above it.
 
-One implementation serves a single system and a stack of them: systems that
-share their dimensions, stacked over a leading axis, run their iterations
-side by side, with one frequency kernel for the scans and one Hamiltonian
-eigensolve per level over the points still iterating.  Each point's result
-is bit for bit the one it gets on its own.
+The H2 norm is the trace of ``c P c^T`` over the controllability Gramian
+``P``, which comes from the matrix sign iteration of
+:func:`lfsynth.matops.solve_lyapunov`.
+
+For each norm one implementation serves a single system and a stack of
+them: systems that share their dimensions, stacked over a leading axis, run
+their iterations side by side.  The H-infinity stack takes one frequency
+kernel for the scans and one Hamiltonian eigensolve per level over the
+points still iterating; the H2 stack takes one Hurwitz check and one sign
+iteration, which each point leaves when it converges.  Each point's result
+is bit for bit the one it gets on its own, and an unstable point scores
+``inf``.
 """
 
 from dataclasses import dataclass
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, UnstableError
-from .matops import max_singular_value, solve_lyapunov
+from .matops import solve_lyapunov
 from .statespace import FrequencyKernel
 
 # Threshold for calling a Hamiltonian eigenvalue purely imaginary.
@@ -191,6 +198,31 @@ def hinf_norm(sys, rel_tol=1e-6):
     return NormResult(float(values[0]), float(peaks[0]))
 
 
+def _h2_norms(systems):
+    """H2 norms (M,) of strictly proper systems stacked over a leading axis
+    (a Realization; a StateSpace is a stack of one), each the trace of
+    ``c P c^T`` over its controllability Gramian ``P``.
+
+    One stacked solve_lyapunov gives every Gramian, from one Hurwitz check
+    over the stack; an unstable point (spectral abscissa >= 0) scores
+    ``inf``.  Raises DomainError when a point has feedthrough, and
+    NumericalError when a point's state matrix is numerically singular or its
+    iteration does not converge.
+    """
+    a, b, c, d = (np.asarray(getattr(systems, m), dtype=float) for m in "abcd")
+    if a.ndim == 2:
+        a, b, c, d = a[None], b[None], c[None], d[None]
+    if d.size and (np.linalg.svd(d, compute_uv=False)[:, 0] > 1e-12).any():
+        raise DomainError("H2 norm undefined for systems with feedthrough")
+    p = solve_lyapunov(a, b @ np.swapaxes(b, 1, 2))
+    values = np.full(a.shape[0], np.inf)
+    stable = ~np.isinf(p).any(axis=(1, 2))
+    c = c[stable]
+    gains = np.trace(c @ p[stable] @ np.swapaxes(c, 1, 2), axis1=1, axis2=2)
+    values[stable] = np.sqrt(np.maximum(gains, 0.0))
+    return values
+
+
 def h2_norm(sys):
     """H2 norm of a stable, strictly proper system via the controllability
     Gramian; 0.0 for a system with no inputs or no outputs.
@@ -199,9 +231,7 @@ def h2_norm(sys):
     UnstableError when the state matrix is not Hurwitz, and NumericalError
     when it is numerically singular or the iteration does not converge.
     """
-    if max_singular_value(sys.d) > 1e-12:
-        raise DomainError("H2 norm undefined for systems with feedthrough")
-    # solve_lyapunov raises UnstableError for a state matrix that is not Hurwitz
-    p = solve_lyapunov(sys.a, sys.b @ sys.b.T)
-    value = float(np.trace(sys.c @ p @ sys.c.T))
-    return float(np.sqrt(max(value, 0.0)))
+    value = _h2_norms(sys)[0]
+    if value == np.inf:
+        raise UnstableError("H2 norm requires a stable system")
+    return float(value)

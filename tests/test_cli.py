@@ -423,7 +423,7 @@ class TestEvalCommand:
         ctl = tmp_path / "k.txt"
         ctl.write_text("0 1 1 1\n0.5 1\n1 0\n1 1\n1 1\n")
         # the loop at rho = 3 (pole -1 + d = -7) fails numerically
-        name = "_hinf_norms" if metric == "hinf" else "h2_norm"
+        name = "_hinf_norms" if metric == "hinf" else "_h2_norms"
         real = getattr(cli, name)
 
         def failing(closed, *args):
@@ -517,9 +517,16 @@ class TestStackedAgainstOnePoint:
     """The stacked eval and bode passes against one closed loop at a time,
     bit for bit (17 significant digits give every double back exactly)."""
 
-    @pytest.mark.parametrize("name", ["beam", "building"])
+    @pytest.mark.parametrize("name", ["beam", "building", "beam-h2"])
     def test_sweep_rows(self, tmp_path, name):
+        # beam-h2: the beam's 62-state loops at h2, which no bundled sweep runs
+        name, _, metric = name.partition("-")
         cfg_path, ctl = str(BUNDLED / f"{name}.cfg"), str(BUNDLED / f"{name}_controller.txt")
+        if metric:
+            cfg_path = str(tmp_path / f"{name}.cfg")
+            Path(cfg_path).write_text(
+                (BUNDLED / f"{name}.cfg").read_text() + f"sweep.metric = {metric}\n"
+            )
         out = tmp_path / "sweep.csv"
         assert main(["eval", "--controller", ctl, "--config", cfg_path, "--out", str(out)]) == 0
         cfg, kb = parse_config(cfg_path), load_controller(ctl)
@@ -675,6 +682,17 @@ class TestScenarioSmoke:
                      str(cfg), "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert all(r.split(",")[2] in ("0", "1") for r in rows)
+
+    @pytest.mark.parametrize("peak", ["0", "-1"])
+    def test_nonpositive_building_peak_omega(self, tmp_path, capsys, peak):
+        cfg = tmp_path / "bldg.cfg"
+        cfg.write_text(BUNDLED.joinpath("building.cfg").read_text()
+                       + f"building.peak_omega = {peak}\n")
+        ctl = str(BUNDLED / "building_controller.txt")
+        assert main(["eval", "--controller", ctl, "--config", str(cfg),
+                     "--out", str(tmp_path / "sweep.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "peak_omega must be positive" in err
 
 
 class TestWriteFailure:

@@ -201,6 +201,39 @@ class TestSolveLyapunov:
         with pytest.raises(NumericalError):
             solve_lyapunov(a, np.eye(3))
 
+    def test_stack_points_leave_at_their_own_iteration(self, rng, monkeypatch):
+        # points that converge after different numbers of iterations, and an
+        # unstable one, which takes no part and gets a Gramian of inf
+        a = [-np.eye(4), -np.diag([1e-3, 1.0, 1e2, 1e3]), 0.5 * np.eye(4)]
+        for shift in (0.05, 3.0):
+            m = rng.normal(size=(4, 4))
+            a.append(m - (np.max(np.linalg.eigvals(m).real) + shift) * np.eye(4))
+        b = rng.normal(size=(len(a), 4, 2))
+        a, q = np.stack(a), b @ np.swapaxes(b, 1, 2)
+        q_before = q.copy()
+        sizes, real_inv = [], np.linalg.inv
+
+        def counting(m):
+            sizes.append(m.shape[0])
+            return real_inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        alone, iterations = [], []
+        for j in (0, 1, 3, 4):
+            sizes.clear()
+            alone.append(solve_lyapunov(a[j], q[j]))
+            iterations.append(len(sizes))
+        sizes.clear()
+        p = solve_lyapunov(a, q)
+        assert len(set(iterations)) >= 3
+        # the stack shrinks as each point converges, on its own iteration
+        assert sizes == [sum(k > t for k in iterations) for t in range(max(iterations))]
+        assert np.array_equal(p[[0, 1, 3, 4]], alone)
+        assert np.isinf(p[2]).all()
+        np.testing.assert_array_equal(q, q_before)
+        with pytest.raises(UnstableError):
+            solve_lyapunov(a[2], q[2])
+
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -9,7 +9,7 @@ from lfsynth.cli import Scenario, parse_config
 from lfsynth.errors import DomainError, NumericalError, UnstableError
 from lfsynth.lft import eval_controller, load_controller, lower_lft_ss
 from lfsynth import norms, statespace
-from lfsynth.norms import _hinf_norms, default_frequency_grid, h2_norm, hinf_norm
+from lfsynth.norms import _h2_norms, _hinf_norms, default_frequency_grid, h2_norm, hinf_norm
 from lfsynth.statespace import (
     FrequencyKernel,
     Realization,
@@ -249,6 +249,69 @@ class TestStackedNorms:
         assert values.shape == peaks.shape == (0,)
 
 
+
+def h2_stack(systems):
+    """The strictly proper parts of ``systems`` stacked as a Realization."""
+    return Realization(*(np.stack([getattr(s, m) for s in systems]) for m in "abc"),
+                       np.stack([np.zeros_like(s.d) for s in systems]))
+
+
+class TestStackedH2:
+    """The H2 pass over a stack against h2_norm one system at a time (a
+    stack of one), bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 8),
+        n_u=st.integers(1, 3),
+        n_y=st.integers(1, 3),
+        kinds=st.lists(st.sampled_from(STACK_KINDS + ("unstable",)), min_size=1, max_size=6),
+    )
+    def test_matches_one_at_a_time(self, seed, n, n_u, n_y, kinds):
+        rng = np.random.default_rng(seed)
+        systems = []
+        for kind in kinds:
+            s = stack_point(rng, "plain" if kind == "unstable" else kind, n, n_u, n_y)
+            # the mirror image of a stable spectrum is unstable
+            a = -s.a if kind == "unstable" else s.a
+            systems.append(StateSpace(a, s.b, s.c, np.zeros_like(s.d)))
+        one = []
+        for s in systems:
+            try:
+                one.append(h2_norm(s))
+            except UnstableError:
+                one.append(np.inf)
+            except NumericalError:
+                with pytest.raises(NumericalError):
+                    _h2_norms(h2_stack(systems))
+                return
+        assert np.array_equal(_h2_norms(h2_stack(systems)), one)
+
+    def test_unstable_points_score_inf(self, rng):
+        stable = [random_stable_ss(rng, 5, 2, 2, with_d=False) for _ in range(3)]
+        unstable = [StateSpace(-s.a, s.b, s.c, s.d) for s in stable[:2]]
+        systems = [stable[0], unstable[0], stable[1], unstable[1], stable[2]]
+        values = _h2_norms(h2_stack(systems))
+        assert np.array_equal(values[[1, 3]], [np.inf, np.inf])
+        assert np.array_equal(values[[0, 2, 4]], [h2_norm(s) for s in stable])
+        for s in unstable:
+            with pytest.raises(UnstableError):
+                h2_norm(s)
+
+    def test_feedthrough_anywhere_rejected(self, rng):
+        systems = [random_stable_ss(rng, 3, with_d=False) for _ in range(3)]
+        stack = h2_stack(systems)
+        stack.d[1, 0, 0] = 0.5
+        with pytest.raises(DomainError):
+            _h2_norms(stack)
+
+    def test_empty_stack(self):
+        values = _h2_norms(Realization(np.zeros((0, 2, 2)), np.zeros((0, 2, 1)),
+                                       np.zeros((0, 1, 2)), np.zeros((0, 1, 1))))
+        assert values.shape == (0,)
+
+
 def modal_system(rng, n_modes, zeta_min, scale_bits, n_u=2, n_y=2):
     """Lightly damped modal system in displacement/velocity coordinates.
 
@@ -392,7 +455,8 @@ class TestH2Norm:
             h2_norm(s)
 
     def test_one_eigensolve(self, rng, monkeypatch):
-        # the Lyapunov solver's Hurwitz check is the only spectrum taken
+        # the Lyapunov solver's Hurwitz check is the only spectrum taken,
+        # over a stack of one
         calls = []
         real_eigvals = np.linalg.eigvals
 
@@ -403,7 +467,7 @@ class TestH2Norm:
         sys = random_stable_ss(rng, 12, 2, 2, with_d=False)
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         h2_norm(sys)
-        assert calls == [(12, 12)]
+        assert calls == [(1, 12, 12)]
 
     @pytest.mark.parametrize("zeta", [1e-4, 1e-2])
     def test_lightly_damped_and_defective(self, zeta):
