@@ -15,8 +15,8 @@ non-parametric controller.
 
 close_grid instantiates and closes a whole grid at once: every point's
 matrices stacked over a leading axis, bit for bit its one-point ones, and a
-mask of the points whose algebraic loops are well posed.  Only the
-one-point functions raise IllPosedLFTError.
+mask of the points whose algebraic loops are well posed and whose matrices
+are finite.  Only the one-point functions raise IllPosedLFTError.
 """
 
 from collections import namedtuple
@@ -128,8 +128,8 @@ class ControllerBlock:
         return self.k[self.mask == MASK_FREE].copy()
 
     def with_free_values(self, theta):
-        """Same block with the free entries replaced by ``theta``."""
-        theta = np.asarray(theta, dtype=float).ravel()
+        """Same block with the free entries set to ``theta``, sharing the mask unchecked."""
+        theta = as_matrix(theta, "k").ravel()  # DomainError when not finite
         idx = self.mask == MASK_FREE
         if theta.size != int(idx.sum()):
             raise DimensionError(
@@ -137,7 +137,10 @@ class ControllerBlock:
             )
         k = np.array(self.k)
         k[idx] = theta
-        return self.with_k(k)
+        k.flags.writeable = False
+        block = object.__new__(ControllerBlock)
+        block.__dict__.update(self.__dict__, k=k)
+        return block
 
 
 def count_free_params(kb):
@@ -153,17 +156,27 @@ def zero_block(n_k, n_delta, n_u, n_y, mask=None):
     return ControllerBlock(n_k, n_delta, n_u, n_y, np.zeros(shape), mask)
 
 
+def _finite(*matrices):
+    """Mask (...) of the points whose matrices (..., r, c) are all finite."""
+    flat = [m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],)) for m in matrices]
+    return np.isfinite(np.concatenate(flat, axis=-1)).all(axis=-1)
+
+
 def _well_posed(loop):
     """Well-posed mask (...) of the algebraic loop matrices (..., n, n),
-    whose condition estimates must stay within LFT_COND_LIMIT (a NaN
-    estimate is ill posed too), and the loops with the identity in place
-    of each ill-posed one, so that a stacked solve runs every other loop bit
-    for bit as it runs alone."""
-    if loop.shape[-1] == 0:
-        return np.ones(loop.shape[:-2], dtype=bool), loop
-    ok = np.linalg.cond(loop) <= LFT_COND_LIMIT
+    which must be finite with condition estimates within LFT_COND_LIMIT (a
+    1x1 loop's is 1 when nonzero, inf at zero: no SVD needed), and the loops
+    with the identity in place of each ill-posed one, so that a stacked
+    solve runs every other loop bit for bit as it runs alone."""
+    n = loop.shape[-1]
+    ok = np.isfinite(loop).all(axis=(-2, -1))
+    if n == 1:
+        ok &= loop[..., 0, 0] != 0.0
+    elif n:  # cond fails on non-finite matrices
+        safe = loop if ok.all() else np.where(ok[..., None, None], loop, np.eye(n))
+        ok &= np.linalg.cond(safe) <= LFT_COND_LIMIT
     if not ok.all():
-        loop = np.where(ok[..., None, None], loop, np.eye(loop.shape[-1]))
+        loop = np.where(ok[..., None, None], loop, np.eye(n))
     return ok, loop
 
 
@@ -172,7 +185,7 @@ def _require(ok, what):
     posed (``ok`` False)."""
     if not ok:
         raise IllPosedLFTError(
-            f"ill-posed {what}: algebraic loop condition estimate above {LFT_COND_LIMIT:.0e}"
+            f"ill-posed {what}: not finite, or loop condition estimate above {LFT_COND_LIMIT:.0e}"
         )
 
 
@@ -195,14 +208,15 @@ def stack_plants(plants):
     return GridPlant(sys, *parts.pop())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite point is only masked
 def closed_loop_matrices(plant, k):
     """State-space matrices of the lower LFT of a partitioned plant with ``k``.
 
     ``plant`` is a PartitionedSystem with inputs [w; u] and outputs [z; y];
     ``k`` is the controller realization mapping y to u (a StateSpace or a
     Realization).  Returns the Realization of the closed transfer w -> z with
-    n_plant + n_k states and the mask of the points whose feedback loop
-    ``I - dk d22`` is well posed (0-d for one point; see _well_posed).  A
+    n_plant + n_k states and the mask of the points whose matrices are finite
+    and whose loop ``I - dk d22`` is well posed (0-d for one point).  A
     GridPlant with the controllers stacked over the same grid axis closes
     every grid point at once, and controllers stacked (B, M, ...) over blocks
     too, the plants broadcasting over the blocks; the mask is then stacked
@@ -240,7 +254,7 @@ def closed_loop_matrices(plant, k):
     bcl = np.concatenate([b1 + b2 @ s_dk_d21, bk @ (d21 + d22 @ s_dk_d21)], axis=-2)
     ccl = np.concatenate([c1 + d12 @ s_dk_c2, d12 @ s_ck], axis=-1)
     dcl = d11 + d12 @ s_dk_d21
-    return Realization(acl, bcl, ccl, dcl), ok
+    return Realization(acl, bcl, ccl, dcl), ok & _finite(acl, bcl, ccl, dcl)
 
 
 def lower_lft_ss(plant, k):
@@ -278,6 +292,7 @@ def close_grid(plant, kb, rho, k=None):
     return GridLoops(ctrl, closed, instantiated & closed_ok)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite point is only masked
 def instantiate_stack(kb, k, rho):
     """Realizations of the controllers with values ``k`` at ``rho``.
 
@@ -292,8 +307,8 @@ def instantiate_stack(kb, k, rho):
 
     with ``delta = rho I`` and ``m = (I - d_zw delta)^-1``.  Every block and
     value gets bit for bit the matrices that it gets alone.  Returns the
-    Realization and the mask of the (block, value) points whose parameter
-    loop is well posed, stacked as the matrices (see _well_posed).
+    Realization and the mask of the (block, value) points whose matrices
+    are finite and whose parameter loop is well posed, stacked as those.
     """
     rho = np.asarray(rho, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -311,18 +326,18 @@ def instantiate_stack(kb, k, rho):
     )
     nd = kb.n_delta
     if nd == 0:
-        return Realization(*(
-            np.broadcast_to(m, lead + m.shape[-2:]).copy() for m in (a_k, b_u, c_y, d_yu)
-        )), np.ones(lead, dtype=bool)
-    scale = rho[..., None, None]
-    ok, loop = _well_posed(np.eye(nd) - scale * d_zw)
-    m_cz = scale * np.linalg.solve(loop, c_z)
-    m_dzu = scale * np.linalg.solve(loop, d_zu)
-    a = a_k + b_w @ m_cz
-    b = b_u + b_w @ m_dzu
-    c = c_y + d_yw @ m_cz
-    d = d_yu + d_yw @ m_dzu
-    return Realization(a, b, c, d), ok
+        ok = True
+        a, b, c, d = (np.broadcast_to(m, lead + m.shape[-2:]).copy() for m in (a_k, b_u, c_y, d_yu))
+    else:
+        scale = rho[..., None, None]
+        ok, loop = _well_posed(np.eye(nd) - scale * d_zw)
+        m_cz = scale * np.linalg.solve(loop, c_z)
+        m_dzu = scale * np.linalg.solve(loop, d_zu)
+        a = a_k + b_w @ m_cz
+        b = b_u + b_w @ m_dzu
+        c = c_y + d_yw @ m_cz
+        d = d_yu + d_yw @ m_dzu
+    return Realization(a, b, c, d), ok & _finite(a, b, c, d)
 
 
 def instantiation_factors(kb, rho):

@@ -209,35 +209,40 @@ class FrequencyKernel:
         if a.ndim == 2:
             a, b, c, d = a[None], b[None], c[None], d[None]
         self.a, self.b, self.c, self.d = a, b, c, d
-        m, n = a.shape[0], a.shape[-1]
-        # eigenvectors as eig gives them for the stack, and the modal factors
-        # c V and V^-1 b of each point alone, zero at dense points
         self.poles, self._v = np.linalg.eig(a)
-        self.dense = np.zeros(m, dtype=bool)
-        self._cv = np.zeros((m, c.shape[1], n), dtype=complex)
-        self._wb = np.zeros((m, n, b.shape[2]), dtype=complex)
-        # eig returns real eigenvectors for a real spectrum, and the products
-        # below round differently on those: each point takes its vectors in
-        # the type eig gives it alone, so the real-spectrum and the complex-
-        # spectrum points are factored apart, each group in stacked calls,
-        # which give each point the factors it gets alone.
+        self.dense = np.zeros(a.shape[0], dtype=bool)
+        for group, vectors in self._groups():
+            self.dense[group] = ~(np.linalg.cond(vectors[group]) <= cond_limit)  # NaN too
+
+    def _groups(self):
+        """Nonempty masks of the real- and complex-spectrum points, each with
+        the eigenvectors in the type eig gives it alone, as the products
+        round differently on real vectors; each group is factored apart."""
         real = (self.poles.imag == 0.0).all(axis=1)
-        for group, vectors in ((real, self._v.real), (~real, self._v)):
-            if not (n and group.any()):
-                continue  # nothing to factor, and cond is undefined on empty matrices
-            vectors = vectors[group]
-            modal = np.linalg.cond(vectors) <= cond_limit
-            self.dense[group] = ~modal
-            points = np.flatnonzero(group)[modal]
-            self._cv[points] = c[points] @ vectors[modal]
-            self._wb[points] = np.linalg.solve(vectors[modal], b[points])
+        pairs = ((real, self._v.real), (~real, self._v))
+        return [(g, v) for g, v in pairs if g.any() and self._v.shape[-1]]  # cond needs n > 0
+
+    @cached_property
+    def _factors(self):
+        """The modal factors ``c V`` and ``V^-1 b`` of each point, zero at
+        dense points; only ``response`` reads them."""
+        (m, n), c, b = self.poles.shape, self.c, self.b
+        cv = np.zeros((m, c.shape[1], n), dtype=complex)
+        wb = np.zeros((m, n, b.shape[2]), dtype=complex)
+        for group, vectors in self._groups():
+            points = group & ~self.dense
+            cv[points] = c[points] @ vectors[points]
+            wb[points] = np.linalg.solve(vectors[points], b[points])
+        return cv, wb
 
     def take(self, points):
         """The kernel of some points of the stack (an index or a mask),
         without factoring them again."""
         sub = object.__new__(FrequencyKernel)
-        for name in ("a", "b", "c", "d", "poles", "dense", "_v", "_cv", "_wb"):
+        for name in ("a", "b", "c", "d", "poles", "dense", "_v"):
             setattr(sub, name, getattr(self, name)[points])
+        if "_factors" in self.__dict__:
+            sub._factors = tuple(f[points] for f in self._factors)
         return sub
 
     def _rows(self, omegas):
@@ -274,13 +279,13 @@ class FrequencyKernel:
         dist = np.abs(1j * omegas[..., None] - self.poles[:, None, :]).min(axis=-1, initial=np.inf)
         near = dist <= NEAR_POLE_TOL * np.abs(self.poles).max(axis=-1, initial=0.0)[:, None]
         g = np.empty(omegas.shape + d.shape[1:], dtype=complex)
-        modal = self._modal()
+        modal, (cv, wb) = self._modal(), self._factors
         # samples on a pole divide by zero here; the near-pole pass below
         # overwrites them
         with np.errstate(divide="ignore", invalid="ignore"):
             g[modal] = (
-                (self._cv[modal][:, None] * self._modal_diag(omegas, modal)[..., None, :])
-                @ self._wb[modal][:, None] + d[modal][:, None]
+                (cv[modal][:, None] * self._modal_diag(omegas, modal)[..., None, :])
+                @ wb[modal][:, None] + d[modal][:, None]
             )
         for j in np.flatnonzero(self.dense):
             far = ~near[j]

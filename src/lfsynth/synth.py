@@ -15,13 +15,13 @@ finite differences: central differences of a softened abscissa, all 2n probe
 blocks of a gradient closed in one stacked pass.
 
 Every evaluation instantiates and closes the block in one place,
-_closed_loops, in one pass over the whole grid: the plants share their state
-order, and so do the weights, so their matrices are stacked once and lft
-broadcasts the instantiation and the closing algebra over the grid axis (and
-over a leading axis of blocks, for stabilization's probes).  A
-grid point is stable when its closed loop and its controller are (the
-weights must be stable, so this covers both channels).  A point whose
-parameter or feedback loop is ill posed, which lft's mask marks, makes
+_closed_loops, in one pass over the whole grid (and over a leading axis of
+blocks, for stabilization's probes): the plants share their state order, and
+so do the weights, so their matrices are stacked once and lft broadcasts the
+algebra over those axes.  The problem keeps its latest block's loops, so the
+surrogate, the certificate and stabilization close each block once.  A grid
+point is stable when its closed loop and its controller are.  A point whose
+loops are ill posed or not finite, which lft's mask marks, makes
 certification raise IllPosedLFTError with that grid index and the surrogate
 and stabilization score the block as infinite.  A certificate is two stacked
 level-set passes over the whole grid, one over the closed loops and one over
@@ -191,6 +191,7 @@ class SynthesisProblem:
         object.__setattr__(self, "stacked", stacked)
         weights = Realization(*(np.stack([getattr(w, m) for w in wk_list]) for m in "abcd"))
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_latest", (None, None))  # see _closed_loops
 
     @property
     def m(self):
@@ -344,19 +345,30 @@ def _closed_loops(problem, kb, free=None):
     largest real part over a point's closed-loop and controller poles (-inf
     when there are none).  The weights are stable, so it decides the
     stability of both channels.  A point whose parameter or feedback loop is
-    ill posed is False in ``well_posed``; its loops are not its own, and its
-    abscissa is inf, so it is never stable.
+    ill posed, or whose matrices are not finite, is False in ``well_posed``;
+    its loops are not its own, and its abscissa is inf, so it is never
+    stable.  The problem keeps its latest single block's loops, which
+    callers must not modify, for that block's next call.
     """
+    key = None if free is not None else (kb.n_k, kb.n_delta, kb.n_u, kb.n_y, kb.k.tobytes())
+    latest = problem._latest  # one tuple, replaced whole
+    if key is not None and latest[0] == key:
+        return latest[1]
     k = None
     if free is not None:
         k = np.repeat(kb.k[None], len(free), axis=0)
         k[:, kb.mask == MASK_FREE] = free
     ctrl, closed, well_posed = close_grid(problem.stacked, kb, problem.grid, k)
-    poles = np.linalg.eigvals(closed.a)
-    reals = np.concatenate([poles.real, np.linalg.eigvals(ctrl.a).real], axis=-1)
+    a_cl, a_k = (a if well_posed.all() else np.where(well_posed[..., None, None], a, 0.0)
+                 for a in (closed.a, ctrl.a))  # ill-posed points' may not be finite
+    poles = np.linalg.eigvals(a_cl)
+    reals = np.concatenate([poles.real, np.linalg.eigvals(a_k).real], axis=-1)
     abscissa = reals.max(axis=-1, initial=-np.inf)
     abscissa[~well_posed] = np.inf
-    return _Loops(ctrl, closed, poles, abscissa, well_posed)
+    loops = _Loops(ctrl, closed, poles, abscissa, well_posed)
+    if key is not None:
+        object.__setattr__(problem, "_latest", (key, loops))
+    return loops
 
 
 def _top_singular_pairs(g):
@@ -445,6 +457,8 @@ def _in_gain_order(rows, n_grid, counts):
     the grid (M, F, ...): each point's fixed grid in its first ``n_grid``
     columns, then its ``counts[j]`` needles, then padding.
     """
+    if not any(counts):
+        return np.stack(rows, axis=1).reshape((-1,) + rows[0].shape[2:])
     parts = []
     for j, n in enumerate(counts):
         parts.extend(r[j, :n_grid] for r in rows)
@@ -721,21 +735,11 @@ def stabilize(problem, kb0, seed=0):
     pole, where eigenvalue sensitivities are undefined.  The block is
     returned unchanged when it is already stabilizing.  Raises
     StabilizationFailedError once STABILIZE_BUDGET function evaluations (2n
-    per gradient) are spent without success.
+    per gradient) are spent without success.  Scoring the start after its
+    check, or a descent's last point again, closes no block again.
     """
-    # The latest block's theta bytes and abscissas: the start is scored
-    # right after its check, and a descent ends where it last scored.
-    latest = [None, None]
-
-    def abscissas(theta):
-        # per-grid-point abscissas, inf where a point is ill posed
-        key = theta.tobytes()
-        if latest[0] != key:
-            latest[:] = key, _closed_loops(problem, kb0.with_free_values(theta)).abscissa
-        return latest[1]
-
     theta0 = kb0.free_values()
-    ab = abscissas(theta0)
+    ab = _closed_loops(problem, kb0).abscissa  # per grid point, inf where ill posed
     if ab.max() < 0.0:
         return kb0
     if theta0.size == 0:
@@ -748,7 +752,7 @@ def stabilize(problem, kb0, seed=0):
     def fun(theta):
         nonlocal evals
         evals += 1
-        return _softened_abscissa(abscissas(theta))
+        return _softened_abscissa(_closed_loops(problem, kb0.with_free_values(theta)).abscissa)
 
     def gradient(theta, f0):
         nonlocal evals
@@ -768,8 +772,9 @@ def stabilize(problem, kb0, seed=0):
             fun, gradient, theta, f0, remaining, 1e-6, stop_value=-margin
         )
         best_val = min(best_val, fval)
-        if abscissas(theta).max() < 0.0:
-            return kb0.with_free_values(theta)
+        kb = kb0.with_free_values(theta)
+        if _closed_loops(problem, kb).abscissa.max() < 0.0:
+            return kb
         scale = max(float(np.abs(theta).max()), 1.0)
         theta = theta + rng.normal(0.0, 0.3 * scale, theta.size)
     raise StabilizationFailedError(

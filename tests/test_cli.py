@@ -9,7 +9,14 @@ import pytest
 from lfsynth import cli
 from lfsynth.cli import RunConfig, main, parse_config
 from lfsynth.errors import ConfigError, SingularMatrixError
-from lfsynth.lft import eval_controller, load_controller, lower_lft_ss, save_controller, zero_block
+from lfsynth.lft import (
+    count_free_params,
+    eval_controller,
+    load_controller,
+    lower_lft_ss,
+    save_controller,
+    zero_block,
+)
 from lfsynth.models import load_statespace, save_statespace
 from lfsynth.norms import h2_norm, hinf_norm
 from lfsynth.statespace import FrequencyKernel, StateSpace
@@ -618,6 +625,37 @@ class TestBodeCommand:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ") and "--rho" in err[0]
+        assert not out.exists()
+
+
+class TestOverflowingController:
+    """The beam controller with every free entry at 1e200: its matrices
+    overflow at every sweep value."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        kb = load_controller(BUNDLED / "beam_controller.txt")
+        path = tmp_path / "huge.txt"
+        save_controller(kb.with_free_values(np.full(count_free_params(kb), 1e200)), str(path))
+        return path
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eval_flags_every_row(self, huge, tmp_path):
+        out = tmp_path / "eval.csv"
+        code = main(["eval", "--controller", str(huge), "--config", str(BUNDLED / "beam.cfg"),
+                     "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[1:] == ["", "0"] for row in rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bode_exits_1(self, huge, tmp_path, capsys):
+        out = tmp_path / "bode.csv"
+        code = main(["bode", "--controller", str(huge), "--config", str(BUNDLED / "beam.cfg"),
+                     "--rho", "10,15", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "rho = 10" in err[0]
         assert not out.exists()
 
 

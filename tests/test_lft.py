@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lfsynth.errors import DimensionError, DomainError, IllPosedLFTError, ParseError
 from lfsynth.lft import (
+    LFT_COND_LIMIT,
     MASK_FREE,
     MASK_FROZEN,
     MASK_ZERO,
@@ -20,6 +21,7 @@ from lfsynth.lft import (
     lower_lft_ss,
     save_controller,
     stack_plants,
+    _well_posed,
     zero_block,
 )
 from lfsynth.statespace import PartitionedSystem, StateSpace, frequency_gain, static_gain
@@ -91,6 +93,96 @@ class TestControllerBlock:
         kb = random_block(rng, 1, 1, 1, 1)
         with pytest.raises(DimensionError):
             kb.with_free_values(np.zeros(5))
+
+    def test_free_values_give_the_constructed_block(self, rng):
+        """with_free_values skips re-validation, yet gives the block that the
+        constructor builds from the same values and mask."""
+        mask = rng.integers(MASK_ZERO, MASK_FROZEN + 1, size=(4, 4)).astype(np.int8)
+        k = np.where(mask == MASK_ZERO, 0.0, rng.normal(size=(4, 4)))
+        kb = ControllerBlock(1, 1, 2, 2, k, mask)
+        theta = rng.normal(size=count_free_params(kb))
+        got = kb.with_free_values(theta)
+        k_new = np.array(k)
+        k_new[mask == MASK_FREE] = theta
+        want = ControllerBlock(1, 1, 2, 2, k_new, mask)
+        assert (got.n_k, got.n_delta, got.n_u, got.n_y) == (1, 1, 2, 2)
+        for name in ("k", "mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+        assert np.array_equal(kb.k, k)  # the source block keeps its values
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_free_values(self, rng, bad):
+        kb = random_block(rng, 1, 1, 1, 1)
+        theta = kb.free_values()
+        theta[3] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            kb.with_free_values(theta)
+
+
+# zero, subnormal, huge and infinite entries of a 1x1 algebraic loop
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, np.inf, -np.inf]
+
+
+class TestWellPosed:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(allow_nan=False)))
+    def test_one_by_one_rule_is_the_condition_test(self, x):
+        """A 1x1 loop takes no SVD, yet its decision is the condition test's."""
+        loop = np.array([[x]])
+        ok, out = _well_posed(loop)
+        assert bool(ok) == bool(np.linalg.cond(loop) <= LFT_COND_LIMIT)
+        assert np.array_equal(out, loop if ok else np.eye(1))
+
+    def test_nan_is_ill_posed(self):
+        ok, out = _well_posed(np.array([[np.nan]]))
+        assert not ok and np.array_equal(out, np.eye(1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_non_finite_points_of_a_stack(self, rng, n):
+        loops = np.stack([np.eye(n) + 0.1 * rng.normal(size=(n, n)) for _ in range(4)])
+        loops[1, 0, 0], loops[2, -1, 0] = np.nan, np.inf
+        ok, out = _well_posed(loops)
+        assert ok.tolist() == [True, False, False, True]
+        assert np.array_equal(out[[0, 3]], loops[[0, 3]])
+        assert np.array_equal(out[1], np.eye(n)) and np.array_equal(out[2], np.eye(n))
+
+
+class TestOverflow:
+    """Matrices that overflow make a point ill posed, not a numpy error."""
+
+    @staticmethod
+    def affine_block(value):
+        # d_zw = 0, so the controller at rho is k's blocks plus rho times products
+        mask = np.full((3, 3), MASK_FREE, dtype=np.int8)
+        mask[1, 1] = MASK_ZERO
+        return ControllerBlock(1, 1, 1, 1, np.where(mask == MASK_ZERO, 0.0, value), mask)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_controller(self):
+        kb = self.affine_block(1e200)
+        ctrl, ok = instantiate_stack(kb, kb.k, np.array([0.0, 2.0]))
+        assert ok.tolist() == [True, False]
+        assert np.isfinite(ctrl.a[0]).all() and not np.isfinite(ctrl.a[1]).all()
+        eval_controller_matrices(kb, 0.0)
+        with pytest.raises(IllPosedLFTError, match=r"rho = 2\.0: not finite"):
+            eval_controller_matrices(kb, 2.0)
+        scalar = StateSpace([[-1.0]], [[1.0, 1.0]], [[1.0], [1.0]], np.zeros((2, 2)))
+        plant = stack_plants([PartitionedSystem(scalar, (1, 1), (1, 1))] * 2)
+        assert close_grid(plant, kb, np.array([0.0, 2.0])).well_posed.tolist() == [True, False]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_closed_loop(self):
+        plant = PartitionedSystem(
+            StateSpace([[-1.0]], [[1.0, 1.0]], [[1.0], [1e200]], np.zeros((2, 2))), (1, 1), (1, 1)
+        )
+        ctrl = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1e200]])
+        closed, ok = closed_loop_matrices(plant, ctrl)
+        assert not ok and not np.isfinite(closed.a).all()
+        with pytest.raises(IllPosedLFTError, match="feedback interconnection: not finite"):
+            lower_lft_ss(plant, ctrl)
 
 
 class TestUpperLft:

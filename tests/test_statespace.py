@@ -191,6 +191,24 @@ class TestStackedKernel:
         assert kernel.dense.tolist() == dense
 
 
+    def test_modal_factors_wait_for_a_response(self, rng):
+        """The resolvent products never read ``c V`` and ``V^-1 b``: the
+        kernel makes them on its first response, and take hands them on or,
+        taken earlier, makes its own points' ones."""
+        systems = [stack_point(rng, kind, 4, 2, 3) for kind in STACK_KINDS]
+        freqs = np.geomspace(0.1, 10.0, 20)
+        kernel = FrequencyKernel(stacked(systems))
+        kernel.resolvent_b(freqs)
+        kernel.c_resolvent(freqs)
+        early = kernel.take([0, 2])
+        assert "_factors" not in kernel.__dict__ and "_factors" not in early.__dict__
+        g = kernel.response(freqs)
+        late = kernel.take([0, 2])
+        assert "_factors" in late.__dict__
+        for sub in (early, late):
+            assert np.array_equal(sub.response(freqs), g[[0, 2]])
+
+
 class TestResolventProducts:
     """``X b`` and ``c X``, ``X = (i w I - a)^-1``, against dense solves."""
 

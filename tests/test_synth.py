@@ -19,6 +19,7 @@ from lfsynth.lft import (
     MASK_FROZEN,
     MASK_ZERO,
     ControllerBlock,
+    count_free_params,
     eval_controller,
     load_controller,
     zero_block,
@@ -1222,6 +1223,42 @@ class TestClosedLoops:
         assert err.value.grid_index == 1
 
 
+class TestOverflowingBlocks:
+    """A block whose matrices overflow is ill posed at those points."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e155, 1e200])
+    def test_scores_inf_and_certificate_raises(self, value):
+        prob, kb = bundled_problem("building")
+        kb = kb.with_free_values(np.full(count_free_params(kb), value))
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
+        score, info, grad = ev.penalized(kb, 0.01, gradient=True)
+        assert score == np.inf and not info.stable and not grad.any()
+        loops = synth._closed_loops(prob, kb)
+        assert not loops.well_posed.any() and (loops.abscissa == np.inf).all()
+        for certificate in (lambda: synth._certify(prob, kb, 1e-6), lambda: objective(prob, kb)):
+            with pytest.raises(IllPosedLFTError, match="not finite") as err:
+                certificate()
+            assert err.value.grid_index == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_other_points_keep_their_poles(self):
+        """At rho = 2 the block overflows; the point at rho = 0 gets the
+        poles it gets alone."""
+        st = StructureOptions(1, 1, dependency="affine")
+        prob = SynthesisProblem(
+            (scalar_plant(), scalar_plant()), (0.0, 2.0), static_gain([[0.0]]), st
+        )
+        mask = build_mask(st, 1, 1)
+        kb = ControllerBlock(1, 1, 1, 1, np.where(mask == MASK_ZERO, 0.0, 1e200), mask)
+        loops = synth._closed_loops(prob, kb)
+        assert loops.well_posed.tolist() == [True, False]
+        assert loops.abscissa[1] == np.inf
+        alone = synth._closed_loops(point_problem(prob, 0), kb)
+        assert np.array_equal(loops.poles[0], alone.poles[0])
+        assert loops.abscissa[0] == alone.abscissa[0]
+
+
 def softened_abscissa(problem, kb):
     """Stabilization's value over the free entries of ``kb``, one
     _closed_loops pass per block: infinite where the mask flags a point of
@@ -1268,14 +1305,15 @@ def ill_posed_probe_block():
 
 
 def spy_passes(monkeypatch):
-    """Record every _closed_loops pass, as the free-value stack's shape or,
-    for one block, the block's bytes, and each gradient's passes."""
+    """Record every lft.close_grid pass that _closed_loops runs, as the
+    number of stacked probe blocks or, for one block, the block's bytes,
+    and each gradient's passes."""
     passes, gradients = [], []
-    real_loops, real_gradient = synth._closed_loops, synth._abscissa_gradient
+    real_close, real_gradient = synth.close_grid, synth._abscissa_gradient
 
-    def spy(problem, block, free=None):
-        passes.append(block.k.tobytes() if free is None else free.shape)
-        return real_loops(problem, block, free)
+    def spy(plant, block, rho, k=None):
+        passes.append(block.k.tobytes() if k is None else len(k))
+        return real_close(plant, block, rho, k)
 
     def gradient(*args):
         before = len(passes)
@@ -1283,7 +1321,7 @@ def spy_passes(monkeypatch):
         gradients.append(passes[before:])
         return g
 
-    monkeypatch.setattr(synth, "_closed_loops", spy)
+    monkeypatch.setattr(synth, "close_grid", spy)
     monkeypatch.setattr(synth, "_abscissa_gradient", gradient)
     return passes, gradients
 
@@ -1329,7 +1367,7 @@ class TestStabilizationGradient:
         assert fun(up) == np.inf and np.isfinite(fun(dn)) and np.isfinite(fun(theta))
         grad = self.assert_matches_oracle(prob, kb)
         assert np.isfinite(grad).all()
-        assert gradients == [[(2 * theta.size, theta.size)]]
+        assert gradients == [[2 * theta.size]]
 
     def test_one_stacked_pass_per_gradient(self, monkeypatch):
         """Each gradient is one stacked pass over its 2n probe blocks, and
@@ -1338,10 +1376,46 @@ class TestStabilizationGradient:
         passes, gradients = spy_passes(monkeypatch)
         stabilize(prob, kb)
         n = kb.free_values().size
-        assert gradients and all(g == [(2 * n, n)] for g in gradients)
-        assert sum(isinstance(p, tuple) for p in passes) == len(gradients)
+        assert gradients and all(g == [2 * n] for g in gradients)
+        assert sum(isinstance(p, int) for p in passes) == len(gradients)
         singles = [p for p in passes if isinstance(p, bytes)]
         assert all(a != b for a, b in zip(singles, singles[1:]))
+
+
+class TestLatestLoops:
+    """The problem keeps its latest block's loops, so that the surrogate, the
+    certificate and stabilization close each block once."""
+
+    def test_optimize_closes_no_block_twice_in_a_row(self, monkeypatch):
+        prob, kb = stabilizing_start()
+        passes, _ = spy_passes(monkeypatch)
+        optimize(prob, kb, OptimizeOptions(max_iter=10, restarts=1, refine_rounds=0))
+        singles = [p for p in passes if isinstance(p, bytes)]
+        assert len(singles) > 2
+        assert all(a != b for a, b in zip(singles, singles[1:]))
+
+    def test_same_block_returns_the_kept_loops(self):
+        prob, kb = stabilizing_start()
+        loops = synth._closed_loops(prob, kb)
+        assert synth._closed_loops(prob, kb.with_free_values(kb.free_values())) is loops
+        other = kb.with_free_values(kb.free_values() * 1.01)
+        kept = synth._closed_loops(prob, other)
+        assert kept is not loops
+        synth._closed_loops(prob, kb, kb.free_values()[None])  # a probe stack is not kept
+        assert synth._closed_loops(prob, other) is kept
+
+    def test_same_bytes_other_split(self):
+        """Two zero blocks of one size, split differently between n_k and
+        n_delta, have the same bytes but their own loops."""
+        prob, _ = stabilizing_start()
+        one, two = zero_block(1, 1, 1, 1), zero_block(2, 0, 1, 1)
+        assert one.k.tobytes() == two.k.tobytes() and one.k.shape == two.k.shape
+        for kb in (one, two, one):
+            loops = synth._closed_loops(prob, kb)
+            assert loops.ctrl.a.shape[-1] == kb.n_k
+            fresh = synth._closed_loops(stabilizing_start()[0], kb)
+            for got, want in zip(loops.closed + loops.ctrl, fresh.closed + fresh.ctrl):
+                assert np.array_equal(got, want)
 
 
 class TestCampaigns:
