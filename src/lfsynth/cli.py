@@ -399,11 +399,8 @@ def cmd_bode(controller_path, config_path, rho_list, out_path):
             rho = rhos[idx[np.argmin(well_posed)]]
             raise IllPosedLFTError(f"ill-posed controller or feedback loop at rho = {rho:g}")
         closed_sigma[idx] = FrequencyKernel(closed).sigma(omegas)
-    columns = [open_kernel.sigma(omegas)[0], *closed_sigma]
     header = ["omega", "open_loop"] + [f"rho_{rho:g}" for rho in rho_list]
-    rows = [
-        tuple([w] + [col[i] for col in columns]) for i, w in enumerate(omegas)
-    ]
+    rows = np.column_stack([omegas, open_kernel.sigma(omegas)[0], *closed_sigma]).tolist()
     _write_csv(out_path, header, rows)
     return 0
 

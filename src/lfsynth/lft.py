@@ -158,8 +158,10 @@ def zero_block(n_k, n_delta, n_u, n_y, mask=None):
 
 def _finite(*matrices):
     """Mask (...) of the points whose matrices (..., r, c) are all finite."""
-    flat = [m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],)) for m in matrices]
-    return np.isfinite(np.concatenate(flat, axis=-1)).all(axis=-1)
+    ok = np.isfinite(matrices[0]).all(axis=(-2, -1))
+    for m in matrices[1:]:
+        ok &= np.isfinite(m).all(axis=(-2, -1))
+    return ok
 
 
 def _well_posed(loop):

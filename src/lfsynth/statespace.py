@@ -188,6 +188,31 @@ def _shifted_solve(a, omegas, rhs):
     return np.linalg.solve(m, rhs)
 
 
+def _within_cond_limit(v, cond_limit):
+    """Mask (M,) of the eigenvector matrices ``v`` (M, n, n), unit-norm
+    columns as eig gives them, with ``cond(V) <= cond_limit``.
+
+    Unit columns bound ``sigma_max(V) <= sqrt(n)``, so when the Gram matrix
+    ``V^H V - tau I`` of every point has a Cholesky factor, every
+    ``cond(V) <= sqrt(n / tau)``.  With ``tau = 1.01 n / cond_limit**2``, no
+    smaller than ``1e3 n^2 eps`` to cover the rounding of the product and the
+    factorization, that bound is within the limit and no SVD is needed.  A
+    stack that fails the test (nearly defective, defective or NaN points)
+    takes the SVD condition number, NaN counting as over the limit.
+    """
+    n = v.shape[-1]
+    tau = max(1.01 * n / max(cond_limit, 1.0) ** 2, 1e3 * n * n * np.finfo(float).eps)
+    if tau < 1.0:  # else no point passes: unit columns give sigma_min(V) <= 1
+        gram = np.swapaxes(v, -1, -2).conj() @ v - tau * np.eye(n)
+        try:
+            passed = np.isfinite(np.linalg.cholesky(gram)).all()  # NaN factors too
+        except np.linalg.LinAlgError:  # not positive definite
+            passed = False
+        if passed:
+            return np.ones(v.shape[0], dtype=bool)
+    return np.linalg.cond(v) <= cond_limit
+
+
 class FrequencyKernel:
     """Frequency responses and resolvent products of systems stacked over a
     leading axis, each factored once for many frequencies.
@@ -201,7 +226,9 @@ class FrequencyKernel:
     V^-1``.  The eigenbasis loses about ``eps cond(V)`` of relative
     accuracy, so a point whose ``cond(V)`` exceeds ``cond_limit`` (a
     defective or nearly defective ``a``) takes dense solves with ``i w I -
-    a`` instead.  A sample on a pole raises SingularMatrixError.
+    a`` instead.  The choice needs no SVD where the basis is clearly well
+    conditioned: see _within_cond_limit.  A sample on a pole raises
+    SingularMatrixError.
     """
 
     def __init__(self, systems, cond_limit=EIG_COND_LIMIT):
@@ -212,7 +239,7 @@ class FrequencyKernel:
         self.poles, self._v = np.linalg.eig(a)
         self.dense = np.zeros(a.shape[0], dtype=bool)
         for group, vectors in self._groups():
-            self.dense[group] = ~(np.linalg.cond(vectors[group]) <= cond_limit)  # NaN too
+            self.dense[group] = ~_within_cond_limit(vectors[group], cond_limit)
 
     def _groups(self):
         """Nonempty masks of the real- and complex-spectrum points, each with
@@ -259,7 +286,8 @@ class FrequencyKernel:
         """``1 / (i w - lambda)`` of the modal points over shared (F,) or
         per-point (M, F) frequencies: (., F, n)."""
         w = omegas[modal] if omegas.ndim == 2 else omegas
-        return 1.0 / (1j * w[..., None] - self.poles[modal][:, None, :])
+        shift = 1j * w[..., None] - self.poles[modal][:, None, :]
+        return np.divide(1.0, shift, out=shift)
 
     @cached_property
     def _v_inv(self):
@@ -276,16 +304,17 @@ class FrequencyKernel:
         """
         a, b, c, d = self.a, self.b, self.c, self.d
         omegas = self._rows(omegas)
-        dist = np.abs(1j * omegas[..., None] - self.poles[:, None, :]).min(axis=-1, initial=np.inf)
+        shift = 1j * omegas[..., None] - self.poles[:, None, :]
+        dist = np.abs(shift).min(axis=-1, initial=np.inf)
         near = dist <= NEAR_POLE_TOL * np.abs(self.poles).max(axis=-1, initial=0.0)[:, None]
         g = np.empty(omegas.shape + d.shape[1:], dtype=complex)
         modal, (cv, wb) = self._modal(), self._factors
         # samples on a pole divide by zero here; the near-pole pass below
         # overwrites them
         with np.errstate(divide="ignore", invalid="ignore"):
+            diag = np.divide(1.0, shift, out=shift)[modal]  # in place: shift is done
             g[modal] = (
-                (cv[modal][:, None] * self._modal_diag(omegas, modal)[..., None, :])
-                @ wb[modal][:, None] + d[modal][:, None]
+                (cv[modal][:, None] * diag[..., None, :]) @ wb[modal][:, None] + d[modal][:, None]
             )
         for j in np.flatnonzero(self.dense):
             far = ~near[j]

@@ -1,8 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lfsynth import cli, synth
 from lfsynth.errors import DimensionError, DomainError, SingularMatrixError
 from lfsynth.statespace import (
+    EIG_COND_LIMIT,
+    NEAR_POLE_TOL,
     FrequencyKernel,
     PartitionedSystem,
     Realization,
@@ -14,9 +20,12 @@ from lfsynth.statespace import (
     spectral_abscissa,
     static_gain,
     subsystem,
+    _within_cond_limit,
 )
 
 from conftest import STACK_KINDS, random_stable_ss, stack_point
+
+BUNDLED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def stacked(systems):
@@ -234,6 +243,220 @@ class TestResolventProducts:
                     one = FrequencyKernel(sys, cond_limit=1e4)
                     assert np.array_equal(xb[j], one.resolvent_b(row)[0])
                     assert np.array_equal(cx[j], one.c_resolvent(row)[0])
+
+
+def svd_dense(kernel, cond_limit):
+    """The dense mask by the SVD: a point is dense unless ``cond(V) <=
+    cond_limit`` (NaN is dense), each spectrum group with its own vectors."""
+    dense = np.zeros(kernel.a.shape[0], dtype=bool)
+    for group, vectors in kernel._groups():
+        dense[group] = ~(np.linalg.cond(vectors[group]) <= cond_limit)
+    return dense
+
+
+def count_cond_calls(monkeypatch):
+    """List whose length counts the ``np.linalg.cond`` calls from now on."""
+    calls, real = [], np.linalg.cond
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    return calls
+
+
+def nearly_defective(delta, pair):
+    """A state matrix with two eigenvalues (or, with ``pair``, two complex
+    pairs) split by ``delta``: its cond(V) grows like 1 / delta."""
+    if not pair:
+        return np.array([[-1.0, 1.0], [0.0, -1.0 - delta]])
+    r = np.array([[-0.1, 2.0], [-2.0, -0.1]])
+    return np.block([[r, np.eye(2)], [np.zeros((2, 2)), r - delta * np.eye(2)]])
+
+
+def with_cond(target, pair):
+    """``nearly_defective`` with its cond(V) within 1e-3 of ``target``, and
+    that cond(V)."""
+    delta = 1.0 / target
+    for _ in range(8):
+        cond = np.linalg.cond(np.linalg.eig(nearly_defective(delta, pair))[1])
+        if abs(cond / target - 1.0) < 1e-3:
+            return nearly_defective(delta, pair), cond
+        delta *= cond / target
+    raise AssertionError(f"no cond(V) near {target:g}")
+
+
+def kernel_of(a):
+    n = a.shape[0]
+    return StateSpace(a, np.ones((n, 1)), np.ones((1, n)), [[0.0]])
+
+
+class TestConditioningTest:
+    """The Gram-Cholesky choice of modal or dense points against the SVD
+    condition number, which it replaces and falls back to."""
+
+    LIMITS = (EIG_COND_LIMIT, synth.RESOLVENT_COND_LIMIT)
+
+    @staticmethod
+    def assert_as_svd(systems, limits=LIMITS, monkeypatch=None):
+        """Compare at each limit; with ``monkeypatch``, return how many
+        SVD condition numbers the kernels took."""
+        calls = count_cond_calls(monkeypatch) if monkeypatch else []
+        svds = 0
+        for limit in limits:
+            before = len(calls)
+            kernel = FrequencyKernel(stacked(systems), cond_limit=limit)
+            svds += len(calls) - before
+            assert kernel.dense.tolist() == svd_dense(kernel, limit).tolist()
+        return svds
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 30, 60])
+    def test_random_spectra(self, rng, monkeypatch, n):
+        # random triangular real-spectrum matrices reach cond(V) = 1e3-1e20
+        # from n = 12 up, and take the SVD there
+        self.assert_as_svd([stack_point(rng, "real", n, 2, 2) for _ in range(4)])
+        plain = [stack_point(rng, "plain", n, 2, 2) for _ in range(4)]
+        assert self.assert_as_svd(plain, monkeypatch=monkeypatch) == 0
+
+    def test_lightly_damped_in_random_coordinates(self, rng, monkeypatch):
+        systems = []
+        for zeta in (1e-2, 1e-4, 1e-6):
+            sys, _ = lightly_damped(rng, 15, zeta)
+            t = np.eye(30) + 0.3 * rng.normal(size=(30, 30))
+            t_inv = np.linalg.inv(t)
+            systems.append(StateSpace(t @ sys.a @ t_inv, t @ sys.b, sys.c @ t_inv, sys.d))
+        assert self.assert_as_svd(systems, monkeypatch=monkeypatch) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_jordan_blocks_are_dense(self, rng, n):
+        systems = [stack_point(rng, "jordan", n) for _ in range(2)]
+        self.assert_as_svd(systems)
+        assert FrequencyKernel(stacked(systems)).dense.all()
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("target", [1e4, 1e6, 1e8])
+    def test_nearly_defective_at_the_limits(self, target, pair):
+        for side in (1.0 - 5e-3, 1.0 + 5e-3):
+            a, cond = with_cond(target * side, pair)
+            assert (cond < target) == (side < 1.0)
+            self.assert_as_svd([kernel_of(a)], self.LIMITS + (target,))
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["real", "complex"])
+    def test_conditioning_sweep(self, pair):
+        """cond(V) from 1e1 to 1e12: each point alone and all in one stack."""
+        systems = [kernel_of(nearly_defective(delta, pair)) for delta in np.geomspace(1e-12, 0.1, 45)]
+        for sys in systems:
+            self.assert_as_svd([sys], self.LIMITS + (1e6,))
+        self.assert_as_svd(systems, self.LIMITS + (1e6,))
+
+    def test_rounding_floor(self, rng):
+        """Past cond(V) = 1e8 the Gram product's rounding exceeds ``1.01 n /
+        cond_limit**2``; the floor keeps the fast test from passing there.
+        Random triangular matrices reach cond(V) = 1e7-1e14 at these orders."""
+        for n in (12, 20, 30):
+            for _ in range(20):
+                self.assert_as_svd([stack_point(rng, "real", n)], (1e9, 1e10, 1e11, 1e12))
+
+    def test_zero_limit_makes_every_point_dense(self, rng):
+        systems = [stack_point(rng, kind, 4, 2, 2) for kind in ("plain", "real")]
+        self.assert_as_svd(systems, (0.0, 0.5, 1.0))
+        assert FrequencyKernel(stacked(systems), cond_limit=0.0).dense.all()
+
+    def test_one_state(self, rng):
+        systems = [stack_point(rng, "plain", 1) for _ in range(3)]
+        self.assert_as_svd(systems, self.LIMITS + (0.0, 1.0, np.inf))
+        assert not FrequencyKernel(stacked(systems), cond_limit=1.0).dense.any()
+
+    def test_nan_vectors_go_to_the_svd(self, rng, monkeypatch):
+        """A NaN factor is no pass; the SVD then fails as it always has."""
+        v = np.linalg.eig(stack_point(rng, "plain", 5).a)[1][None].repeat(3, axis=0)
+        v[1, 2, 3] = np.nan
+        calls = count_cond_calls(monkeypatch)
+        for limit in self.LIMITS:
+            with pytest.raises(np.linalg.LinAlgError):
+                _within_cond_limit(v, limit)
+        assert len(calls) == len(self.LIMITS)
+
+    def test_one_group_falls_back_alone(self, rng, monkeypatch):
+        """The real-spectrum group passes the Cholesky test; the complex one
+        holds a nearly defective pair and takes the SVD."""
+        a, _ = with_cond(9.9e3, pair=True)
+        systems = [stack_point(rng, "real", 4) for _ in range(2)] + [
+            kernel_of(a), stack_point(rng, "plain", 4)]
+        calls = count_cond_calls(monkeypatch)
+        for limit, dense in ((1e4, False), (5e3, True)):
+            kernel = FrequencyKernel(stacked(systems), cond_limit=limit)
+            assert kernel.dense.tolist() == [False, False, dense, False]
+            assert len(calls) == 1
+            assert kernel.dense.tolist() == svd_dense(kernel, limit).tolist()
+            calls.clear()
+
+
+def two_pass_response(kernel, omegas):
+    """``response`` as it was, shifting the poles once for the near-pole
+    distance and again for the modal diagonal: the one-pass oracle."""
+    a, b, c, d = kernel.a, kernel.b, kernel.c, kernel.d
+    omegas = kernel._rows(omegas)
+    dist = np.abs(1j * omegas[..., None] - kernel.poles[:, None, :]).min(axis=-1, initial=np.inf)
+    near = dist <= NEAR_POLE_TOL * np.abs(kernel.poles).max(axis=-1, initial=0.0)[:, None]
+    g = np.empty(omegas.shape + d.shape[1:], dtype=complex)
+    modal, (cv, wb) = kernel._modal(), kernel._factors
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = 1.0 / (1j * omegas[modal][..., None] - kernel.poles[modal][:, None, :])
+        g[modal] = (cv[modal][:, None] * diag[..., None, :]) @ wb[modal][:, None] + d[modal][:, None]
+    for j in np.flatnonzero(kernel.dense):
+        far = ~near[j]
+        m = 1j * omegas[j, far][:, None, None] * np.eye(a.shape[-1]) - a[j]
+        g[j, far] = c[j] @ np.linalg.solve(m, np.broadcast_to(b[j], m.shape[:-1] + b.shape[-1:])) + d[j]
+    for j, i in zip(*np.nonzero(near)):
+        g[j, i] = frequency_gain(StateSpace(a[j], b[j], c[j], d[j]), omegas[j, i])
+    return g
+
+
+class TestOnePassResponse:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_matches_two_pass_formula(self, rng, n):
+        kinds = STACK_KINDS + ("plain", "real")
+        systems = [stack_point(rng, kind, n, 2, 3) for kind in kinds]
+        kernel = FrequencyKernel(stacked(systems))
+        assert kernel.dense.any() == (n > 1)  # the Jordan point
+        rows = np.sort(rng.uniform(0.0, 10.0, (len(systems), 30)), axis=1)
+        for row, sys in zip(rows, systems):  # a near-pole sample at each resonance
+            row[0] = np.abs(np.linalg.eigvals(sys.a).imag).max(initial=0.0)
+        for freqs in (rows, rows[0], rows[:, :1]):
+            assert np.array_equal(kernel.response(freqs), two_pass_response(kernel, freqs))
+        modal = kernel.take(~kernel.dense)  # every point modal: no copy of the shift
+        assert np.array_equal(modal.response(rows[0]), two_pass_response(modal, rows[0]))
+
+
+class TestMasksOfRealRuns:
+    """Every kernel that eval and bode build on the bundled controllers, and
+    that a short building synthesis builds, gets the SVD's mask; all of them
+    pass the Cholesky test, so none takes an SVD."""
+
+    def test_eval_bode_and_synthesis(self, tmp_path, monkeypatch):
+        seen, fallbacks, calls = [], [], count_cond_calls(monkeypatch)
+        real_init = FrequencyKernel.__init__
+
+        def spy(kernel, systems, cond_limit=EIG_COND_LIMIT):
+            before = len(calls)
+            real_init(kernel, systems, cond_limit)
+            fallbacks.append(len(calls) - before)
+            seen.append(kernel.dense.tolist() == svd_dense(kernel, cond_limit).tolist())
+
+        monkeypatch.setattr(FrequencyKernel, "__init__", spy)
+        for name, levels in (("beam", "10,15,20"), ("building", "0.5,1,1.5")):
+            common = ["--controller", str(BUNDLED / f"{name}_controller.txt"),
+                      "--config", str(BUNDLED / f"{name}.cfg")]
+            assert cli.main(["eval", *common, "--out", str(tmp_path / "eval.csv")]) == 0
+            assert cli.main(["bode", *common, "--rho", levels, "--out", str(tmp_path / "bode.csv")]) == 0
+        cfg = cli.parse_config(str(BUNDLED / "building.cfg"))
+        problem = cli.build_problem(cfg)[1]
+        opts = replace(cli.make_options(cfg), max_iter=4, refine_rounds=0)
+        synth.optimize(problem, synth.init_from_nominal(problem, cfg.opt_nominal_index, opts), opts)
+        assert len(seen) > 30 and all(seen)
+        assert sum(fallbacks) == 0, f"{np.count_nonzero(fallbacks)} of {len(seen)} kernels took the SVD"
 
 
 class TestSpectralAbscissa:
