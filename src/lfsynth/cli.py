@@ -23,6 +23,7 @@ at 17 significant digits, so failed runs never leave partial outputs.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -423,7 +424,10 @@ def cmd_model_gen(scenario, out_path, config_path=None, rho=None):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: a parser is reusable,
+    and in-process callers run one command per main call."""
     parser = argparse.ArgumentParser(
         prog="lfsynth",
         description="Structured parametric controller synthesis and evaluation.",

@@ -14,11 +14,11 @@ enriched at certified peaks until both agree.  Stabilization alone uses
 finite differences: central differences of a softened abscissa, all 2n probe
 blocks of a gradient closed in one stacked pass.
 
-Every evaluation instantiates and closes the block in one place,
-_closed_loops, in one pass over the whole grid (and over a leading axis of
-blocks, for stabilization's probes): the plants share their state order, and
-so do the weights, so their matrices are stacked once and lft broadcasts the
-algebra over those axes.  The problem keeps its latest block's loops, so the
+Every evaluation closes the block in one place, _closed_loops, in one pass
+over the whole grid (and over a leading axis of blocks, for stabilization's
+probes): the plants share their state order, and so do the weights, so
+their matrices are stacked once and lft broadcasts the algebra over those
+axes.  The problem keeps its latest block's loops, so the
 surrogate, the certificate and stabilization close each block once.  A grid
 point is stable when its closed loop and its controller are.  A point whose
 loops are ill posed or not finite, which lft's mask marks, makes
@@ -30,9 +30,12 @@ The surrogate takes plant and weight responses from two eigen-factored
 FrequencyKernels stacked over the grid, one for the plants and one for the
 weights, and the controllers' resolvent products from a third one, built
 per evaluated block at a tighter condition limit, which the gradient
-reuses.  Each block takes one forward pass and one gradient pass, both
-stacked over the grid: every grid point's row holds the fixed frequency
-grid followed by that point's few needle samples.
+reuses.  Each block takes one fixed-grid pass stacked over the grid, from
+the controllers instantiated once.  A line-search trial whose soft-max over
+those gains alone, a lower bound of its value, already fails the Armijo
+test is rejected there, before its loops are closed.  Every other block
+closes its loops from the same instantiation and adds a pass over each
+grid point's few needle samples; a gradient covers both passes.
 A 1x1 channel's singular pair comes in closed form.  A block that
 is ill posed or unstable at some grid point, or whose surrogate solve fails,
 scores infinite, so the line search rejects it, as in nonsmooth H-infinity
@@ -56,9 +59,10 @@ from .lft import (
     MASK_FREE,
     MASK_ZERO,
     ControllerBlock,
-    close_grid,
+    closed_loop_matrices,
     count_free_params,
     eval_controller,
+    instantiate_stack,
     instantiation_factors,
     lower_lft_ss,
     stack_plants,
@@ -334,10 +338,13 @@ def surrogate_grid(problem, n_base=160):
 _Loops = namedtuple("_Loops", ["ctrl", "closed", "poles", "abscissa", "well_posed"])
 
 
-def _closed_loops(problem, kb, free=None):
+def _closed_loops(problem, kb, free=None, inst=None):
     """Instantiated controllers and closed loops (Realizations), closed-loop
     poles (M, n), abscissas (M,) and well-posed mask (M,) of the whole grid,
-    from one lft.close_grid pass over the stacked grid and stacked as it is.
+    from one pass over the stacked grid, stacked as it is: the controllers
+    instantiated by lft.instantiate_stack (or ``inst``, the instantiation
+    of the single block ``kb`` that it returned, when the caller has it)
+    and closed by lft.closed_loop_matrices.
 
     With ``free``, B sets of free values stacked (B, n_free), the same pass
     closes each of those blocks (kb with its free entries replaced) at every
@@ -354,11 +361,15 @@ def _closed_loops(problem, kb, free=None):
     latest = problem._latest  # one tuple, replaced whole
     if key is not None and latest[0] == key:
         return latest[1]
-    k = None
-    if free is not None:
-        k = np.repeat(kb.k[None], len(free), axis=0)
-        k[:, kb.mask == MASK_FREE] = free
-    ctrl, closed, well_posed = close_grid(problem.stacked, kb, problem.grid, k)
+    if inst is None:
+        k = kb.k
+        if free is not None:
+            k = np.repeat(kb.k[None], len(free), axis=0)
+            k[:, kb.mask == MASK_FREE] = free
+        inst = instantiate_stack(kb, k, problem.grid)
+    ctrl, instantiated = inst
+    closed, closed_ok = closed_loop_matrices(problem.stacked, ctrl)
+    well_posed = instantiated & closed_ok
     a_cl, a_k = (a if well_posed.all() else np.where(well_posed[..., None, None], a, 0.0)
                  for a in (closed.a, ctrl.a))  # ill-posed points' may not be finite
     poles = np.linalg.eigvals(a_cl)
@@ -449,20 +460,21 @@ def _gain_factors(fwd, factors):
     return left, right
 
 
-def _in_gain_order(rows, n_grid, counts):
+def _in_gain_order(fixed, needles=None, counts=()):
     """Per-gain rows in the surrogate's order: point by point, the fixed
     grid's closed-loop and weighted rows, then the point's needle rows.
 
-    ``rows`` holds the closed-loop and weighted rows of one pass stacked over
-    the grid (M, F, ...): each point's fixed grid in its first ``n_grid``
-    columns, then its ``counts[j]`` needles, then padding.
+    ``fixed`` holds the closed-loop and weighted rows of the fixed grid
+    stacked over the grid (M, F, ...), and ``needles``, when there are any,
+    those of the needle pass (M, N, ...): each point's ``counts[j]``
+    needles, then padding.
     """
-    if not any(counts):
-        return np.stack(rows, axis=1).reshape((-1,) + rows[0].shape[2:])
+    if needles is None:
+        return np.stack(fixed, axis=1).reshape((-1,) + fixed[0].shape[2:])
     parts = []
     for j, n in enumerate(counts):
-        parts.extend(r[j, :n_grid] for r in rows)
-        parts.extend(r[j, n_grid : n_grid + n] for r in rows)
+        parts.extend(r[j] for r in fixed)
+        parts.extend(r[j, :n] for r in needles)
     return np.concatenate(parts)
 
 
@@ -470,6 +482,14 @@ _EvalInfo = namedtuple(
     "_EvalInfo",
     ["stable", "max_abscissa", "sigmas", "grid_max", "dsigmas"],
 )
+
+_FixedPass = namedtuple("_FixedPass", ["inst", "gains", "sigmas", "fwd"])
+
+# A trial is rejected on its fixed-grid bound only when the bound exceeds the
+# Armijo threshold by this much, relative.  The bound is never above the
+# value in exact arithmetic, but it sums fewer terms in another order, so it
+# may round an ulp or so above a value that passes the test.
+BOUND_MARGIN = 1e-12
 
 
 class _FastEvaluator:
@@ -479,6 +499,12 @@ class _FastEvaluator:
     FrequencyKernel stacked over the grid, which serves both the fixed grid
     and the needle samples; the fixed grid's responses are kept.  A sample on
     a pole of a plant or weight raises SingularMatrixError.
+
+    Each block first takes a fixed-grid pass (_fixed_pass), kept for the
+    latest block: its controllers instantiated once, their FrequencyKernel
+    and the fixed grid's gains.  A line-search trial whose soft-max over
+    those gains alone already fails the Armijo test is rejected there
+    (see penalized); every other block's full pass reuses it.
     """
 
     def __init__(self, problem, freqs):
@@ -491,7 +517,8 @@ class _FastEvaluator:
     def _set_grid(self, freqs):
         self.freqs = np.unique(freqs[freqs >= 0.0])
         self._grid_responses = tuple(k.response(self.freqs) for k in self._kernels)
-        self._memo = None  # (block bytes, _EvalInfo, (forward pass, needle counts))
+        self._fixed = None  # (block bytes, _FixedPass)
+        self._memo = None  # (block bytes, _EvalInfo, (forward passes, needle counts))
 
     def add_frequencies(self, omegas):
         """Enrich the grid near newly certified peaks."""
@@ -505,6 +532,16 @@ class _FastEvaluator:
         self._set_grid(merged)
         return True
 
+    def _plant_blocks(self, resp):
+        """The (w, u) -> (z, y) blocks p11, p12, p21, p22 of plant responses."""
+        n_w, n_z = self.problem.n_w, self.problem.n_z
+        return (
+            resp[..., :n_z, :n_w],
+            resp[..., :n_z, n_w:],
+            resp[..., n_z:, :n_w],
+            resp[..., n_z:, n_w:],
+        )
+
     def evaluate(self, kb, gradient=False):
         """Stability and frequency-gridded channel gains of one block, and
         with ``gradient`` the rank-one factors of each gain's gradient with
@@ -517,13 +554,15 @@ class _FastEvaluator:
         failures near the stability boundary.  The gradient holds those
         needle frequencies fixed.
 
-        The latest block's result and forward pass are kept until a block
+        The latest block's result and forward passes are kept until a block
         with other entries comes or the grid changes: asking again for the
         same block returns the kept result, and asking for its gradient
         afterwards adds only the gradient step.  A descent therefore makes
-        one forward pass per point, although it scores a point before it
-        asks for the gradient there.  Callers must not modify the arrays of
-        a returned result, since a later call may return it again.
+        one fixed-grid pass per block, and closes the loops and samples the
+        needles only of the blocks that pass the line search's bound,
+        although it scores a point before it asks for the gradient there.
+        Callers must not modify the arrays of a returned result, since a
+        later call may return it again.
         """
         key = kb.k.tobytes()
         if self._memo is None or self._memo[0] != key:
@@ -531,29 +570,57 @@ class _FastEvaluator:
         _, info, passes = self._memo
         if not gradient or not info.stable or info.dsigmas is not None:
             return info
-        fwd, counts = passes
+        fwds, counts = passes
+        factors = instantiation_factors(kb, self.problem.grid)
         try:
-            factors = _gain_factors(fwd, instantiation_factors(kb, self.problem.grid))
+            left, right = zip(*(_gain_factors(fwd, factors) for fwd in fwds))
         except np.linalg.LinAlgError:
             return _EvalInfo(False, info.max_abscissa, None, None, None)
-        dsigmas = tuple(_in_gain_order(f, self.freqs.size, counts) for f in factors)
+        dsigmas = tuple(_in_gain_order(*rows, counts=counts) for rows in (left, right))
         info = info._replace(dsigmas=dsigmas)
         self._memo = (key, info, passes)
         return info
 
-    def _forward(self, kb):
-        """Gains of one block, its forward pass stacked over the grid, and
-        each grid point's needle count.
+    def _fixed_pass(self, kb):
+        """The block's instantiation over the grid (lft.instantiate_stack's
+        pair) and, when every point is well posed and the pass solves, the
+        fixed grid's gains (M, F) each, those in gain order and their
+        forward pass, whose controller kernel the needles and the gradient
+        reuse; else those three are None.  Kept for the latest block.  The
+        block may be unstable here: a controller pole on a grid frequency,
+        or an overflow, gives gains that are not finite, without a warning.
+        """
+        key = kb.k.tobytes()
+        if self._fixed is None or self._fixed[0] != key:
+            inst = instantiate_stack(kb, kb.k, self.problem.grid)
+            fixed = _FixedPass(inst, None, None, None)
+            if inst[1].all():
+                resp, wk_resp = self._grid_responses
+                try:
+                    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                        gains, fwd = _channel_gains(
+                            FrequencyKernel(inst[0], RESOLVENT_COND_LIMIT), self.freqs,
+                            self._plant_blocks(resp), wk_resp,
+                        )
+                    fixed = _FixedPass(inst, gains, _in_gain_order(gains), fwd)
+                except np.linalg.LinAlgError:
+                    pass
+            self._fixed = (key, fixed)
+        return self._fixed[1]
 
-        A point's row holds the fixed grid, then its needle frequencies,
-        padded up to the largest count with the grid's first frequency: the
-        fixed grid has already sampled and solved there at every point, so
-        the padding raises nothing new.  Without needles the rows are the
-        fixed grid alone, whose responses are cached.  The controllers are
-        factored once into a FrequencyKernel, which the gradient reuses."""
-        loops = _closed_loops(self.problem, kb)
+    def _forward(self, kb):
+        """Gains of one block, its forward passes stacked over the grid (the
+        fixed grid's from _fixed_pass, then the needles' when there are
+        any), and each grid point's needle count.
+
+        The needle pass samples a row per point: its needle frequencies,
+        padded up to the largest count with the grid's first frequency,
+        where the fixed grid has already sampled and solved at every point,
+        so the padding raises nothing new."""
+        fixed = self._fixed_pass(kb)
+        loops = _closed_loops(self.problem, kb, inst=fixed.inst)
         worst = float(loops.abscissa.max())  # inf at an ill-posed point
-        if worst >= 0.0:
+        if worst >= 0.0 or fixed.fwd is None:
             return _EvalInfo(False, worst, None, None, None), ()
         needles = []
         for poles in loops.poles:
@@ -561,33 +628,34 @@ class _FastEvaluator:
             light = poles[(poles.imag > 0.0) & damped]
             needles.append(light.imag[np.argsort(np.abs(light.real) / np.abs(light))][:8])
         counts = [n.size for n in needles]
-        freqs, (resp, wk_resp) = self.freqs, self._grid_responses
-        m, n_w, n_z = self.problem.m, self.problem.n_w, self.problem.n_z
-        try:
-            if max(counts):
-                extra = np.full((m, max(counts)), freqs[0])
-                for row, n in zip(extra, needles):
-                    row[: n.size] = n
-                resp, wk_resp = (
-                    np.concatenate(pair, axis=1)
-                    for pair in zip((resp, wk_resp), (k.response(extra) for k in self._kernels))
+        if not max(counts):
+            v, fwds = fixed.sigmas, (fixed.fwd,)
+        else:
+            extra = np.full((self.problem.m, max(counts)), self.freqs[0])
+            for row, n in zip(extra, needles):
+                row[: n.size] = n
+            try:
+                resp, wk_resp = (k.response(extra) for k in self._kernels)
+                gains, fwd = _channel_gains(
+                    fixed.fwd.kernel, extra, self._plant_blocks(resp), wk_resp
                 )
-                freqs = np.concatenate([np.broadcast_to(freqs, (m, freqs.size)), extra], 1)
-            blocks = (
-                resp[..., :n_z, :n_w],
-                resp[..., :n_z, n_w:],
-                resp[..., n_z:, :n_w],
-                resp[..., n_z:, n_w:],
-            )
-            gains, fwd = _channel_gains(
-                FrequencyKernel(loops.ctrl, RESOLVENT_COND_LIMIT), freqs, blocks, wk_resp
-            )
-        except np.linalg.LinAlgError:
-            return _EvalInfo(False, worst, None, None, None), ()
-        v = _in_gain_order(gains, self.freqs.size, counts)
-        return _EvalInfo(True, worst, v, float(v.max()), None), (fwd, counts)
+            except np.linalg.LinAlgError:
+                return _EvalInfo(False, worst, None, None, None), ()
+            v, fwds = _in_gain_order(fixed.gains, gains, counts), (fixed.fwd, fwd)
+        return _EvalInfo(True, worst, v, float(v.max()), None), (fwds, counts)
 
-    def penalized(self, kb, tau_rel, gradient=False):
+    def lower_bound(self, kb, tau_rel):
+        """Soft-max of the fixed grid's gains alone at ``tau = tau_rel`` times
+        the largest of them (-inf when _fixed_pass has no finite gains),
+        never above penalized's value: adding gains, or widening ``tau``,
+        never lowers a log-sum-exp, and an infeasible block scores inf.
+        Without needles the two are equal."""
+        sig = self._fixed_pass(kb).sigmas
+        if sig is None or not np.isfinite(sig).all():
+            return -np.inf
+        return _soft_max(sig, tau_rel * max(abs(float(sig.max())), 1e-12))[0]
+
+    def penalized(self, kb, tau_rel, gradient=False, bound=None):
         """Soft-max of the gains at relative width ``tau_rel``, or inf at an
         infeasible block; returns (value, info, grad).
 
@@ -598,7 +666,16 @@ class _FastEvaluator:
         weights ``p``.  A block is infeasible when a point is ill posed or
         unstable or its forward or gradient pass fails to solve; there the
         gradient is zero.  No descent starts or accepts a step there.
+
+        ``bound`` is a line-search trial's Armijo threshold.  When the
+        block's lower_bound exceeds it (by more than BOUND_MARGIN), the trial
+        is rejected before any loop is closed: that lower bound is returned
+        as the value, with ``info`` and ``grad`` None.
         """
+        if bound is not None:
+            lower = self.lower_bound(kb, tau_rel)
+            if lower > bound + BOUND_MARGIN * abs(bound):
+                return lower, None, None
         info = self.evaluate(kb, gradient)
         grad = np.zeros(count_free_params(kb)) if gradient else None
         if not info.stable:
@@ -625,9 +702,15 @@ def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=N
     """Minimize ``fun`` from theta0 by BFGS steps with a halving line search.
 
     A step is accepted when its value passes the Armijo test ``f(trial) <=
-    f + 1e-4 * alpha * slope``.  Once that slope term falls below half an
-    ulp of ``f``, a step that leaves the value unchanged passes it too, so
-    accepted steps never increase the value but need not decrease it.
+    bound`` with ``bound = f + 1e-4 * alpha * slope``.  Once that slope term
+    falls below half an ulp of ``f``, a step that leaves the value unchanged
+    passes it too, so accepted steps never increase the value but need not
+    decrease it.
+
+    ``fun(trial, bound)`` scores a trial; it returns the trial's value, or
+    any number above ``bound`` when it knows the trial fails the test (a
+    cheap lower bound, say), so the descent is the same either way.  f0 is
+    the value at theta0.
 
     ``grad_fun(theta, value)`` gives the gradient at a point whose value is
     known.  ``on_accept(theta, value, step_norm)`` runs at every accepted
@@ -654,8 +737,9 @@ def _bfgs(fun, grad_fun, theta0, f0, max_iter, tol, on_accept=None, stop_value=N
         trial_f = None
         for _ in range(30):
             trial = theta + alpha * direction
-            trial_f = fun(trial)
-            if np.isfinite(trial_f) and trial_f <= fval + 1e-4 * alpha * slope:
+            bound = fval + 1e-4 * alpha * slope
+            trial_f = fun(trial, bound)
+            if np.isfinite(trial_f) and trial_f <= bound:
                 break
             alpha *= 0.5
         else:
@@ -749,7 +833,7 @@ def stabilize(problem, kb0, seed=0):
 
     evals = 0
 
-    def fun(theta):
+    def fun(theta, bound=None):  # closing the probe is the whole cost: no bound helps
         nonlocal evals
         evals += 1
         return _softened_abscissa(_closed_loops(problem, kb0.with_free_values(theta)).abscissa)
@@ -861,8 +945,10 @@ def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
                 converged = False
                 continue
 
-            def fun(th, _tau=tau):
-                return evaluator.penalized(kb_template.with_free_values(th), _tau)[0]
+            def fun(th, bound=None, _tau=tau):
+                return evaluator.penalized(
+                    kb_template.with_free_values(th), _tau, bound=bound
+                )[0]
 
             def grad(th, _f, _tau=tau):
                 nonlocal grad_abscissa

@@ -214,6 +214,25 @@ class TestConfigParsing:
         assert len(err) == 1 and err[0].startswith("error: ") and "nonnegative" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
+    def test_one_parser_per_process(self, toy_config, tmp_path):
+        """Two main calls build one parser, and a command that follows a
+        config error, or a usage error, still runs."""
+        cfg, _ = toy_config
+        cli._build_parser.cache_clear()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("scenario = beam\n")
+        assert main(["synth", "--config", str(bad)]) == 1
+        with pytest.raises(SystemExit):
+            main(["eval", "--config", str(cfg)])  # no --controller nor --out
+        controller, out = tmp_path / "k.txt", tmp_path / "sweep.csv"
+        # u = -0.1 y stabilizes both toy plants
+        save_controller(zero_block(0, 1, 1, 1).with_free_values([0.0, 0.0, 0.0, -0.1]),
+                        str(controller))
+        assert main(["eval", "--controller", str(controller), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].endswith(",1")
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_config_file_is_closed(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = beam\ngrid = 10, 15, 20\n")

@@ -293,13 +293,14 @@ class TestStabilize:
 
 
 class TestBfgs:
-    """Each exit of _bfgs on the convex quadratic c + x' A x / 2."""
+    """Each exit of _bfgs on the convex quadratic c + x' A x / 2.  The
+    objectives take a trial and its Armijo bound, which they ignore."""
 
     A = np.diag([1.0, 4.0, 16.0])
     X0 = np.ones(3)
 
     def quadratic(self, c=100.0):
-        def fun(x):
+        def fun(x, bound=None):
             return c + 0.5 * float(x @ self.A @ x)
 
         return fun, (lambda x, value: self.A @ x)
@@ -335,7 +336,7 @@ class TestBfgs:
         # steepest descent, which is zero too
         calls = []
 
-        def fun(x):
+        def fun(x, bound):
             calls.append(x.copy())
             return float(x @ x)
 
@@ -352,7 +353,7 @@ class TestBfgs:
         fun, grad = self.quadratic()
         calls = []
 
-        def counted(x):
+        def counted(x, bound):
             calls.append(x)
             return fun(x)
 
@@ -388,7 +389,7 @@ class TestBfgs:
         def run(outside):
             trials, accepted = [], []
 
-            def bounded(x):
+            def bounded(x, bound):
                 trials.append(x.copy())
                 return fun(x) if np.linalg.norm(x) <= radius else outside
 
@@ -406,6 +407,33 @@ class TestBfgs:
         assert np.array_equal(theta, theta_f)
         assert (fval, accepted, converged) == (fval_f, accepted_f, converged_f)
         assert np.array_equal(trials, trials_f) and np.array_equal(points, points_f)
+
+    def test_rejecting_on_the_bound_keeps_the_descent(self):
+        # each trial comes with its Armijo threshold f + 1e-4 alpha slope; an
+        # objective that answers a failing trial with any number above it,
+        # as the surrogate does with its fixed-grid bound, takes the same path
+        fun, grad = self.quadratic()
+
+        def run(reject):
+            trials, bounds = [], []
+
+            def scored(x, bound):
+                trials.append(x.copy())
+                bounds.append(bound)
+                value = fun(x)
+                return np.nextafter(bound, np.inf) if reject and value > bound else value
+
+            return synth._bfgs(scored, grad, self.X0, fun(self.X0), 100, 1e-9), trials, bounds
+
+        (theta, fval, accepted, converged), trials, bounds = run(False)
+        (theta_r, fval_r, accepted_r, converged_r), trials_r, bounds_r = run(True)
+        assert np.array_equal(theta, theta_r) and np.array_equal(trials, trials_r)
+        assert (fval, accepted, converged) == (fval_r, accepted_r, converged_r)
+        assert bounds == bounds_r and len(trials) > accepted  # some trials failed
+        # the first trial takes the full step from X0 with its threshold
+        g0 = grad(self.X0, None)
+        assert np.array_equal(trials[0], self.X0 - g0)
+        assert bounds[0] == fun(self.X0) + 1e-4 * 1.0 * -float(g0 @ g0)
 
 
 class TestOptimize:
@@ -625,11 +653,14 @@ def gradient_point(seed, structure, n_w, n_u, n_z, n_y, a_k=None, freeze_a_k=Tru
 
 def spy_resolvents(monkeypatch):
     """List that receives, point by point, the ``dense`` flags of every
-    controller kernel the surrogate passes from now on."""
-    dense = []
+    controller kernel the surrogate passes from now on, once per kernel: a
+    block's fixed-grid and needle passes share one."""
+    dense, seen = [], []
 
     def spy(kernel, *args, _real=synth._channel_gains):
-        dense.extend(kernel.dense.tolist())
+        if not any(kernel is k for k in seen):
+            seen.append(kernel)
+            dense.extend(kernel.dense.tolist())
         return _real(kernel, *args)
 
     monkeypatch.setattr(synth, "_channel_gains", spy)
@@ -792,8 +823,9 @@ class TestModalResolvent:
 
 
 class TestSinglePass:
-    """One forward and one gradient pass stacked over the grid, needle
-    samples included, against one-point evaluators, bit for bit."""
+    """One fixed-grid pass and, where needles exist, one needle pass, forward
+    and gradient, each stacked over the grid, against one-point evaluators,
+    bit for bit."""
 
     def assert_matches_points(self, monkeypatch, prob, kb, freqs):
         """Compare, and return each point's needle count."""
@@ -820,10 +852,12 @@ class TestSinglePass:
             assert np.array_equal(info.dsigmas[i], ref)
         counts = [(p.sigmas.size - 2 * ev.freqs.size) // 2 for p in points]
         # the needles take one stacked sample of the plants and one of the
-        # weights; without needles no point samples them again
+        # weights, and a pass of their own; without needles no point samples
+        # them again, and the fixed grid's pass is the only one
+        passes = 2 if max(counts) else 1
         assert calls == {
-            "_channel_gains": 1,
-            "_gain_factors": 1,
+            "_channel_gains": passes,
+            "_gain_factors": passes,
             "response": 2 if max(counts) else 0,
         }
         return counts
@@ -1048,9 +1082,9 @@ class TestEvaluatorMemo:
         passes = []
         real = synth._closed_loops
 
-        def counting(problem, block):
+        def counting(problem, block, **kw):
             passes.append(block.k.tobytes())
-            return real(problem, block)
+            return real(problem, block, **kw)
 
         monkeypatch.setattr(synth, "_closed_loops", counting)
         return prob, kb, passes
@@ -1090,6 +1124,146 @@ class TestEvaluatorMemo:
         assert ev.add_frequencies([0.37])
         assert ev.evaluate(kb).sigmas.size > before
         assert len(passes) == 2
+
+
+class TestFixedGridBound:
+    """The soft-max over the fixed grid alone bounds penalized's value from
+    below, and a line-search trial that it rejects closes no loops."""
+
+    @staticmethod
+    def visited_blocks(prob, kb0):
+        """The blocks a short descent from kb0 scores, then kb0 perturbed."""
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 160))
+        seen = []
+        real = ev.penalized
+
+        def spy(kb, *args, **kw):
+            seen.append(kb)
+            return real(kb, *args, **kw)
+
+        ev.penalized = spy
+        opts = OptimizeOptions(max_iter=3, restarts=1, refine_rounds=0)
+        synth._descend(ev, kb0, kb0.free_values(), opts, 0.0)
+        rng = np.random.default_rng(7)
+        theta0 = kb0.free_values()
+        seen += [
+            kb0.with_free_values(theta0 + 0.05 * rng.normal(size=theta0.size))
+            for _ in range(3)
+        ]
+        return ev.freqs, seen
+
+    @pytest.mark.parametrize("name", ["beam", "building"])
+    def test_never_above_the_value(self, name):
+        prob, kb0 = bundled_problem(name)
+        freqs, blocks = self.visited_blocks(prob, kb0)
+        equal = needle_max = 0
+        for kb in blocks:
+            ev = synth._FastEvaluator(prob, freqs)
+            info = ev.evaluate(kb)
+            fixed_max = ev._fixed_pass(kb).sigmas.max() if info.stable else None
+            for tau in _TAU_SCHEDULE:
+                lower, value = ev.lower_bound(kb, tau), ev.penalized(kb, tau)[0]
+                assert lower <= value
+                if not info.stable:
+                    continue
+                # a trial whose value meets its threshold exactly is not rejected
+                assert ev.penalized(kb, tau, bound=value)[1] is info
+                if info.sigmas.size == 2 * prob.m * freqs.size:  # no needles
+                    assert lower == value
+                    equal += 1
+                elif info.grid_max > fixed_max:  # a needle sets the maximum
+                    assert lower < value
+                    needle_max += 1
+        # the beam's needles set the maximum, and the building's start and
+        # perturbed blocks have none
+        assert needle_max > 0 if name == "beam" else equal > 0
+
+    def test_rejected_trial_closes_no_loops(self, monkeypatch):
+        prob, kb = stabilizing_start()
+        counts = dict.fromkeys(["instantiate_stack", "_channel_gains", "_closed_loops"], 0)
+        for fn in counts:
+            def counting(*args, _fn=fn, _real=getattr(synth, fn), **kw):
+                counts[_fn] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(synth, fn, counting)
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
+        lower = ev.lower_bound(kb, 0.01)
+        value, info, grad = ev.penalized(kb, 0.01, bound=0.5 * lower)
+        assert (value, info, grad) == (lower, None, None)
+        assert counts == {"instantiate_stack": 1, "_channel_gains": 1, "_closed_loops": 0}
+        # a trial that passes reuses the fixed-grid pass: its loops, then one
+        # more gain pass for the needles
+        value, info, _ = ev.penalized(kb, 0.01, bound=2.0 * lower)
+        assert info.stable and info.sigmas.size > 2 * prob.m * ev.freqs.size
+        assert counts == {"instantiate_stack": 1, "_channel_gains": 2, "_closed_loops": 1}
+        monkeypatch.undo()
+        fresh = synth._FastEvaluator(prob, ev.freqs)
+        assert value == fresh.penalized(kb, 0.01)[0] > lower
+        assert_same_info(
+            ev.evaluate(kb, gradient=True), fresh.evaluate(kb, gradient=True)
+        )
+
+    def test_no_rejection_without_a_bound(self, monkeypatch):
+        """An ill-posed parameter loop, or a fixed-grid pass that fails to
+        solve, gives no bound: the trial takes the full pass."""
+        st = StructureOptions(0, 1, dependency="rational")
+        prob = SynthesisProblem(
+            (oscillator_plant(1.0), oscillator_plant(2.0)), (1.0, 2.0),
+            static_gain([[0.0]]), st,
+        )
+        # d_zw = 0.5: the parameter loop is singular at rho = 2
+        kb = ControllerBlock(0, 1, 1, 1, [[0.5, 0.0], [0.0, 0.0]], build_mask(st, 1, 1))
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
+        assert ev.lower_bound(kb, 0.01) == -np.inf
+        value, info, _ = ev.penalized(kb, 0.01, bound=-1.0)
+        assert value == np.inf and info is not None and not info.stable
+
+        prob, kb = stabilizing_start()
+        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(synth, "_channel_gains", singular)
+        assert ev.lower_bound(kb, 0.01) == -np.inf
+        value, info, _ = ev.penalized(kb, 0.01, bound=-1.0)
+        assert value == np.inf and info is not None and not info.stable
+        assert info.max_abscissa < 0.0  # stable loops: the solve failed
+
+    def test_same_descent_with_and_without_rejection(self, monkeypatch):
+        """Two restarts with a refinement round, which enriches the grid, are
+        the same bit for bit when penalized drops every bound; the plain run
+        closes fewer blocks."""
+        prob, kb = bundled_problem("building")
+        opts = OptimizeOptions(max_iter=12, restarts=2, refine_rounds=1)
+        enriched = []
+        real_add = synth._FastEvaluator.add_frequencies
+
+        def add(ev, omegas):
+            enriched.append(real_add(ev, omegas))
+            return enriched[-1]
+
+        monkeypatch.setattr(synth._FastEvaluator, "add_frequencies", add)
+
+        def run():
+            passes, _ = spy_passes(monkeypatch)
+            res = optimize(prob, kb, opts)
+            return res, sum(isinstance(p, bytes) for p in passes)
+
+        plain, closed = run()
+        real = synth._FastEvaluator.penalized
+        monkeypatch.setattr(
+            synth._FastEvaluator, "penalized",
+            lambda ev, block, tau, gradient=False, bound=None: real(ev, block, tau, gradient),
+        )
+        full, closed_full = run()
+        assert True in enriched
+        assert plain.controller.k.tobytes() == full.controller.k.tobytes()
+        assert plain.gamma == full.gamma and plain.status == full.status
+        assert plain.per_point_norms == full.per_point_norms
+        assert [row[:4] for row in plain.trace] == [row[:4] for row in full.trace]
+        assert closed < closed_full
 
 
 class TestWorkCounts:
@@ -1305,15 +1479,17 @@ def ill_posed_probe_block():
 
 
 def spy_passes(monkeypatch):
-    """Record every lft.close_grid pass that _closed_loops runs, as the
-    number of stacked probe blocks or, for one block, the block's bytes,
-    and each gradient's passes."""
+    """Record every closing pass that _closed_loops runs (one
+    lft.closed_loop_matrices call), as the number of stacked probe blocks
+    or, for one block, the bytes of its instantiated controllers, and each
+    gradient's passes."""
     passes, gradients = [], []
-    real_close, real_gradient = synth.close_grid, synth._abscissa_gradient
+    real_close, real_gradient = synth.closed_loop_matrices, synth._abscissa_gradient
 
-    def spy(plant, block, rho, k=None):
-        passes.append(block.k.tobytes() if k is None else len(k))
-        return real_close(plant, block, rho, k)
+    def spy(plant, ctrl):
+        probes = ctrl.a.ndim == 4  # (B, M, n_k, n_k)
+        passes.append(len(ctrl.a) if probes else b"".join(m.tobytes() for m in ctrl))
+        return real_close(plant, ctrl)
 
     def gradient(*args):
         before = len(passes)
@@ -1321,7 +1497,7 @@ def spy_passes(monkeypatch):
         gradients.append(passes[before:])
         return g
 
-    monkeypatch.setattr(synth, "close_grid", spy)
+    monkeypatch.setattr(synth, "closed_loop_matrices", spy)
     monkeypatch.setattr(synth, "_abscissa_gradient", gradient)
     return passes, gradients
 
