@@ -38,8 +38,9 @@ from .errors import (
     StabilizationFailedError,
 )
 from .lft import (
-    close_grid,
+    closed_loop_matrices,
     count_free_params,
+    instantiate_stack,
     load_controller,
     save_controller,
     stack_plants,
@@ -324,14 +325,15 @@ def _sweep_values(cfg):
 
 def _closed_stacks(kb, plants, rhos):
     """Indices of the sweep values ``rhos`` in groups whose ``plants`` share
-    their state order and channel partitions, and each group's loops from
-    one lft.close_grid pass (closed loops and well-posed mask)."""
+    their state order and channel partitions, and each group's closed loops
+    and well-posed mask (lft.instantiate_stack, then closed_loop_matrices)."""
     groups = {}
     for i, p in enumerate(plants):
         groups.setdefault((p.sys.n, p.input_partition, p.output_partition), []).append(i)
     for idx in map(np.array, groups.values()):
-        loops = close_grid(stack_plants([plants[i] for i in idx]), kb, rhos[idx])
-        yield idx, loops.closed, loops.well_posed
+        ctrl, instantiated = instantiate_stack(kb, kb.k, rhos[idx])
+        closed, closed_ok = closed_loop_matrices(stack_plants([plants[i] for i in idx]), ctrl)
+        yield idx, closed, instantiated & closed_ok
 
 
 def _sweep_metric(closed, metric):

@@ -13,10 +13,11 @@ controller dynamics; closing the second through ``rho * I`` instantiates the
 parameter dependence.  ``n_delta = 0`` collapses everything to a classical
 non-parametric controller.
 
-close_grid instantiates and closes a whole grid at once: every point's
-matrices stacked over a leading axis, bit for bit its one-point ones, and a
-mask of the points whose algebraic loops are well posed and whose matrices
-are finite.  Only the one-point functions raise IllPosedLFTError.
+instantiate_stack and then closed_loop_matrices instantiate and close a whole
+grid at once: every point's matrices stacked over a leading axis, bit for bit
+its one-point ones, each with a mask of the points whose algebraic loops are
+well posed and whose matrices are finite.  Only the one-point functions raise
+IllPosedLFTError.
 """
 
 from collections import namedtuple
@@ -274,24 +275,6 @@ def eval_controller_matrices(kb, rho):
     ctrl, ok = instantiate_stack(kb, kb.k, rho)
     _require(ok, f"parametric controller at rho = {float(rho)}")
     return ctrl
-
-
-GridLoops = namedtuple("GridLoops", ["ctrl", "closed", "well_posed"])
-
-
-def close_grid(plant, kb, rho, k=None):
-    """Controllers of ``kb`` instantiated at every value of the 1-D ``rho``
-    and closed against the GridPlant ``plant`` (one plant per value): the
-    controllers and closed loops (Realizations) stacked (M, ...), and the
-    mask (M,) of the points whose parameter and feedback loops are both well
-    posed.  With ``k``, value matrices stacked (B, rows, cols) with kb's
-    sizes, each of those blocks is closed instead, all stacked (B, M, ...).
-    A well-posed point's matrices are bit for bit its one-point ones; an
-    ill-posed point's are not its own.
-    """
-    ctrl, instantiated = instantiate_stack(kb, kb.k if k is None else k, rho)
-    closed, closed_ok = closed_loop_matrices(plant, ctrl)
-    return GridLoops(ctrl, closed, instantiated & closed_ok)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite point is only masked

@@ -18,8 +18,8 @@ Every evaluation closes the block in one place, _closed_loops, in one pass
 over the whole grid (and over a leading axis of blocks, for stabilization's
 probes): the plants share their state order, and so do the weights, so
 their matrices are stacked once and lft broadcasts the algebra over those
-axes.  The problem keeps its latest block's loops, so the
-surrogate, the certificate and stabilization close each block once.  A grid
+axes.  The problem keeps its latest block's loops, so the surrogate, the
+certificate and stabilization close each block once.  A grid
 point is stable when its closed loop and its controller are.  A point whose
 loops are ill posed or not finite, which lft's mask marks, makes
 certification raise IllPosedLFTError with that grid index and the surrogate
@@ -35,10 +35,10 @@ the controllers instantiated once.  A line-search trial whose soft-max over
 those gains alone, a lower bound of its value, already fails the Armijo
 test is rejected there, before its loops are closed.  Every other block
 closes its loops from the same instantiation and adds a pass over each
-grid point's few needle samples; a gradient covers both passes.
-A 1x1 channel's singular pair comes in closed form.  A block that
-is ill posed or unstable at some grid point, or whose surrogate solve fails,
-scores infinite, so the line search rejects it, as in nonsmooth H-infinity
+grid point's few needle samples; a gradient covers both passes.  A 1x1
+channel's singular pair comes in closed form.  A block that is ill posed or
+unstable at some grid point, or whose surrogate solve fails, scores
+infinite, so the line search rejects it, as in nonsmooth H-infinity
 synthesis: accepted iterates are always strictly stabilizing.
 """
 
@@ -483,7 +483,10 @@ _EvalInfo = namedtuple(
     ["stable", "max_abscissa", "sigmas", "grid_max", "dsigmas"],
 )
 
-_FixedPass = namedtuple("_FixedPass", ["inst", "gains", "sigmas", "fwd"])
+_BlockRecord = namedtuple(
+    "_BlockRecord", ["key", "inst", "gains", "sigmas", "fwd", "info", "passes"],
+    defaults=(None,) * 5,
+)
 
 # A trial is rejected on its fixed-grid bound only when the bound exceeds the
 # Armijo threshold by this much, relative.  The bound is never above the
@@ -500,11 +503,10 @@ class _FastEvaluator:
     and the needle samples; the fixed grid's responses are kept.  A sample on
     a pole of a plant or weight raises SingularMatrixError.
 
-    Each block first takes a fixed-grid pass (_fixed_pass), kept for the
-    latest block: its controllers instantiated once, their FrequencyKernel
-    and the fixed grid's gains.  A line-search trial whose soft-max over
-    those gains alone already fails the Armijo test is rejected there
-    (see penalized); every other block's full pass reuses it.
+    It keeps one record of the latest block, replaced whole: its fixed-grid
+    pass (_fixed_pass), on whose gains alone penalized may reject a
+    line-search trial, then its full pass (_forward) and gradient, which
+    reuse it (see evaluate).
     """
 
     def __init__(self, problem, freqs):
@@ -517,8 +519,7 @@ class _FastEvaluator:
     def _set_grid(self, freqs):
         self.freqs = np.unique(freqs[freqs >= 0.0])
         self._grid_responses = tuple(k.response(self.freqs) for k in self._kernels)
-        self._fixed = None  # (block bytes, _FixedPass)
-        self._memo = None  # (block bytes, _EvalInfo, (forward passes, needle counts))
+        self._latest = None  # _BlockRecord of the latest block
 
     def add_frequencies(self, omegas):
         """Enrich the grid near newly certified peaks."""
@@ -554,74 +555,73 @@ class _FastEvaluator:
         failures near the stability boundary.  The gradient holds those
         needle frequencies fixed.
 
-        The latest block's result and forward passes are kept until a block
-        with other entries comes or the grid changes: asking again for the
-        same block returns the kept result, and asking for its gradient
-        afterwards adds only the gradient step.  A descent therefore makes
-        one fixed-grid pass per block, and closes the loops and samples the
-        needles only of the blocks that pass the line search's bound,
-        although it scores a point before it asks for the gradient there.
-        Callers must not modify the arrays of a returned result, since a
-        later call may return it again.
+        The result and its passes join the block's record: asking again for
+        the block returns the kept result, and asking for its gradient then
+        adds only the gradient step.  A descent therefore makes one
+        fixed-grid pass per block, and closes the loops and samples the
+        needles only of the blocks that pass the line search's bound, though
+        it scores a point before it asks for the gradient there.  Callers
+        must not modify the arrays of a returned result.
         """
-        key = kb.k.tobytes()
-        if self._memo is None or self._memo[0] != key:
-            self._memo = (key,) + self._forward(kb)
-        _, info, passes = self._memo
+        record = self._fixed_pass(kb)
+        if record.info is None:
+            record = self._latest = self._forward(kb, record)
+        info = record.info
         if not gradient or not info.stable or info.dsigmas is not None:
             return info
-        fwds, counts = passes
+        fwds, counts = record.passes
         factors = instantiation_factors(kb, self.problem.grid)
         try:
             left, right = zip(*(_gain_factors(fwd, factors) for fwd in fwds))
         except np.linalg.LinAlgError:
             return _EvalInfo(False, info.max_abscissa, None, None, None)
         dsigmas = tuple(_in_gain_order(*rows, counts=counts) for rows in (left, right))
-        info = info._replace(dsigmas=dsigmas)
-        self._memo = (key, info, passes)
-        return info
+        self._latest = record._replace(info=info._replace(dsigmas=dsigmas))
+        return self._latest.info
 
     def _fixed_pass(self, kb):
-        """The block's instantiation over the grid (lft.instantiate_stack's
-        pair) and, when every point is well posed and the pass solves, the
-        fixed grid's gains (M, F) each, those in gain order and their
-        forward pass, whose controller kernel the needles and the gradient
-        reuse; else those three are None.  Kept for the latest block.  The
-        block may be unstable here: a controller pole on a grid frequency,
-        or an overflow, gives gains that are not finite, without a warning.
+        """The block's record: the latest one when it has ``kb``'s entries,
+        else a new one, kept in its place, which holds the block's
+        instantiation over the grid (lft.instantiate_stack's pair) and, when
+        every point is well posed and the pass solves, the fixed grid's
+        gains (M, F) each, those in gain order and their forward pass, whose
+        controller kernel the needles and the gradient reuse.  The block may
+        be unstable here: a controller pole on a grid frequency, or an
+        overflow, gives gains that are not finite, without a warning.
         """
         key = kb.k.tobytes()
-        if self._fixed is None or self._fixed[0] != key:
-            inst = instantiate_stack(kb, kb.k, self.problem.grid)
-            fixed = _FixedPass(inst, None, None, None)
-            if inst[1].all():
-                resp, wk_resp = self._grid_responses
-                try:
-                    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                        gains, fwd = _channel_gains(
-                            FrequencyKernel(inst[0], RESOLVENT_COND_LIMIT), self.freqs,
-                            self._plant_blocks(resp), wk_resp,
-                        )
-                    fixed = _FixedPass(inst, gains, _in_gain_order(gains), fwd)
-                except np.linalg.LinAlgError:
-                    pass
-            self._fixed = (key, fixed)
-        return self._fixed[1]
+        if self._latest is not None and self._latest.key == key:
+            return self._latest
+        record = _BlockRecord(key, instantiate_stack(kb, kb.k, self.problem.grid))
+        if record.inst[1].all():
+            resp, wk_resp = self._grid_responses
+            try:
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    gains, fwd = _channel_gains(
+                        FrequencyKernel(record.inst[0], RESOLVENT_COND_LIMIT), self.freqs,
+                        self._plant_blocks(resp), wk_resp,
+                    )
+                record = record._replace(gains=gains, sigmas=_in_gain_order(gains), fwd=fwd)
+            except np.linalg.LinAlgError:
+                pass
+        self._latest = record
+        return record
 
-    def _forward(self, kb):
-        """Gains of one block, its forward passes stacked over the grid (the
-        fixed grid's from _fixed_pass, then the needles' when there are
-        any), and each grid point's needle count.
+    def _forward(self, kb, record):
+        """The block's record filled in: its gains (an _EvalInfo) and, when
+        it is stable, its forward passes stacked over the grid (the fixed
+        grid's, then the needles' when there are any) with each grid point's
+        needle count.
 
         The needle pass samples a row per point: its needle frequencies,
         padded up to the largest count with the grid's first frequency,
         where the fixed grid has already sampled and solved at every point,
         so the padding raises nothing new."""
-        fixed = self._fixed_pass(kb)
-        loops = _closed_loops(self.problem, kb, inst=fixed.inst)
+        loops = _closed_loops(self.problem, kb, inst=record.inst)
         worst = float(loops.abscissa.max())  # inf at an ill-posed point
-        if worst >= 0.0 or fixed.fwd is None:
-            return _EvalInfo(False, worst, None, None, None), ()
+        failed = record._replace(info=_EvalInfo(False, worst, None, None, None))
+        if worst >= 0.0 or record.fwd is None:
+            return failed
         needles = []
         for poles in loops.poles:
             damped = np.abs(poles.real) <= 0.05 * np.abs(poles)
@@ -629,7 +629,7 @@ class _FastEvaluator:
             needles.append(light.imag[np.argsort(np.abs(light.real) / np.abs(light))][:8])
         counts = [n.size for n in needles]
         if not max(counts):
-            v, fwds = fixed.sigmas, (fixed.fwd,)
+            v, fwds = record.sigmas, (record.fwd,)
         else:
             extra = np.full((self.problem.m, max(counts)), self.freqs[0])
             for row, n in zip(extra, needles):
@@ -637,16 +637,17 @@ class _FastEvaluator:
             try:
                 resp, wk_resp = (k.response(extra) for k in self._kernels)
                 gains, fwd = _channel_gains(
-                    fixed.fwd.kernel, extra, self._plant_blocks(resp), wk_resp
+                    record.fwd.kernel, extra, self._plant_blocks(resp), wk_resp
                 )
             except np.linalg.LinAlgError:
-                return _EvalInfo(False, worst, None, None, None), ()
-            v, fwds = _in_gain_order(fixed.gains, gains, counts), (fixed.fwd, fwd)
-        return _EvalInfo(True, worst, v, float(v.max()), None), (fwds, counts)
+                return failed
+            v, fwds = _in_gain_order(record.gains, gains, counts), (record.fwd, fwd)
+        info = _EvalInfo(True, worst, v, float(v.max()), None)
+        return record._replace(info=info, passes=(fwds, counts))
 
     def lower_bound(self, kb, tau_rel):
         """Soft-max of the fixed grid's gains alone at ``tau = tau_rel`` times
-        the largest of them (-inf when _fixed_pass has no finite gains),
+        the largest of them (-inf when the block's record has no finite gains),
         never above penalized's value: adding gains, or widening ``tau``,
         never lowers a log-sum-exp, and an infeasible block scores inf.
         Without needles the two are equal."""
@@ -923,6 +924,15 @@ def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
                 )
             )
 
+    def fun(th, bound=None):
+        return evaluator.penalized(kb_template.with_free_values(th), tau, bound=bound)[0]
+
+    def grad(th, _f):
+        nonlocal grad_abscissa
+        _, info, g = evaluator.penalized(kb_template.with_free_values(th), tau, gradient=True)
+        grad_abscissa = info.max_abscissa
+        return g
+
     f0, info0, _ = evaluator.penalized(
         kb_template.with_free_values(theta), _TAU_SCHEDULE[0]
     )
@@ -944,20 +954,7 @@ def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
             if cap <= 0:
                 converged = False
                 continue
-
-            def fun(th, bound=None, _tau=tau):
-                return evaluator.penalized(
-                    kb_template.with_free_values(th), _tau, bound=bound
-                )[0]
-
-            def grad(th, _f, _tau=tau):
-                nonlocal grad_abscissa
-                _, info, g = evaluator.penalized(
-                    kb_template.with_free_values(th), _tau, gradient=True
-                )
-                grad_abscissa = info.max_abscissa
-                return g
-
+            # fun and grad read this phase's tau
             theta, fval, used, conv = _bfgs(
                 fun, grad, theta, fun(theta), cap, 1e-4, on_accept=record
             )

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lfsynth import cli
+from lfsynth import cli, synth
 from lfsynth.cli import RunConfig, main, parse_config
 from lfsynth.errors import ConfigError, SingularMatrixError
 from lfsynth.lft import (
@@ -460,13 +460,13 @@ class TestEvalCommand:
         monkeypatch.setattr(cli, name, failing)
         # the sweep's one plant-order stack is closed once, ill-posed value
         # and all
-        closes, real_close = [], cli.close_grid
+        closes, real_close = [], cli.closed_loop_matrices
 
-        def close(plant, kb, rho, *args):
-            closes.append(len(rho))
-            return real_close(plant, kb, rho, *args)
+        def close(plant, ctrl):
+            closes.append(len(ctrl.a))
+            return real_close(plant, ctrl)
 
-        monkeypatch.setattr(cli, "close_grid", close)
+        monkeypatch.setattr(cli, "closed_loop_matrices", close)
         out = tmp_path / "sweep.csv"
         assert main(["eval", "--controller", str(ctl), "--config", str(cfg),
                      "--out", str(out)]) == 0
@@ -570,6 +570,27 @@ class TestStackedAgainstOnePoint:
         assert np.array_equal([float(r[0]) for r in rows], rhos)
         assert np.array_equal([float(r[1]) for r in rows], expected)
         assert all(r[2] == "1" for r in rows)
+
+    def test_sweep_reproduces_the_synthesis_certificate(self, tmp_path):
+        """eval and synthesis instantiate and close through the same lft
+        calls: at each synthesis grid value the sweep's row is the
+        certificate's closed-loop norm, bit for bit."""
+        cfg_path = tmp_path / "beam.cfg"
+        cfg_path.write_text(
+            (BUNDLED / "beam.cfg").read_text().replace("sweep.n_points = 11", "sweep.n_points = 21")
+        )
+        ctl = str(BUNDLED / "beam_controller.txt")
+        out = tmp_path / "sweep.csv"
+        assert main(["eval", "--controller", ctl, "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        rows = {float(r.split(",")[0]): r.split(",")
+                for r in out.read_text().splitlines()[1:]}
+        _, problem = cli.build_problem(parse_config(str(cfg_path)))
+        cert = synth._certify(problem, load_controller(ctl), 1e-6)
+        assert len(problem.grid) == 5
+        for j, rho in enumerate(problem.grid):
+            assert rows[rho][2] == "1"
+            assert float(rows[rho][1]) == cert.perf[j]
 
     @pytest.mark.parametrize("name, levels", [("beam", "10,15,20"), ("building", "0.5,1,1.5")])
     def test_bode_columns(self, tmp_path, name, levels):

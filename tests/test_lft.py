@@ -10,7 +10,6 @@ from lfsynth.lft import (
     MASK_FROZEN,
     MASK_ZERO,
     ControllerBlock,
-    close_grid,
     closed_loop_matrices,
     count_free_params,
     eval_controller,
@@ -171,7 +170,7 @@ class TestOverflow:
             eval_controller_matrices(kb, 2.0)
         scalar = StateSpace([[-1.0]], [[1.0, 1.0]], [[1.0], [1.0]], np.zeros((2, 2)))
         plant = stack_plants([PartitionedSystem(scalar, (1, 1), (1, 1))] * 2)
-        assert close_grid(plant, kb, np.array([0.0, 2.0])).well_posed.tolist() == [True, False]
+        assert instantiate_and_close(plant, kb, np.array([0.0, 2.0]))[2].tolist() == [True, False]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_closed_loop(self):
@@ -253,6 +252,16 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def instantiate_and_close(plant, kb, rho, k=None):
+    """The controllers of ``kb`` (or of the value matrices ``k``) at every
+    value of ``rho``, closed against the GridPlant ``plant``, as every
+    stacked pass composes them: the controllers, the closed loops and the
+    mask of the points whose parameter and feedback loops are well posed."""
+    ctrl, instantiated = instantiate_stack(kb, kb.k if k is None else k, rho)
+    closed, closed_ok = closed_loop_matrices(plant, ctrl)
+    return ctrl, closed, instantiated & closed_ok
+
+
 class TestStackedGrid:
     """Instantiating and closing a whole grid at once against one point at a
     time."""
@@ -264,7 +273,7 @@ class TestStackedGrid:
         for _ in range(3):
             plants = [random_partitioned(rng, 3, 2, 2, 1, 2) for _ in self.RHOS]
             kb = random_block(rng, n_k, n_delta, 2, 2, well_posed_for=self.RHOS)
-            ctrl, closed, well_posed = close_grid(stack_plants(plants), kb, self.RHOS)
+            ctrl, closed, well_posed = instantiate_and_close(stack_plants(plants), kb, self.RHOS)
             assert well_posed.shape == (len(self.RHOS),) and well_posed.all()
             assert ctrl.a.shape == (len(self.RHOS), n_k, n_k)
             assert closed.a.shape == (len(self.RHOS), 3 + n_k, 3 + n_k)
@@ -312,7 +321,7 @@ class TestStackedGrid:
             stack_plants(plants), instantiate_stack(kb, kb.k, (0.0, 1.0, 2.0))[0]
         )
         assert closed_ok.tolist() == [True, False, False]
-        assert close_grid(stack_plants(plants), kb, (0.0, 1.0, 2.0)).well_posed.tolist() == [
+        assert instantiate_and_close(stack_plants(plants), kb, (0.0, 1.0, 2.0))[2].tolist() == [
             True, False, False
         ]
         with pytest.raises(IllPosedLFTError, match="feedback") as err:
@@ -328,12 +337,12 @@ class TestStackedGrid:
             random_block(rng, n_k, n_delta, 2, 2, well_posed_for=self.RHOS) for _ in range(4)
         ]
         ks = np.stack([kb.k for kb in blocks])
-        ctrl, closed, well_posed = close_grid(plants, blocks[0], self.RHOS, ks)
+        ctrl, closed, well_posed = instantiate_and_close(plants, blocks[0], self.RHOS, ks)
         assert ctrl.a.shape == (4, len(self.RHOS), n_k, n_k)
         assert closed.a.shape == (4, len(self.RHOS), 3 + n_k, 3 + n_k)
         assert well_posed.shape == (4, len(self.RHOS)) and well_posed.all()
         for b, kb in enumerate(blocks):
-            one_ctrl, one_closed, _ = close_grid(plants, kb, self.RHOS)
+            one_ctrl, one_closed, _ = instantiate_and_close(plants, kb, self.RHOS)
             for m in "abcd":
                 assert same_bits(getattr(ctrl, m)[b], getattr(one_ctrl, m))
                 assert same_bits(getattr(closed, m)[b], getattr(one_closed, m))
@@ -362,7 +371,7 @@ class TestStackedGrid:
         ks[2, 3, 3] = 1.0  # ... fails the feedback loop at rho = 1 too
         kb = ControllerBlock(2, 1, 1, 1, ks[0], np.ones((4, 4), dtype=np.int8))
         grid = stack_plants(plants)
-        ctrl, closed, well_posed = close_grid(grid, kb, rhos, ks)
+        ctrl, closed, well_posed = instantiate_and_close(grid, kb, rhos, ks)
         assert well_posed.tolist() == [
             [True, True, False, True],
             [True, False, True, True],

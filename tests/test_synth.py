@@ -1160,7 +1160,7 @@ class TestFixedGridBound:
         for kb in blocks:
             ev = synth._FastEvaluator(prob, freqs)
             info = ev.evaluate(kb)
-            fixed_max = ev._fixed_pass(kb).sigmas.max() if info.stable else None
+            fixed_max = ev._latest.sigmas.max() if info.stable else None
             for tau in _TAU_SCHEDULE:
                 lower, value = ev.lower_bound(kb, tau), ev.penalized(kb, tau)[0]
                 assert lower <= value
@@ -1278,9 +1278,9 @@ class TestWorkCounts:
             certs.append(rel_tol)
             return real_certify(problem, block, rel_tol)
 
-        def forward(evaluator, block):
+        def forward(evaluator, block, record):
             passes.append(block.k.tobytes())
-            return real_forward(evaluator, block)
+            return real_forward(evaluator, block, record)
 
         monkeypatch.setattr(synth, "_certify", certify)
         monkeypatch.setattr(synth._FastEvaluator, "_forward", forward)
