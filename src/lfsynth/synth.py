@@ -14,12 +14,19 @@ enriched at certified peaks until both agree.  Stabilization alone uses
 finite differences: central differences of a softened abscissa, all 2n probe
 blocks of a gradient closed in one stacked pass.
 
+The descent runs on a design set of grid points, at first the grid's ends
+and middle value (SynthesisProblem.subgrid is the problem on them), after
+Apkarian, Dao and Noll's active-set scheme for parametric synthesis.  Each
+descent's block is certified over the whole grid; a point outside the set
+whose certified value exceeds the set's joins it, and the descent goes on
+from that block.  The reported values always come from the whole grid.
+
 Every evaluation closes the block in one place, _closed_loops, in one pass
-over the whole grid (and over a leading axis of blocks, for stabilization's
-probes): the plants share their state order, and so do the weights, so
-their matrices are stacked once and lft broadcasts the algebra over those
-axes.  The problem keeps its latest block's loops, so the surrogate, the
-certificate and stabilization close each block once.  A grid
+over its problem's grid (and over a leading axis of blocks, for
+stabilization's probes): the plants share their state order, and so do the
+weights, so their matrices are stacked once and lft broadcasts the algebra
+over those axes.  The problem keeps its latest block's loops, so the
+surrogate, the certificate and stabilization close each block once.  A grid
 point is stable when its closed loop and its controller are.  A point whose
 loops are ill posed or not finite, which lft's mask marks, makes
 certification raise IllPosedLFTError with that grid index and the surrogate
@@ -39,7 +46,8 @@ grid point's few needle samples; a gradient covers both passes.  A 1x1
 channel's singular pair comes in closed form.  A block that is ill posed or
 unstable at some grid point, or whose surrogate solve fails, scores
 infinite, so the line search rejects it, as in nonsmooth H-infinity
-synthesis: accepted iterates are always strictly stabilizing.
+synthesis: accepted iterates are always strictly stabilizing on the design
+set.
 """
 
 import time
@@ -154,7 +162,8 @@ class SynthesisProblem:
     lft.stack_plants), which closes every grid point in one pass.  So must
     the weights, with their output count: ``weights`` holds their matrices
     stacked over the grid (a Realization), for the stacked weighted
-    controllers and weight responses.
+    controllers and weight responses.  ``subgrid`` gives the problem on some
+    of the grid points, the set that optimize designs on.
     """
 
     plants: tuple
@@ -196,6 +205,31 @@ class SynthesisProblem:
         weights = Realization(*(np.stack([getattr(w, m) for w in wk_list]) for m in "abcd"))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_latest", (None, None))  # see _closed_loops
+
+    def subgrid(self, points):
+        """The problem on the grid points with indices ``points``, in that
+        order: a view that indexes the stacked plants and weights, so nothing
+        is stacked or validated again.  Every point in grid order is the
+        problem itself."""
+        points = list(points)
+        if points == list(range(self.m)):
+            return self
+        fields = {
+            "plants": tuple(self.plants[j] for j in points),
+            "grid": tuple(self.grid[j] for j in points),
+            "wk": tuple(self.wk_list[j] for j in points),
+            "structure": self.structure,
+            "stacked": self.stacked._replace(
+                sys=Realization(*(m[points] for m in self.stacked.sys))
+            ),
+            "weights": Realization(*(m[points] for m in self.weights)),
+            "_latest": (None, None),
+        }
+        fields["wk_list"] = fields["wk"]
+        view = object.__new__(SynthesisProblem)
+        for name, value in fields.items():
+            object.__setattr__(view, name, value)
+        return view
 
     @property
     def m(self):
@@ -532,6 +566,15 @@ class _FastEvaluator:
             return False
         self._set_grid(merged)
         return True
+
+    def refine(self, kb, gamma, peaks):
+        """Enrich the grid at a certificate's ``peaks`` when its value
+        ``gamma`` at ``kb`` exceeds the block's largest surrogate gain by
+        more than 2 %; returns whether the grid changed."""
+        info = self.evaluate(kb)
+        if gamma <= (info.grid_max if info.stable else np.inf) * 1.02:
+            return False
+        return self.add_frequencies(peaks)
 
     def _plant_blocks(self, resp):
         """The (w, u) -> (z, y) blocks p11, p12, p21, p22 of plant responses."""
@@ -889,15 +932,15 @@ class OptimizeOptions:
 _TAU_SCHEDULE = (0.05, 0.01, 2e-3)
 
 
-def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
-    """Smoothed descent with certified refinement; returns the best certified
-    point reached from one start.
+def _descend(evaluator, kb_template, theta0, opts, t_start):
+    """Smoothed descent with certified refinement on the evaluator's problem
+    from one start; returns the point reached, the trace rows and whether
+    the last phase converged.
 
-    Each round ends with a certificate at relative tolerance 1e-4, which
-    decides whether the surrogate grid is enriched at its peaks for the next
-    round.  The last round skips it unless ``later_starts`` says that later
-    descents reuse the evaluator's grid.  The point reached is then certified
-    at ``opts.certify_rel_tol``, and that certificate is returned.
+    Every round but the last ends with a certificate at relative tolerance
+    1e-4, which decides whether the surrogate grid is enriched at its peaks
+    for the next round (see _FastEvaluator.refine).  The point reached is
+    left for optimize to certify.
     """
     problem = evaluator.problem
     trace = []
@@ -960,19 +1003,13 @@ def _descend(evaluator, kb_template, theta0, opts, t_start, later_starts=False):
             )
             iters_left -= used
             converged = conv
-        if rnd == opts.refine_rounds and not later_starts:
-            break  # no descent uses a richer grid
-        cert = _certify(problem, kb_template.with_free_values(theta), 1e-4)
-        info = evaluator.evaluate(kb_template.with_free_values(theta))
-        grid_max = info.grid_max if info.stable else np.inf
-        if cert.gamma <= grid_max * 1.02:
+        if rnd == opts.refine_rounds or iters_left <= 0:
+            break  # no round of this descent follows
+        kb = kb_template.with_free_values(theta)
+        cert = _certify(problem, kb, 1e-4)
+        if not evaluator.refine(kb, cert.gamma, cert.peaks):
             break
-        if not evaluator.add_frequencies(cert.peaks):
-            break
-        if iters_left <= 0:
-            break
-    final = _certify(problem, kb_template.with_free_values(theta), opts.certify_rel_tol)
-    return theta, final, trace, converged
+    return theta, trace, converged
 
 
 def init_from_nominal(problem, nominal_index, options=None):
@@ -1010,17 +1047,53 @@ def init_from_nominal(problem, nominal_index, options=None):
     return kb.with_k(k)
 
 
+def _design_points(grid):
+    """Indices of the grid points that optimize designs on first: the
+    smallest and largest values and the one at index ``len(grid) // 2``,
+    the default nominal index; a grid of three or fewer points is its own
+    design set."""
+    if len(grid) <= 3:
+        return tuple(range(len(grid)))
+    return tuple(sorted({int(np.argmin(grid)), len(grid) // 2, int(np.argmax(grid))}))
+
+
+def _worst_outside(per_point, points, rel_tol):
+    """Index of the grid point outside ``points`` with the largest certified
+    value when that value exceeds the largest inside by more than
+    ``rel_tol``, relative (an unstable point, at ``inf``, always does while
+    the set is stable); else None."""
+    outside = [j for j in range(len(per_point)) if j not in points]
+    if not outside:
+        return None
+    j = max(outside, key=per_point.__getitem__)
+    return j if per_point[j] > max(per_point[p] for p in points) * (1.0 + rel_tol) else None
+
+
 def optimize(problem, kb_init, options=None):
     """Minimize the worst-case objective over the free entries of ``kb_init``.
 
-    The initial block is stabilized first when needed; stabilize's
-    StabilizationFailedError propagates when it cannot be.  Runs ``restarts``
-    descent passes (the nominal start plus randomly perturbed copies), keeps
-    every accepted iterate strictly stabilizing, and returns the best
-    certified candidate; the initial block itself competes, so the reported
-    objective never exceeds the initial one.  The initial block is certified
-    once, at ``certify_rel_tol``, and each descent adds the certificates
-    that _descend makes.
+    The initial block is stabilized over the whole grid first when needed;
+    stabilize's StabilizationFailedError propagates when it cannot be.  Then
+    ``restarts`` descents (the nominal start plus randomly perturbed copies)
+    run on a design set of grid points, at first the ends and the middle
+    value (see _design_points), after Apkarian, Dao and Noll's active-set
+    scheme for parametric robust structured synthesis.  Each start is
+    stabilized on the set, and every accepted iterate stays strictly
+    stabilizing there.  Each descent ends with one certificate at
+    ``certify_rel_tol`` over the whole grid, which ranks the candidate and is
+    the global check: when the worst point outside the set exceeds the
+    set's certified value by more than that tolerance, it joins the set for
+    the rest of the run, and the descent continues from the block it
+    reached, stabilized on the larger set (or the start ends there when
+    that fails).  A continued descent's trace rows follow the earlier ones,
+    numbered from 0 again.  When a later start follows, the set's part of
+    the certificate decides whether the surrogate grid that the starts
+    share is enriched at its peaks.
+
+    The initial block is certified over the whole grid too and competes,
+    so the reported objective never exceeds the initial one.  ``gamma`` and
+    the per-point norms are the best candidate's certificate, over every
+    grid point.
     """
     opts = options or OptimizeOptions()
     expected = (
@@ -1031,24 +1104,21 @@ def optimize(problem, kb_init, options=None):
         raise DimensionError(
             f"controller block shape {kb_init.k.shape} does not match problem {expected}"
         )
+    tol = opts.certify_rel_tol
     t_start = time.perf_counter()
     kb0 = stabilize(problem, kb_init, seed=opts.seed)
-    init_cert = _certify(problem, kb0, opts.certify_rel_tol)
+    init_cert = _certify(problem, kb0, tol)
     theta_init = kb0.free_values()
-
-    evaluator = _FastEvaluator(problem, surrogate_grid(problem))
-
-    candidates = []
     init_trace = (
         TraceRow(0, init_cert.gamma, init_cert.max_abscissa, 0.0,
                  (time.perf_counter() - t_start) * 1e3),
     )
-    candidates.append(
-        (init_cert.gamma, float(np.linalg.norm(theta_init)), theta_init, init_cert,
-         init_trace, True)
-    )
+    candidates = [(init_cert, theta_init, init_trace, True)]
 
     if theta_init.size:
+        points = _design_points(problem.grid)
+        design = problem.subgrid(points)
+        evaluator = _FastEvaluator(design, surrogate_grid(design))
         rng = np.random.default_rng(opts.seed)
         scale = float(np.sqrt(np.mean(theta_init**2))) or 1.0
         starts = [theta_init]
@@ -1056,27 +1126,43 @@ def optimize(problem, kb_init, options=None):
             starts.append(theta_init + rng.normal(0.0, 0.1 * scale, theta_init.size))
         for i, start in enumerate(starts):
             try:
-                kb_start = stabilize(problem, kb0.with_free_values(start), seed=opts.seed)
+                kb_start = stabilize(design, kb0.with_free_values(start), seed=opts.seed)
             except StabilizationFailedError:
                 continue
-            theta, cert, trace, conv = _descend(
-                evaluator, kb0, kb_start.free_values(), opts, t_start,
-                later_starts=i + 1 < len(starts),
-            )
-            candidates.append(
-                (cert.gamma, float(np.linalg.norm(theta)), theta, cert, tuple(trace),
-                 conv)
-            )
+            theta, trace = kb_start.free_values(), ()
+            while True:
+                theta, rows, conv = _descend(evaluator, kb0, theta, opts, t_start)
+                trace += tuple(rows)
+                kb = kb0.with_free_values(theta)
+                cert = _certify(problem, kb, tol)
+                candidates.append((cert, theta, trace, conv))
+                j = _worst_outside(cert.per_point, points, tol)
+                if j is None:
+                    if i + 1 < len(starts):  # later starts share the grid
+                        peaks = np.reshape(cert.peaks, (-1, 2))[list(points)]
+                        gamma = max(cert.per_point[p] for p in points)
+                        evaluator.refine(kb, gamma, peaks.ravel())
+                    break
+                points = tuple(sorted(points + (j,)))
+                design = problem.subgrid(points)
+                evaluator = _FastEvaluator(
+                    design, np.concatenate([evaluator.freqs, surrogate_grid(design)])
+                )
+                try:
+                    theta = stabilize(design, kb, seed=opts.seed).free_values()
+                except StabilizationFailedError:
+                    break
 
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    gamma, _, theta_best, cert, trace, conv = candidates[0]
+    cert, theta_best, trace, conv = min(
+        candidates, key=lambda c: (c[0].gamma, float(np.linalg.norm(c[1])))
+    )
     controller = kb0.with_free_values(theta_best) if theta_best.size else kb0
     return SynthesisResult(
         controller,
-        float(gamma),
+        cert.gamma,
         cert.per_point,
         cert.perf,
         cert.wk,
-        tuple(trace),
+        trace,
         "converged" if conv else "iteration-limit",
     )

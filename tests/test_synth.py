@@ -1031,7 +1031,7 @@ class TestDescentBudget:
 
         monkeypatch.setattr(synth, "_bfgs", spy)
         opts = OptimizeOptions(max_iter=4, refine_rounds=0, restarts=1)
-        _, _, trace, _ = synth._descend(ev, kb, kb.free_values(), opts, 0.0)
+        _, trace, _ = synth._descend(ev, kb, kb.free_values(), opts, 0.0)
         assert len(phases) == len(_TAU_SCHEDULE)
         assert all(cap >= 1 for cap, _ in phases)
         assert sum(used for _, used in phases) <= 4
@@ -1290,23 +1290,147 @@ class TestWorkCounts:
         assert certs == [opts.certify_rel_tol] * 2
         assert len(passes) > 1 and len(set(passes)) == len(passes)
 
-    @pytest.mark.parametrize("later_starts", [False, True])
-    def test_last_round_certifies_only_for_later_starts(self, monkeypatch, later_starts):
-        """The grid is shared across starts, so the last round still refines
-        it when another descent follows."""
+    def test_each_descent_certifies_its_block_once(self, monkeypatch):
+        """With two starts and no refinement round, the start and each
+        descent's block are certified once, at certify_rel_tol, and the
+        first descent's certificate also decides the enrichment of the grid
+        that the second descent shares."""
         prob, kb = stabilizing_start()
-        certs = []
-        real_certify = synth._certify
+        certs, refined = [], []
+        real_certify, real_refine = synth._certify, synth._FastEvaluator.refine
 
         def certify(problem, block, rel_tol):
-            certs.append(rel_tol)
-            return real_certify(problem, block, rel_tol)
+            certs.append((rel_tol, real_certify(problem, block, rel_tol)))
+            return certs[-1][1]
+
+        def refine(evaluator, block, gamma, peaks):
+            refined.append((gamma, tuple(peaks)))
+            return real_refine(evaluator, block, gamma, peaks)
 
         monkeypatch.setattr(synth, "_certify", certify)
-        opts = OptimizeOptions(max_iter=10, restarts=1, refine_rounds=0)
-        ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
-        synth._descend(ev, kb, kb.free_values(), opts, 0.0, later_starts=later_starts)
-        assert certs == [1e-4] * later_starts + [opts.certify_rel_tol]
+        monkeypatch.setattr(synth._FastEvaluator, "refine", refine)
+        opts = OptimizeOptions(max_iter=10, restarts=2, refine_rounds=0)
+        optimize(prob, kb, opts)
+        assert [tol for tol, _ in certs] == [opts.certify_rel_tol] * 3
+        first = certs[1][1]
+        assert refined == [(first.gamma, first.peaks)]
+
+
+class TestDesignSet:
+    """optimize descends on the grid's ends and middle value, and certifies
+    every candidate over the whole grid, where a point outside the set that
+    exceeds the set's value joins it."""
+
+    def test_ends_and_middle(self):
+        assert synth._design_points((1.0, 2.0)) == (0, 1)
+        assert synth._design_points((1.0, 2.0, 3.0)) == (0, 1, 2)
+        assert synth._design_points((1.0, 2.0, 3.0, 4.0)) == (0, 2, 3)
+        assert synth._design_points((1.0, 2.0, 3.0, 4.0, 5.0)) == (0, 2, 4)
+        # the ends are the extreme values, the middle is index len // 2
+        assert synth._design_points((3.0, 1.0, 2.0, 5.0, 4.0)) == (1, 2, 3)
+
+    def test_worst_outside(self):
+        values = (1.0, 3.0, 2.0, np.inf, 1.5)
+        assert synth._worst_outside(values, (0, 2, 4), 1e-6) == 3  # unstable
+        assert synth._worst_outside(values, (0, 2, 3), 1e-6) is None  # nothing exceeds inf
+        assert synth._worst_outside(values, (0, 1, 2, 3, 4), 1e-6) is None
+        assert synth._worst_outside((1.0, 3.0, 2.0, 4.0, 1.5), (0, 2, 4), 1e-6) == 3
+        assert synth._worst_outside((1.0, 3.0, 2.0, 4.0, 1.5), (0, 2, 3), 1e-6) is None
+        # within the tolerance of the set's value, a point stays out
+        assert synth._worst_outside((1.0, 1.0 + 1e-7, 1.0), (0, 2), 1e-6) is None
+
+    @pytest.mark.parametrize("name", ["beam", "building"])
+    def test_subgrid_is_the_problem_on_those_points(self, name):
+        prob, kb = bundled_problem(name)
+        points = (0, 2, 4)
+        view = prob.subgrid(points)
+        built = SynthesisProblem(
+            tuple(prob.plants[j] for j in points), tuple(prob.grid[j] for j in points),
+            tuple(prob.wk_list[j] for j in points), prob.structure,
+        )
+        assert view.grid == built.grid and view.m == 3
+        assert prob.subgrid(range(prob.m)) is prob
+        for got, want in zip(view.stacked.sys + view.weights, built.stacked.sys + built.weights):
+            assert np.array_equal(got, want)
+        assert view.stacked[1:] == built.stacked[1:]
+        full = synth._certify(prob, kb, 1e-6)
+        part = synth._certify(view, kb, 1e-6)
+        assert part == synth._certify(built, kb, 1e-6)
+        assert part.per_point == tuple(full.per_point[j] for j in points)
+
+    def test_interior_peak_joins_the_set(self, monkeypatch):
+        """A weight that peaks at the second of five grid values, outside
+        the first design set: the global check adds that point, and the
+        result is the certificate of the returned controller on the whole
+        grid, bit for bit."""
+        grid = (1.0, 1.5, 2.0, 2.5, 3.0)
+        weights = tuple(static_gain([[g]]) for g in (0.02, 0.2, 0.02, 0.02, 0.02))
+        st = StructureOptions(1, 1, dependency="affine")
+
+        def problem():
+            return SynthesisProblem(tuple(oscillator_plant(r) for r in grid), grid, weights, st)
+
+        prob = problem()
+        opts = OptimizeOptions(max_iter=40, restarts=2, refine_rounds=1)
+        kb0 = init_from_nominal(prob, 2, opts)
+        designs = []
+        real_subgrid = SynthesisProblem.subgrid
+
+        def subgrid(problem, points):
+            designs.append(tuple(points))
+            return real_subgrid(problem, points)
+
+        monkeypatch.setattr(SynthesisProblem, "subgrid", subgrid)
+        res = optimize(prob, kb0, opts)
+        assert designs == [(0, 2, 4), (0, 1, 2, 4)]
+        tol = opts.certify_rel_tol
+        for cert in (synth._certify(prob, res.controller, tol),
+                     synth._certify(problem(), res.controller, tol)):
+            assert res.gamma == cert.gamma
+            assert res.per_point_norms == cert.per_point
+            assert res.per_point_perf_norms == cert.perf
+            assert res.per_point_wk_norms == cert.wk
+        assert res.gamma <= objective(prob, kb0, tol).value
+
+    def test_bundled_building_counts(self, monkeypatch):
+        """At the benchmark's building budget the parametric descent's
+        stacked passes run over the three design points, and its
+        certificates over all five."""
+        cfg = cli.parse_config(str(BUNDLED / "building.cfg"))
+        prob = cli.build_problem(cfg)[1]
+        opts = replace(cli.make_options(cfg), max_iter=4, refine_rounds=0)
+        kb0 = init_from_nominal(prob, cfg.opt_nominal_index, opts)
+        certs, closes, gains, stabilized = [], [], [], []
+        real_certify, real_close = synth._certify, synth.closed_loop_matrices
+        real_gains, real_stabilize = synth._channel_gains, synth.stabilize
+
+        def certify(problem, block, rel_tol):
+            certs.append((problem.m, rel_tol))
+            return real_certify(problem, block, rel_tol)
+
+        def close(plant, ctrl):
+            closes.append(ctrl.a.shape[-3])
+            return real_close(plant, ctrl)
+
+        def channel_gains(kernel, freqs, blocks, wk_resp):
+            gains.append(blocks[0].shape[0])
+            return real_gains(kernel, freqs, blocks, wk_resp)
+
+        def stabilize_spy(problem, block, seed=0):
+            stabilized.append(problem.m)
+            return real_stabilize(problem, block, seed)
+
+        monkeypatch.setattr(synth, "_certify", certify)
+        monkeypatch.setattr(synth, "closed_loop_matrices", close)
+        monkeypatch.setattr(synth, "_channel_gains", channel_gains)
+        monkeypatch.setattr(synth, "stabilize", stabilize_spy)
+        res = optimize(prob, kb0, opts)
+        assert certs == [(5, opts.certify_rel_tol)] * 2  # the start's and the descent's
+        assert stabilized == [5, 3]  # the start over the grid, the descent's on the set
+        assert len(gains) > 2 and set(gains) == {3}
+        # the two certificates close over five points, every other pass over three
+        assert closes.count(5) == 2 and closes.count(3) == len(closes) - 2 > 2
+        assert len(res.per_point_norms) == 5 and res.gamma == max(res.per_point_norms)
 
 
 class TestClosedLoops:
