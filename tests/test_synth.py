@@ -1290,11 +1290,13 @@ class TestWorkCounts:
         assert certs == [opts.certify_rel_tol] * 2
         assert len(passes) > 1 and len(set(passes)) == len(passes)
 
-    def test_each_descent_certifies_its_block_once(self, monkeypatch):
-        """With two starts and no refinement round, the start and each
-        descent's block are certified once, at certify_rel_tol, and the
-        first descent's certificate also decides the enrichment of the grid
-        that the second descent shares."""
+    @pytest.mark.parametrize("later_starts", [False, True])
+    def test_last_round_certifies_only_for_later_starts(self, monkeypatch, later_starts):
+        """The grid is shared across starts, so a descent's last round
+        refines it only when another descent follows.  With no refinement
+        round, the start and each descent's block are certified once, at
+        certify_rel_tol, and the first descent's certificate decides the
+        enrichment of the grid that the second descent shares."""
         prob, kb = stabilizing_start()
         certs, refined = [], []
         real_certify, real_refine = synth._certify, synth._FastEvaluator.refine
@@ -1309,11 +1311,11 @@ class TestWorkCounts:
 
         monkeypatch.setattr(synth, "_certify", certify)
         monkeypatch.setattr(synth._FastEvaluator, "refine", refine)
-        opts = OptimizeOptions(max_iter=10, restarts=2, refine_rounds=0)
+        opts = OptimizeOptions(max_iter=10, restarts=1 + later_starts, refine_rounds=0)
         optimize(prob, kb, opts)
-        assert [tol for tol, _ in certs] == [opts.certify_rel_tol] * 3
+        assert [tol for tol, _ in certs] == [opts.certify_rel_tol] * (2 + later_starts)
         first = certs[1][1]
-        assert refined == [(first.gamma, first.peaks)]
+        assert refined == [(first.gamma, first.peaks)] * later_starts
 
 
 class TestDesignSet:
