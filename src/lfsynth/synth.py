@@ -208,28 +208,17 @@ class SynthesisProblem:
 
     def subgrid(self, points):
         """The problem on the grid points with indices ``points``, in that
-        order: a view that indexes the stacked plants and weights, so nothing
-        is stacked or validated again.  Every point in grid order is the
-        problem itself."""
+        order.  Every point in grid order is the problem itself, with its
+        cache of the latest block's loops."""
         points = list(points)
         if points == list(range(self.m)):
             return self
-        fields = {
-            "plants": tuple(self.plants[j] for j in points),
-            "grid": tuple(self.grid[j] for j in points),
-            "wk": tuple(self.wk_list[j] for j in points),
-            "structure": self.structure,
-            "stacked": self.stacked._replace(
-                sys=Realization(*(m[points] for m in self.stacked.sys))
-            ),
-            "weights": Realization(*(m[points] for m in self.weights)),
-            "_latest": (None, None),
-        }
-        fields["wk_list"] = fields["wk"]
-        view = object.__new__(SynthesisProblem)
-        for name, value in fields.items():
-            object.__setattr__(view, name, value)
-        return view
+        return SynthesisProblem(
+            tuple(self.plants[j] for j in points),
+            tuple(self.grid[j] for j in points),
+            tuple(self.wk_list[j] for j in points),
+            self.structure,
+        )
 
     @property
     def m(self):
@@ -932,10 +921,11 @@ class OptimizeOptions:
 _TAU_SCHEDULE = (0.05, 0.01, 2e-3)
 
 
-def _descend(evaluator, kb_template, theta0, opts, t_start):
+def _descend(evaluator, kb_template, theta0, opts, t_start, budget):
     """Smoothed descent with certified refinement on the evaluator's problem
-    from one start; returns the point reached, the trace rows and whether
-    the last phase converged.
+    from one start, in at most ``budget`` iterations; returns the point
+    reached, the trace rows, whether the last phase converged and the
+    iterations used.
 
     Every round but the last ends with a certificate at relative tolerance
     1e-4, which decides whether the surrogate grid is enriched at its peaks
@@ -945,7 +935,7 @@ def _descend(evaluator, kb_template, theta0, opts, t_start):
     problem = evaluator.problem
     trace = []
     log_floor = np.inf
-    iters_left = opts.max_iter
+    iters_left = budget
     counter = 0
     theta = np.array(theta0, dtype=float)
     converged = True
@@ -1009,7 +999,7 @@ def _descend(evaluator, kb_template, theta0, opts, t_start):
         cert = _certify(problem, kb, 1e-4)
         if not evaluator.refine(kb, cert.gamma, cert.peaks):
             break
-    return theta, trace, converged
+    return theta, trace, converged, budget - iters_left
 
 
 def init_from_nominal(problem, nominal_index, options=None):
@@ -1085,8 +1075,12 @@ def optimize(problem, kb_init, options=None):
     set's certified value by more than that tolerance, it joins the set for
     the rest of the run, and the descent continues from the block it
     reached, stabilized on the larger set (or the start ends there when
-    that fails).  A continued descent's trace rows follow the earlier ones,
-    numbered from 0 again.  When a later start follows, the set's part of
+    that fails).  A point outside the set where the block's loop is ill
+    posed joins it the same way, and that block is no candidate.
+    ``max_iter`` bounds a start's iterations over all its descents: a
+    continued descent gets what the earlier ones left, and the start ends
+    when nothing is left.  A continued descent's trace rows follow the
+    earlier ones, numbered from 0 again.  When a later start follows, the set's part of
     the certificate decides whether the surrogate grid that the starts
     share is enriched at its peaks.
 
@@ -1129,19 +1123,28 @@ def optimize(problem, kb_init, options=None):
                 kb_start = stabilize(design, kb0.with_free_values(start), seed=opts.seed)
             except StabilizationFailedError:
                 continue
-            theta, trace = kb_start.free_values(), ()
+            theta, trace, left = kb_start.free_values(), (), opts.max_iter
             while True:
-                theta, rows, conv = _descend(evaluator, kb0, theta, opts, t_start)
+                theta, rows, conv, used = _descend(evaluator, kb0, theta, opts, t_start, left)
                 trace += tuple(rows)
+                left -= used
                 kb = kb0.with_free_values(theta)
-                cert = _certify(problem, kb, tol)
-                candidates.append((cert, theta, trace, conv))
-                j = _worst_outside(cert.per_point, points, tol)
-                if j is None:
-                    if i + 1 < len(starts):  # later starts share the grid
-                        peaks = np.reshape(cert.peaks, (-1, 2))[list(points)]
-                        gamma = max(cert.per_point[p] for p in points)
-                        evaluator.refine(kb, gamma, peaks.ravel())
+                try:
+                    cert = _certify(problem, kb, tol)
+                except IllPosedLFTError as exc:
+                    if exc.grid_index in points:  # the block is stable on the set: no join
+                        raise
+                    j = exc.grid_index
+                else:
+                    candidates.append((cert, theta, trace, conv))
+                    j = _worst_outside(cert.per_point, points, tol)
+                    if j is None:
+                        if i + 1 < len(starts):  # later starts share the grid
+                            peaks = np.reshape(cert.peaks, (-1, 2))[list(points)]
+                            gamma = max(cert.per_point[p] for p in points)
+                            evaluator.refine(kb, gamma, peaks.ravel())
+                        break
+                if left <= 0:
                     break
                 points = tuple(sorted(points + (j,)))
                 design = problem.subgrid(points)
