@@ -17,9 +17,11 @@ blocks of a gradient closed in one stacked pass.
 The descent runs on a design set of grid points, at first the grid's ends
 and middle value (SynthesisProblem.subgrid is the problem on them), after
 Apkarian, Dao and Noll's active-set scheme for parametric synthesis.  Each
-descent's block is certified over the whole grid; a point outside the set
-whose certified value exceeds the set's joins it, and the descent goes on
-from that block.  The reported values always come from the whole grid.
+round of descent ends with one certificate of its block over the whole
+grid: a point outside the set whose certified value exceeds the set's joins
+it, and the descent goes on from that block; otherwise the set's part of
+the certificate decides the next round's surrogate grid.  The reported
+values always come from the whole grid.
 
 Every evaluation closes the block in one place, _closed_loops, in one pass
 over its problem's grid (and over a leading axis of blocks, for
@@ -921,41 +923,36 @@ class OptimizeOptions:
 _TAU_SCHEDULE = (0.05, 0.01, 2e-3)
 
 
-def _descend(evaluator, kb_template, theta0, opts, t_start, budget):
-    """Smoothed descent with certified refinement on the evaluator's problem
-    from one start, in at most ``budget`` iterations; returns the point
-    reached, the trace rows, whether the last phase converged and the
-    iterations used.
+def _descend(evaluator, kb_template, theta0, trace, t_start, done, budget, phases_left):
+    """One round of smoothed descent on the evaluator's problem from
+    ``theta0``: one BFGS phase per width of _TAU_SCHEDULE, within ``budget``
+    iterations, which ``phases_left`` phases share, this round's and the
+    start's later rounds'; returns the point reached, whether the last phase
+    converged and the iterations used.  The round certifies nothing:
+    optimize certifies the point reached.
 
-    Every round but the last ends with a certificate at relative tolerance
-    1e-4, which decides whether the surrogate grid is enriched at its peaks
-    for the next round (see _FastEvaluator.refine).  The point reached is
-    left for optimize to certify.
+    ``trace`` is the start's list of rows, which the round extends, and
+    ``done`` the iterations the start ran before it.  A trace with no row
+    yet opens with one at ``theta0``; then every accepted iterate whose
+    value is at or below the last row's adds a row numbered by the start's
+    iterations, so across rounds and joins a start's trace never rises and
+    its numbers strictly increase.
     """
-    problem = evaluator.problem
-    trace = []
-    log_floor = np.inf
-    iters_left = budget
-    counter = 0
     theta = np.array(theta0, dtype=float)
+    iters_left = budget
     converged = True
     grad_abscissa = np.nan  # max abscissa at the latest gradient point
 
+    def row(iteration, fval, abscissa, step_norm):
+        trace.append(TraceRow(iteration, float(fval), float(abscissa), step_norm,
+                              (time.perf_counter() - t_start) * 1e3))
+
     def record(theta_acc, fval, step_norm):
         # _bfgs calls this right after the gradient at theta_acc
-        nonlocal counter, log_floor
-        counter += 1
-        if fval <= log_floor:
-            log_floor = fval
-            trace.append(
-                TraceRow(
-                    counter,
-                    float(fval),
-                    float(grad_abscissa),
-                    step_norm,
-                    (time.perf_counter() - t_start) * 1e3,
-                )
-            )
+        nonlocal done
+        done += 1
+        if fval <= (trace[-1].objective if trace else np.inf):
+            row(done, fval, grad_abscissa, step_norm)
 
     def fun(th, bound=None):
         return evaluator.penalized(kb_template.with_free_values(th), tau, bound=bound)[0]
@@ -966,40 +963,28 @@ def _descend(evaluator, kb_template, theta0, opts, t_start, budget):
         grad_abscissa = info.max_abscissa
         return g
 
-    f0, info0, _ = evaluator.penalized(
-        kb_template.with_free_values(theta), _TAU_SCHEDULE[0]
-    )
-    if info0.stable:
-        trace.append(
-            TraceRow(0, float(f0), float(info0.max_abscissa), 0.0,
-                     (time.perf_counter() - t_start) * 1e3)
+    if not trace:
+        f0, info0, _ = evaluator.penalized(
+            kb_template.with_free_values(theta), _TAU_SCHEDULE[0]
         )
-        log_floor = f0
-    phases_left = len(_TAU_SCHEDULE) * (opts.refine_rounds + 1)
-    for rnd in range(opts.refine_rounds + 1):
-        for i, tau in enumerate(_TAU_SCHEDULE):
-            # Split the remaining budget evenly over the remaining smoothing
-            # phases so later refinement passes are never starved, and leave
-            # one step for each later phase of this round.
-            later = len(_TAU_SCHEDULE) - 1 - i
-            cap = min(max(8, iters_left // max(phases_left, 1)), iters_left - later)
-            phases_left -= 1
-            if cap <= 0:
-                converged = False
-                continue
-            # fun and grad read this phase's tau
-            theta, fval, used, conv = _bfgs(
-                fun, grad, theta, fun(theta), cap, 1e-4, on_accept=record
-            )
-            iters_left -= used
-            converged = conv
-        if rnd == opts.refine_rounds or iters_left <= 0:
-            break  # no round of this descent follows
-        kb = kb_template.with_free_values(theta)
-        cert = _certify(problem, kb, 1e-4)
-        if not evaluator.refine(kb, cert.gamma, cert.peaks):
-            break
-    return theta, trace, converged, budget - iters_left
+        if info0.stable:
+            row(done, f0, info0.max_abscissa, 0.0)
+    for i, tau in enumerate(_TAU_SCHEDULE):
+        # Split the remaining budget evenly over the remaining smoothing
+        # phases so later rounds are never starved, and leave one step for
+        # each later phase of this round.
+        later = len(_TAU_SCHEDULE) - 1 - i
+        cap = min(max(8, iters_left // max(phases_left, 1)), iters_left - later)
+        phases_left -= 1
+        if cap <= 0:
+            converged = False
+            continue
+        # fun and grad read this phase's tau
+        theta, _, used, converged = _bfgs(
+            fun, grad, theta, fun(theta), cap, 1e-4, on_accept=record
+        )
+        iters_left -= used
+    return theta, converged, budget - iters_left
 
 
 def init_from_nominal(problem, nominal_index, options=None):
@@ -1014,12 +999,7 @@ def init_from_nominal(problem, nominal_index, options=None):
     if not 0 <= nominal_index < problem.m:
         raise DomainError(f"nominal index {nominal_index} outside grid")
     reduced_structure = replace(problem.structure, n_delta=0)
-    reduced = SynthesisProblem(
-        (problem.plants[nominal_index],),
-        (problem.grid[nominal_index],),
-        (problem.wk_list[nominal_index],),
-        reduced_structure,
-    )
+    reduced = replace(problem.subgrid((nominal_index,)), structure=reduced_structure)
     kb0 = zero_block(
         reduced_structure.n_k, 0, problem.n_u, problem.n_y,
         build_mask(reduced_structure, problem.n_u, problem.n_y),
@@ -1069,20 +1049,21 @@ def optimize(problem, kb_init, options=None):
     value (see _design_points), after Apkarian, Dao and Noll's active-set
     scheme for parametric robust structured synthesis.  Each start is
     stabilized on the set, and every accepted iterate stays strictly
-    stabilizing there.  Each descent ends with one certificate at
-    ``certify_rel_tol`` over the whole grid, which ranks the candidate and is
-    the global check: when the worst point outside the set exceeds the
-    set's certified value by more than that tolerance, it joins the set for
-    the rest of the run, and the descent continues from the block it
-    reached, stabilized on the larger set (or the start ends there when
-    that fails).  A point outside the set where the block's loop is ill
-    posed joins it the same way, and that block is no candidate.
-    ``max_iter`` bounds a start's iterations over all its descents: a
-    continued descent gets what the earlier ones left, and the start ends
-    when nothing is left.  A continued descent's trace rows follow the
-    earlier ones, numbered from 0 again.  When a later start follows, the set's part of
-    the certificate decides whether the surrogate grid that the starts
-    share is enriched at its peaks.
+    stabilizing there.  A start runs rounds of smoothed descent (_descend),
+    ``refine_rounds + 1`` of them and as many again after each join, within
+    ``max_iter`` iterations over all its rounds.  Every round ends with one
+    certificate at ``certify_rel_tol`` over the whole grid, the only one
+    taken of its block, which ranks the block as a candidate and decides
+    what follows.  When the worst point outside the set exceeds the set's
+    certified value by more than that tolerance, it joins the set for the
+    rest of the run, and the descent continues from the block, stabilized
+    on the larger set (or the start ends there when that fails); a point
+    outside the set where the block's loop is ill posed joins it the same
+    way, and that block is no candidate.  Otherwise, while the start has a
+    round and iterations left, or when a later start follows, the set's
+    part of the certificate decides whether the surrogate grid that they
+    share is enriched at its peaks (see _FastEvaluator.refine); the start
+    goes on to its next round only when it is, and ends there otherwise.
 
     The initial block is certified over the whole grid too and competes,
     so the reported objective never exceeds the initial one.  ``gamma`` and
@@ -1123,11 +1104,15 @@ def optimize(problem, kb_init, options=None):
                 kb_start = stabilize(design, kb0.with_free_values(start), seed=opts.seed)
             except StabilizationFailedError:
                 continue
-            theta, trace, left = kb_start.free_values(), (), opts.max_iter
+            theta, trace, done = kb_start.free_values(), [], 0
+            rounds = opts.refine_rounds + 1  # this one included
             while True:
-                theta, rows, conv, used = _descend(evaluator, kb0, theta, opts, t_start, left)
-                trace += tuple(rows)
-                left -= used
+                theta, conv, used = _descend(
+                    evaluator, kb0, theta, trace, t_start, done, opts.max_iter - done,
+                    len(_TAU_SCHEDULE) * rounds,
+                )
+                done += used
+                rounds -= 1
                 kb = kb0.with_free_values(theta)
                 try:
                     cert = _certify(problem, kb, tol)
@@ -1136,21 +1121,24 @@ def optimize(problem, kb_init, options=None):
                         raise
                     j = exc.grid_index
                 else:
-                    candidates.append((cert, theta, trace, conv))
+                    candidates.append((cert, theta, tuple(trace), conv))
                     j = _worst_outside(cert.per_point, points, tol)
-                    if j is None:
-                        if i + 1 < len(starts):  # later starts share the grid
-                            peaks = np.reshape(cert.peaks, (-1, 2))[list(points)]
-                            gamma = max(cert.per_point[p] for p in points)
-                            evaluator.refine(kb, gamma, peaks.ravel())
-                        break
-                if left <= 0:
+                if j is None:
+                    next_round = rounds > 0 and done < opts.max_iter
+                    if next_round or i + 1 < len(starts):  # they share the grid
+                        peaks = np.reshape(cert.peaks, (-1, 2))[list(points)].ravel()
+                        gamma = max(cert.per_point[p] for p in points)
+                        if evaluator.refine(kb, gamma, peaks) and next_round:
+                            continue
+                    break
+                if done >= opts.max_iter:
                     break
                 points = tuple(sorted(points + (j,)))
                 design = problem.subgrid(points)
                 evaluator = _FastEvaluator(
                     design, np.concatenate([evaluator.freqs, surrogate_grid(design)])
                 )
+                rounds = opts.refine_rounds + 1
                 try:
                     theta = stabilize(design, kb, seed=opts.seed).free_values()
                 except StabilizationFailedError:

@@ -1030,8 +1030,10 @@ class TestDescentBudget:
             return out
 
         monkeypatch.setattr(synth, "_bfgs", spy)
-        opts = OptimizeOptions(max_iter=4, refine_rounds=0, restarts=1)
-        _, trace, _, used = synth._descend(ev, kb, kb.free_values(), opts, 0.0, 4)
+        trace = []
+        _, _, used = synth._descend(
+            ev, kb, kb.free_values(), trace, 0.0, 0, 4, len(_TAU_SCHEDULE)
+        )
         assert used == sum(n for _, n in phases)
         assert len(phases) == len(_TAU_SCHEDULE)
         assert all(cap >= 1 for cap, _ in phases)
@@ -1143,8 +1145,7 @@ class TestFixedGridBound:
             return real(kb, *args, **kw)
 
         ev.penalized = spy
-        opts = OptimizeOptions(max_iter=3, restarts=1, refine_rounds=0)
-        synth._descend(ev, kb0, kb0.free_values(), opts, 0.0, opts.max_iter)
+        synth._descend(ev, kb0, kb0.free_values(), [], 0.0, 0, 3, len(_TAU_SCHEDULE))
         rng = np.random.default_rng(7)
         theta0 = kb0.free_values()
         seen += [
@@ -1291,32 +1292,53 @@ class TestWorkCounts:
         assert certs == [opts.certify_rel_tol] * 2
         assert len(passes) > 1 and len(set(passes)) == len(passes)
 
-    @pytest.mark.parametrize("later_starts", [False, True])
-    def test_last_round_certifies_only_for_later_starts(self, monkeypatch, later_starts):
-        """The grid is shared across starts, so a descent's last round
-        refines it only when another descent follows.  With no refinement
-        round, the start and each descent's block are certified once, at
-        certify_rel_tol, and the first descent's certificate decides the
-        enrichment of the grid that the second descent shares."""
-        prob, kb = stabilizing_start()
+    @pytest.mark.parametrize(
+        "name, max_iter, restarts, refine_rounds, outcomes, rounds",
+        [
+            ("beam", 20, 1, 2, [False], 1),
+            ("building", 40, 1, 2, [True], 2),
+            ("building", 10, 2, 0, [True], 2),
+        ],
+        ids=["beam", "building", "building-two-starts"],
+    )
+    def test_one_whole_grid_certificate_per_round(
+        self, monkeypatch, name, max_iter, restarts, refine_rounds, outcomes, rounds
+    ):
+        """Each round's block is certified once, over the whole grid at
+        certify_rel_tol, and the design set's part of that certificate
+        decides the shared grid's enrichment while the start has a round
+        left or a later start follows: the beam's first round is not
+        enriched and ends the start, the building's is and goes on, and with
+        no round left the first of two starts enriches the grid for the
+        second, whose last round refines nothing."""
+        prob, kb = bundled_problem(name)
+        opts = OptimizeOptions(max_iter=max_iter, restarts=restarts, refine_rounds=refine_rounds)
         certs, refined = [], []
         real_certify, real_refine = synth._certify, synth._FastEvaluator.refine
 
         def certify(problem, block, rel_tol):
-            certs.append((rel_tol, real_certify(problem, block, rel_tol)))
-            return certs[-1][1]
+            cert = real_certify(problem, block, rel_tol)
+            certs.append((problem.m, rel_tol, block.k.tobytes(), cert))
+            return cert
 
         def refine(evaluator, block, gamma, peaks):
-            refined.append((gamma, tuple(peaks)))
-            return real_refine(evaluator, block, gamma, peaks)
+            out = real_refine(evaluator, block, gamma, peaks)
+            refined.append((block.k.tobytes(), gamma, tuple(peaks), out))
+            return out
 
         monkeypatch.setattr(synth, "_certify", certify)
         monkeypatch.setattr(synth._FastEvaluator, "refine", refine)
-        opts = OptimizeOptions(max_iter=10, restarts=1 + later_starts, refine_rounds=0)
         optimize(prob, kb, opts)
-        assert [tol for tol, _ in certs] == [opts.certify_rel_tol] * (2 + later_starts)
-        first = certs[1][1]
-        assert refined == [(first.gamma, first.peaks)] * later_starts
+        assert [(m, tol) for m, tol, _, _ in certs] == [(prob.m, opts.certify_rel_tol)] * len(certs)
+        assert len({key for _, _, key, _ in certs}) == len(certs)  # no block twice
+        assert [out for *_, out in refined] == outcomes
+        assert len(certs) == 1 + rounds  # the initial block's, then one per round
+        points = list(synth._design_points(prob.grid))
+        kept = {key: cert for _, _, key, cert in certs}
+        for key, gamma, peaks, _ in refined:
+            cert = kept[key]
+            assert gamma == max(cert.per_point[p] for p in points)
+            assert peaks == tuple(np.reshape(cert.peaks, (-1, 2))[points].ravel())
 
 
 class TestDesignSet:
@@ -1353,19 +1375,21 @@ class TestDesignSet:
         part = synth._certify(view, kb, 1e-6)
         assert part.per_point == tuple(full.per_point[j] for j in points)
 
+    @staticmethod
+    def interior_peak():
+        """Five oscillator points under a weight that peaks at the second,
+        outside the first design set."""
+        grid = (1.0, 1.5, 2.0, 2.5, 3.0)
+        weights = tuple(static_gain([[g]]) for g in (0.02, 0.2, 0.02, 0.02, 0.02))
+        st = StructureOptions(1, 1, dependency="affine")
+        return SynthesisProblem(tuple(oscillator_plant(r) for r in grid), grid, weights, st)
+
     def test_interior_peak_joins_the_set(self, monkeypatch):
         """A weight that peaks at the second of five grid values, outside
         the first design set: the global check adds that point, and the
         result is the certificate of the returned controller on the whole
         grid, bit for bit."""
-        grid = (1.0, 1.5, 2.0, 2.5, 3.0)
-        weights = tuple(static_gain([[g]]) for g in (0.02, 0.2, 0.02, 0.02, 0.02))
-        st = StructureOptions(1, 1, dependency="affine")
-
-        def problem():
-            return SynthesisProblem(tuple(oscillator_plant(r) for r in grid), grid, weights, st)
-
-        prob = problem()
+        prob = self.interior_peak()
         opts = OptimizeOptions(max_iter=40, restarts=2, refine_rounds=1)
         kb0 = init_from_nominal(prob, 2, opts)
         designs, budgets = [], []
@@ -1375,9 +1399,9 @@ class TestDesignSet:
             designs.append(tuple(points))
             return real_subgrid(problem, points)
 
-        def descend(evaluator, kb_template, theta0, opts, t_start, budget):
-            out = real_descend(evaluator, kb_template, theta0, opts, t_start, budget)
-            budgets.append((evaluator.problem.m, budget, out[3]))
+        def descend(evaluator, kb_template, theta0, trace, t_start, done, budget, phases):
+            out = real_descend(evaluator, kb_template, theta0, trace, t_start, done, budget, phases)
+            budgets.append((evaluator.problem.m, done, budget, out[2]))
             return out
 
         monkeypatch.setattr(SynthesisProblem, "subgrid", subgrid)
@@ -1385,17 +1409,39 @@ class TestDesignSet:
         res = optimize(prob, kb0, opts)
         assert designs == [(0, 2, 4), (0, 1, 2, 4)]
         # the first start's descent continues on four points with what it left
-        (m0, b0, used0), (m1, b1, _) = budgets[:2]
+        (m0, d0, b0, used0), (m1, d1, b1, _) = budgets[:2]
         assert (m0, b0, m1, b1) == (3, opts.max_iter, 4, opts.max_iter - used0)
-        assert all(b == opts.max_iter for _, b, _ in budgets[2:])
+        assert (d0, d1) == (0, used0)
+        assert all(b == opts.max_iter for _, _, b, _ in budgets[2:])
         tol = opts.certify_rel_tol
         for cert in (synth._certify(prob, res.controller, tol),
-                     synth._certify(problem(), res.controller, tol)):
+                     synth._certify(self.interior_peak(), res.controller, tol)):
             assert res.gamma == cert.gamma
             assert res.per_point_norms == cert.per_point
             assert res.per_point_perf_norms == cert.perf
             assert res.per_point_wk_norms == cert.wk
         assert res.gamma <= objective(prob, kb0, tol).value
+
+    def test_trace_numbers_iterations_across_joins(self, monkeypatch):
+        """The winning start's trace runs on through the join that its
+        descent continues after: its rows are numbered by the start's
+        iterations, with one row 0, and its values never rise."""
+        prob = self.interior_peak()
+        opts = OptimizeOptions(max_iter=40, restarts=1, refine_rounds=1)
+        kb0 = init_from_nominal(prob, 2, opts)
+        designs, real_subgrid = [], SynthesisProblem.subgrid
+
+        def subgrid(problem, points):
+            designs.append(tuple(points))
+            return real_subgrid(problem, points)
+
+        monkeypatch.setattr(SynthesisProblem, "subgrid", subgrid)
+        res = optimize(prob, kb0, opts)
+        assert designs == [(0, 2, 4), (0, 1, 2, 4)]
+        iters = [row.iteration for row in res.trace]
+        assert iters[0] == 0 and all(a < b for a, b in zip(iters, iters[1:]))
+        objs = [row.objective for row in res.trace]
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
 
     def test_ill_posed_outside_point_joins_the_set(self, monkeypatch):
         """A block whose loop is ill posed at a grid point outside the set
