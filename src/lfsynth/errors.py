@@ -24,14 +24,9 @@ class SingularMatrixError(NumericalError):
 class IllPosedLFTError(SingularMatrixError):
     """A linear fractional interconnection has a singular algebraic loop.
 
-    ``grid_index`` is the first ill-posed parameter-grid point when a
-    certificate (synth.objective) raises the error, else it is None; stacked
-    passes report ill-posed points in a mask instead of raising.
+    Only the one-point functions raise it: stacked passes report ill-posed
+    points in a mask, and a certificate scores them ``inf``.
     """
-
-    def __init__(self, message, grid_index=None):
-        super().__init__(message)
-        self.grid_index = grid_index
 
 
 class UnstableError(LfsynthError, ValueError):

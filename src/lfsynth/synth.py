@@ -29,12 +29,12 @@ stabilization's probes): the plants share their state order, and so do the
 weights, so their matrices are stacked once and lft broadcasts the algebra
 over those axes.  The problem keeps its latest block's loops, so the
 surrogate, the certificate and stabilization close each block once.  A grid
-point is stable when its closed loop and its controller are.  A point whose
-loops are ill posed or not finite, which lft's mask marks, makes
-certification raise IllPosedLFTError with that grid index and the surrogate
-and stabilization score the block as infinite.  A certificate is two stacked
-level-set passes over the whole grid, one over the closed loops and one over
-the weighted controllers; an unstable point scores infinite there too.
+point is stable when its closed loop and its controller are; a point whose
+loops are ill posed or not finite, which lft's mask marks, is never stable.
+The certificate, the surrogate and stabilization all score a block infinite
+at a point that is not stable.  A certificate is two stacked level-set
+passes over the whole grid, one over the closed loops and one over the
+weighted controllers.
 The surrogate takes plant and weight responses from two eigen-factored
 FrequencyKernels stacked over the grid, one for the plants and one for the
 weights, and the controllers' resolvent products from a third one, built
@@ -61,7 +61,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     DomainError,
-    IllPosedLFTError,
     StabilizationFailedError,
     UnstableError,
 )
@@ -71,10 +70,8 @@ from .lft import (
     ControllerBlock,
     closed_loop_matrices,
     count_free_params,
-    eval_controller,
     instantiate_stack,
     instantiation_factors,
-    lower_lft_ss,
     stack_plants,
     zero_block,
 )
@@ -178,8 +175,8 @@ class SynthesisProblem:
         grid = tuple(float(g) for g in self.grid)
         if not plants or len(plants) != len(grid):
             raise DimensionError("need one plant per grid value, at least one")
-        if len(set(grid)) != len(grid):
-            raise DomainError("grid values must be distinct")
+        if not np.isfinite(grid).all() or len(set(grid)) != len(grid):
+            raise DomainError("grid values must be finite and distinct")
         for p in plants:
             if len(p.input_partition) != 2 or len(p.output_partition) != 2:
                 raise DimensionError("plants must be partitioned [w;u] -> [z;y]")
@@ -277,24 +274,18 @@ _Cert = namedtuple("_Cert", ["gamma", "per_point", "perf", "wk", "peaks", "max_a
 
 
 def _certify(problem, kb, rel_tol):
-    """Certified channel norms of every grid point, ``inf`` at an unstable one.
+    """Certified channel norms of every grid point, ``inf`` at an unstable
+    or ill-posed one.
 
     One stacked level-set pass (norms._hinf_norms) certifies the closed
     loops of the whole grid and a second one their weighted controllers,
     which series_matrices builds over the grid axis.  A point that
-    _closed_loops calls unstable scores ``inf``; its channels keep what
-    _hinf_norms gives them (``inf`` for an unstable channel, with a NaN
-    peak).  The first ill-posed grid point raises IllPosedLFTError as
-    ``grid_index``.
+    _closed_loops calls unstable, an ill-posed one included, scores
+    ``inf``; its channels keep what _hinf_norms gives them (``inf`` for an
+    unstable channel, with a NaN peak; an ill-posed point's are the norms
+    of its zero matrices).
     """
     loops = _closed_loops(problem, kb)
-    if not loops.well_posed.all():
-        j = int(np.argmin(loops.well_posed))
-        try:  # the one-point functions raise, naming the loop
-            lower_lft_ss(problem.plants[j], eval_controller(kb, problem.grid[j]))
-        except IllPosedLFTError as exc:
-            exc.grid_index = j
-            raise
     perf, peaks_p = _hinf_norms(loops.closed, rel_tol)
     wk, peaks_w = _hinf_norms(series_matrices(loops.ctrl, problem.weights), rel_tol)
     per_point = np.where(loops.abscissa < 0.0, np.maximum(perf, wk), np.inf)
@@ -310,8 +301,8 @@ def objective(problem, kb, rel_tol=1e-4):
 
     Returns (value, per_point, stable).  The value is the max over grid
     points of the larger of the closed-loop and weighted-controller norms,
-    ``inf`` when a channel is unstable, as in nonsmooth H-infinity synthesis.
-    An ill-posed grid point raises IllPosedLFTError (see _certify).
+    ``inf`` when a channel is unstable or a point ill posed, as in nonsmooth
+    H-infinity synthesis (see _certify).
     """
     cert = _certify(problem, kb, rel_tol)
     return ObjectiveEval(cert.gamma, cert.per_point, cert.max_abscissa < 0.0)
@@ -360,16 +351,16 @@ def surrogate_grid(problem, n_base=160):
     return np.unique(freqs)
 
 
-_Loops = namedtuple("_Loops", ["ctrl", "closed", "poles", "abscissa", "well_posed"])
+_Loops = namedtuple("_Loops", ["ctrl", "closed", "poles", "abscissa"])
 
 
 def _closed_loops(problem, kb, free=None, inst=None):
     """Instantiated controllers and closed loops (Realizations), closed-loop
-    poles (M, n), abscissas (M,) and well-posed mask (M,) of the whole grid,
-    from one pass over the stacked grid, stacked as it is: the controllers
-    instantiated by lft.instantiate_stack (or ``inst``, the instantiation
-    of the single block ``kb`` that it returned, when the caller has it)
-    and closed by lft.closed_loop_matrices.
+    poles (M, n) and abscissas (M,) of the whole grid, from one pass over
+    the stacked grid, stacked as it is: the controllers instantiated by
+    lft.instantiate_stack (or ``inst``, the instantiation of the single
+    block ``kb`` that it returned, when the caller has it) and closed by
+    lft.closed_loop_matrices.
 
     With ``free``, B sets of free values stacked (B, n_free), the same pass
     closes each of those blocks (kb with its free entries replaced) at every
@@ -377,10 +368,10 @@ def _closed_loops(problem, kb, free=None, inst=None):
     largest real part over a point's closed-loop and controller poles (-inf
     when there are none).  The weights are stable, so it decides the
     stability of both channels.  A point whose parameter or feedback loop is
-    ill posed, or whose matrices are not finite, is False in ``well_posed``;
-    its loops are not its own, and its abscissa is inf, so it is never
-    stable.  The problem keeps its latest single block's loops, which
-    callers must not modify, for that block's next call.
+    ill posed, or whose matrices are not finite, which lft's mask marks, has
+    zero matrices and poles and an abscissa of inf, so it is never stable.
+    The problem keeps its latest single block's loops, which callers must
+    not modify, for that block's next call.
     """
     key = None if free is not None else (kb.n_k, kb.n_delta, kb.n_u, kb.n_y, kb.k.tobytes())
     latest = problem._latest  # one tuple, replaced whole
@@ -395,13 +386,14 @@ def _closed_loops(problem, kb, free=None, inst=None):
     ctrl, instantiated = inst
     closed, closed_ok = closed_loop_matrices(problem.stacked, ctrl)
     well_posed = instantiated & closed_ok
-    a_cl, a_k = (a if well_posed.all() else np.where(well_posed[..., None, None], a, 0.0)
-                 for a in (closed.a, ctrl.a))  # ill-posed points' may not be finite
-    poles = np.linalg.eigvals(a_cl)
-    reals = np.concatenate([poles.real, np.linalg.eigvals(a_k).real], axis=-1)
+    if not well_posed.all():  # ill-posed points' matrices may not be finite
+        ctrl, closed = (Realization(*(np.where(well_posed[..., None, None], m, 0.0) for m in r))
+                        for r in (ctrl, closed))
+    poles = np.linalg.eigvals(closed.a)
+    reals = np.concatenate([poles.real, np.linalg.eigvals(ctrl.a).real], axis=-1)
     abscissa = reals.max(axis=-1, initial=-np.inf)
     abscissa[~well_posed] = np.inf
-    loops = _Loops(ctrl, closed, poles, abscissa, well_posed)
+    loops = _Loops(ctrl, closed, poles, abscissa)
     if key is not None:
         object.__setattr__(problem, "_latest", (key, loops))
     return loops
@@ -1030,8 +1022,8 @@ def _design_points(grid):
 def _worst_outside(per_point, points, rel_tol):
     """Index of the grid point outside ``points`` with the largest certified
     value when that value exceeds the largest inside by more than
-    ``rel_tol``, relative (an unstable point, at ``inf``, always does while
-    the set is stable); else None."""
+    ``rel_tol``, relative (an unstable or ill-posed point, at ``inf``, always
+    does while the set is stable); else None."""
     outside = [j for j in range(len(per_point)) if j not in points]
     if not outside:
         return None
@@ -1057,18 +1049,18 @@ def optimize(problem, kb_init, options=None):
     what follows.  When the worst point outside the set exceeds the set's
     certified value by more than that tolerance, it joins the set for the
     rest of the run, and the descent continues from the block, stabilized
-    on the larger set (or the start ends there when that fails); a point
-    outside the set where the block's loop is ill posed joins it the same
-    way, and that block is no candidate.  Otherwise, while the start has a
-    round and iterations left, or when a later start follows, the set's
-    part of the certificate decides whether the surrogate grid that they
-    share is enriched at its peaks (see _FastEvaluator.refine); the start
-    goes on to its next round only when it is, and ends there otherwise.
+    on the larger set (or the start ends there when that fails); an
+    unstable or ill-posed point outside the set, at ``inf``, always joins
+    it.  Otherwise, while the start has a round and iterations left, or
+    when a later start follows, the set's part of the certificate decides
+    whether the surrogate grid that they share is enriched at its peaks
+    (see _FastEvaluator.refine); the start goes on to its next round only
+    when it is, and ends there otherwise.
 
     The initial block is certified over the whole grid too and competes,
-    so the reported objective never exceeds the initial one.  ``gamma`` and
-    the per-point norms are the best candidate's certificate, over every
-    grid point.
+    so the reported objective never exceeds the initial one, and a block
+    certified ``inf`` never wins.  ``gamma`` and the per-point norms are
+    the best candidate's certificate, over every grid point.
     """
     opts = options or OptimizeOptions()
     expected = (
@@ -1114,15 +1106,9 @@ def optimize(problem, kb_init, options=None):
                 done += used
                 rounds -= 1
                 kb = kb0.with_free_values(theta)
-                try:
-                    cert = _certify(problem, kb, tol)
-                except IllPosedLFTError as exc:
-                    if exc.grid_index in points:  # the block is stable on the set: no join
-                        raise
-                    j = exc.grid_index
-                else:
-                    candidates.append((cert, theta, tuple(trace), conv))
-                    j = _worst_outside(cert.per_point, points, tol)
+                cert = _certify(problem, kb, tol)
+                candidates.append((cert, theta, tuple(trace), conv))
+                j = _worst_outside(cert.per_point, points, tol)
                 if j is None:
                     next_round = rounds > 0 and done < opts.max_iter
                     if next_round or i + 1 < len(starts):  # they share the grid

@@ -15,13 +15,16 @@ analytic cap, which in turn checks that the certified gamma bounds the
 weight channel.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 import lfsynth as lf
+from lfsynth import cli
 from lfsynth.lft import eval_controller, lower_lft_ss
 from lfsynth.models import (
     BeamSpec,
@@ -45,6 +48,8 @@ from lfsynth.synth import (
 
 from conftest import random_block, random_stable_ss, upper_lft_matrix
 
+RUN_EXPERIMENT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiment.py"
+
 
 def report(num, name, ok, detail=""):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {name} {detail}")
@@ -66,7 +71,8 @@ def beam_campaign():
     structure = StructureOptions(n_k=2, n_delta=1, dependency="affine")
     problem = SynthesisProblem(plants, grid, wk, structure)
     opts = OptimizeOptions(max_iter=150, restarts=3, seed=0)
-    nominal = init_from_nominal(problem, 2, opts)  # L = 15
+    nominal_index = 2  # L = 15
+    nominal = init_from_nominal(problem, nominal_index, opts)
     result = optimize(problem, nominal, opts)
 
     lengths = np.linspace(10.0, 20.0, 21)
@@ -87,6 +93,8 @@ def beam_campaign():
     return {
         "grid": grid,
         "problem": problem,
+        "options": opts,
+        "nominal_index": nominal_index,
         "nominal": nominal,
         "result": result,
         "lengths": lengths,
@@ -108,7 +116,8 @@ def building_campaign():
     )
     problem = SynthesisProblem(plants, grid, weights, structure)
     opts = OptimizeOptions(max_iter=250, restarts=3, seed=0)
-    nominal = init_from_nominal(problem, 2, opts)  # rho = 1
+    nominal_index = 2  # rho = 1
+    nominal = init_from_nominal(problem, nominal_index, opts)
     result = optimize(problem, nominal, opts)
 
     open_peak = hinf_norm(base, 1e-8)
@@ -132,6 +141,9 @@ def building_campaign():
     return {
         "base": base,
         "grid": grid,
+        "problem": problem,
+        "options": opts,
+        "nominal_index": nominal_index,
         "weight_spec": wspec,
         "result": result,
         "nominal": nominal,
@@ -143,6 +155,35 @@ def building_campaign():
         "mag_parametric": mag_par,
         "mag_nominal": mag_nom,
     }
+
+
+@pytest.mark.parametrize("study", ["beam", "building"])
+def test_campaign_definitions_agree(study, request, tmp_path):
+    """scripts/run_experiment.py's full-run template poses the campaign
+    fixture's problem, bit for bit, with its options; only the iteration
+    budgets may differ (the beam's is 200 there, 150 here)."""
+    campaign = request.getfixturevalue(f"{study}_campaign")
+    spec = importlib.util.spec_from_file_location("run_experiment", RUN_EXPERIMENT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    template = script.STUDIES[study]
+    path = tmp_path / f"{study}.cfg"
+    path.write_text(
+        template.config.format(grid=template.grid, n_delta=template.n_delta, **template.full)
+    )
+    cfg = cli.parse_config(str(path))
+    problem, opts = cli.build_problem(cfg)[1], cli.make_options(cfg)
+    fixture, fixture_opts = campaign["problem"], campaign["options"]
+    assert np.array(problem.grid).tobytes() == np.array(fixture.grid).tobytes()
+    assert problem.structure == fixture.structure
+    assert problem.stacked[1:] == fixture.stacked[1:]  # the partitions
+    matrices = zip(problem.stacked.sys + problem.weights, fixture.stacked.sys + fixture.weights)
+    for got, want in matrices:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (opts.restarts, opts.seed, opts.refine_rounds) == (
+        fixture_opts.restarts, fixture_opts.seed, fixture_opts.refine_rounds
+    )
+    assert cfg.opt_nominal_index == campaign["nominal_index"]
 
 
 # ---------------------------------------------------------------------------

@@ -303,9 +303,8 @@ class TestStackedGrid:
         kb = ControllerBlock(0, 1, 1, 1, k, np.ones((2, 2), dtype=np.int8))
         _, well_posed = instantiate_stack(kb, kb.k, (1.0, 2.0, 2.0))
         assert well_posed.tolist() == [True, False, False]
-        with pytest.raises(IllPosedLFTError, match=r"parametric controller at rho = 2\.0") as err:
+        with pytest.raises(IllPosedLFTError, match=r"parametric controller at rho = 2\.0"):
             eval_controller_matrices(kb, 2.0)
-        assert err.value.grid_index is None
         eval_controller_matrices(kb, 1.0)
 
     def test_ill_posed_feedback_loop_is_masked(self):
@@ -324,9 +323,8 @@ class TestStackedGrid:
         assert instantiate_and_close(stack_plants(plants), kb, (0.0, 1.0, 2.0))[2].tolist() == [
             True, False, False
         ]
-        with pytest.raises(IllPosedLFTError, match="feedback") as err:
+        with pytest.raises(IllPosedLFTError, match="feedback"):
             lower_lft_ss(plants[1], eval_controller(kb, 1.0))
-        assert err.value.grid_index is None
 
     @pytest.mark.parametrize("n_k, n_delta", [(2, 0), (3, 2), (0, 1)])
     def test_stacked_blocks_match_per_block_bit_for_bit(self, rng, n_k, n_delta):

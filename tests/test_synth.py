@@ -9,7 +9,6 @@ from lfsynth import cli, synth
 from lfsynth.errors import (
     DimensionError,
     DomainError,
-    IllPosedLFTError,
     SingularMatrixError,
     StabilizationFailedError,
     UnstableError,
@@ -19,8 +18,10 @@ from lfsynth.lft import (
     MASK_FROZEN,
     MASK_ZERO,
     ControllerBlock,
+    closed_loop_matrices,
     count_free_params,
     eval_controller,
+    instantiate_stack,
     load_controller,
     zero_block,
 )
@@ -80,6 +81,13 @@ def single_problem(structure, plant=None, wk_gain=0.0):
     )
 
 
+def lft_well_posed(problem, kb):
+    """Well-posed mask (M,) of ``kb`` over the problem's grid, from lft's
+    stacked pass alone (instantiate_stack, then closed_loop_matrices)."""
+    ctrl, instantiated = instantiate_stack(kb, kb.k, problem.grid)
+    return instantiated & closed_loop_matrices(problem.stacked, ctrl)[1]
+
+
 class TestBuildMask:
     def test_full_hinf_all_free(self):
         st = StructureOptions(1, 1, "full-hinf", "rational", "full")
@@ -134,6 +142,15 @@ class TestSynthesisProblem:
         with pytest.raises(DomainError):
             SynthesisProblem(
                 (scalar_plant(), scalar_plant()), (1.0, 1.0), static_gain([[0.0]]),
+                StructureOptions(1, 0),
+            )
+
+    @pytest.mark.parametrize("grid", [(np.nan, np.nan), (1.0, np.inf)])
+    def test_non_finite_grid(self, grid):
+        # NaN != NaN, so a NaN grid has distinct values
+        with pytest.raises(DomainError, match="finite"):
+            SynthesisProblem(
+                (scalar_plant(), scalar_plant()), grid, static_gain([[0.0]]),
                 StructureOptions(1, 0),
             )
 
@@ -222,7 +239,7 @@ class TestObjective:
         assert not ev.stable
         assert ev.value == np.inf and ev.per_point == (np.inf,)
 
-    def test_ill_posed_carries_grid_index(self):
+    def test_ill_posed_scores_inf(self):
         st = StructureOptions(0, 1, dependency="rational")
         prob = SynthesisProblem(
             (oscillator_plant(1.0), oscillator_plant(2.0)), (1.0, 2.0),
@@ -231,9 +248,9 @@ class TestObjective:
         k = np.zeros((2, 2))
         k[0, 0] = 0.5  # d_zw: loop singular at rho = 2
         kb = ControllerBlock(0, 1, 1, 1, k, build_mask(st, 1, 1))
-        with pytest.raises(IllPosedLFTError) as err:
-            objective(prob, kb)
-        assert err.value.grid_index == 1
+        ev = objective(prob, kb)
+        assert not ev.stable
+        assert ev.value == np.inf and [v == np.inf for v in ev.per_point] == [False, True]
 
     def test_wk_channel_included(self):
         st = StructureOptions(0, 0)
@@ -1445,8 +1462,8 @@ class TestDesignSet:
 
     def test_ill_posed_outside_point_joins_the_set(self, monkeypatch):
         """A block whose loop is ill posed at a grid point outside the set
-        is no candidate: that point joins the set, and the descent goes on
-        from the block stabilized there."""
+        scores inf there, so it is no winning candidate: that point joins
+        the set, and the descent goes on from the block stabilized there."""
         grid = (1.0, 1.5, 2.0, 2.5, 3.0)
         st = StructureOptions(1, 1, dependency="affine")
         prob = SynthesisProblem(
@@ -1460,8 +1477,10 @@ class TestDesignSet:
         def certify(problem, block, rel_tol):
             if problem.m == 5 and rel_tol == opts.certify_rel_tol:
                 blocks.append(block)
-                if len(blocks) == 2:  # the descent's first block
-                    raise IllPosedLFTError("ill posed at rho = 1.5", grid_index=1)
+                if len(blocks) == 2:  # the descent's first block, ill posed at rho = 1.5
+                    cert = real_certify(problem, block, rel_tol)
+                    per_point = cert.per_point[:1] + (np.inf,) + cert.per_point[2:]
+                    return cert._replace(gamma=np.inf, per_point=per_point)
             return real_certify(problem, block, rel_tol)
 
         def subgrid(problem, points):
@@ -1564,21 +1583,21 @@ class TestClosedLoops:
         assert value == np.inf and not info.stable
         assert np.array_equal(grad, np.zeros(grad.size))
         loops = synth._closed_loops(prob, kb)
-        assert loops.well_posed.tolist() == [True] * (prob.m - 1) + [False]
+        assert lft_well_posed(prob, kb).tolist() == [True] * (prob.m - 1) + [False]
         assert loops.abscissa[-1] == np.inf
-        with pytest.raises(IllPosedLFTError) as err:
-            synth._certify(prob, kb, 1e-6)
-        assert err.value.grid_index == prob.m - 1
+        cert = synth._certify(prob, kb, 1e-6)
+        assert cert.gamma == np.inf
+        assert [v == np.inf for v in cert.per_point] == [False] * (prob.m - 1) + [True]
         assert objective(prob, stabilize(prob, kb)).stable
 
-    def test_first_ill_posed_point_is_reported(self):
+    def test_every_ill_posed_point_scores_inf(self):
         """Point 0 fails the feedback loop and point 1 the parameter loop:
-        the mask flags both, and the certificate's error names point 0, as a
-        point-by-point pass would."""
+        the mask flags both, and the certificate scores exactly the
+        ill-posed points inf."""
 
-        def plant(d22):
+        def plant(d22, pole=-1.0):
             return PartitionedSystem(
-                StateSpace([[-1.0]], [[1.0, 1.0]], [[1.0], [1.0]],
+                StateSpace([[pole]], [[1.0, 1.0]], [[1.0], [1.0]],
                            [[0.0, 0.0], [0.0, d22]]),
                 (1, 1),
                 (1, 1),
@@ -1591,18 +1610,18 @@ class TestClosedLoops:
         # d_zw = 0.5: parameter loop singular at rho = 2; d_yu = 1 closes
         # u = y against d22 = 1 at rho = 1
         kb = ControllerBlock(0, 1, 1, 1, [[0.5, 0.0], [0.0, 1.0]], build_mask(st, 1, 1))
-        assert synth._closed_loops(prob, kb).well_posed.tolist() == [False, False]
-        with pytest.raises(IllPosedLFTError, match="feedback") as err:
-            synth._certify(prob, kb, 1e-6)
-        assert err.value.grid_index == 0
-        # without the feedback failure the parameter loop at point 1 is named
+        assert lft_well_posed(prob, kb).tolist() == [False, False]
+        ev = objective(prob, kb)
+        assert not ev.stable and ev.value == np.inf and ev.per_point == (np.inf, np.inf)
+        # without the feedback failure only point 1 is ill posed; u = y
+        # moves the plant's pole from -2 to -1, so point 0 is stable
         prob = SynthesisProblem(
-            (plant(0.0), plant(0.0)), (1.0, 2.0), static_gain([[0.0]]), st
+            (plant(0.0, -2.0), plant(0.0, -2.0)), (1.0, 2.0), static_gain([[0.0]]), st
         )
-        assert synth._closed_loops(prob, kb).well_posed.tolist() == [True, False]
-        with pytest.raises(IllPosedLFTError, match=r"parametric controller at rho = 2\.0") as err:
-            objective(prob, kb)
-        assert err.value.grid_index == 1
+        assert lft_well_posed(prob, kb).tolist() == [True, False]
+        ev = objective(prob, kb)
+        assert not ev.stable and ev.value == np.inf
+        assert [v == np.inf for v in ev.per_point] == [False, True]
 
 
 class TestOverflowingBlocks:
@@ -1610,18 +1629,18 @@ class TestOverflowingBlocks:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [1e155, 1e200])
-    def test_scores_inf_and_certificate_raises(self, value):
+    def test_scores_inf_in_every_evaluation(self, value):
         prob, kb = bundled_problem("building")
         kb = kb.with_free_values(np.full(count_free_params(kb), value))
         ev = synth._FastEvaluator(prob, surrogate_grid(prob, 40))
         score, info, grad = ev.penalized(kb, 0.01, gradient=True)
         assert score == np.inf and not info.stable and not grad.any()
         loops = synth._closed_loops(prob, kb)
-        assert not loops.well_posed.any() and (loops.abscissa == np.inf).all()
-        for certificate in (lambda: synth._certify(prob, kb, 1e-6), lambda: objective(prob, kb)):
-            with pytest.raises(IllPosedLFTError, match="not finite") as err:
-                certificate()
-            assert err.value.grid_index == 0
+        assert not lft_well_posed(prob, kb).any() and (loops.abscissa == np.inf).all()
+        cert = synth._certify(prob, kb, 1e-6)
+        assert cert.gamma == np.inf and cert.per_point == (np.inf,) * prob.m
+        ev = objective(prob, kb)
+        assert not ev.stable and ev.value == np.inf and ev.per_point == cert.per_point
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_other_points_keep_their_poles(self):
@@ -1634,7 +1653,7 @@ class TestOverflowingBlocks:
         mask = build_mask(st, 1, 1)
         kb = ControllerBlock(1, 1, 1, 1, np.where(mask == MASK_ZERO, 0.0, 1e200), mask)
         loops = synth._closed_loops(prob, kb)
-        assert loops.well_posed.tolist() == [True, False]
+        assert lft_well_posed(prob, kb).tolist() == [True, False]
         assert loops.abscissa[1] == np.inf
         alone = synth._closed_loops(point_problem(prob, 0), kb)
         assert np.array_equal(loops.poles[0], alone.poles[0])
@@ -1643,14 +1662,14 @@ class TestOverflowingBlocks:
 
 def softened_abscissa(problem, kb):
     """Stabilization's value over the free entries of ``kb``, one
-    _closed_loops pass per block: infinite where the mask flags a point of
+    _closed_loops pass per block: infinite where lft's mask flags a point of
     the block ill posed."""
 
     def fun(theta):
-        loops = synth._closed_loops(problem, kb.with_free_values(theta))
-        if not loops.well_posed.all():
+        block = kb.with_free_values(theta)
+        if not lft_well_posed(problem, block).all():
             return np.inf
-        absc = loops.abscissa
+        absc = synth._closed_loops(problem, block).abscissa
         return synth._soft_max(absc, 1e-2 * (1.0 + abs(float(absc.max()))))[0]
 
     return fun
